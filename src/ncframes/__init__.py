@@ -40,7 +40,6 @@ from .frames import (
 )
 from .module import (
     AMatrix,
-    FlatView,
     NotCoisometricError,
     complete_to_unitary,
     coordinate_projection,

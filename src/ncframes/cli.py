@@ -17,7 +17,6 @@ import numpy as np
 from . import io
 from .algebra import AlgebraSpec, ShapeError
 from .decomposition import (
-    classify_frame,
     commutation_residual,
     divisibility_check,
     direct_sum_frames,
@@ -117,7 +116,6 @@ def cmd_analyze(args) -> int:
                 "size_divisible": flag,
             }
         )
-    _, admissible = classify_frame(F)
     doc = {
         "tightness": io.encode_tightness_report(report),
         "spherical": {
@@ -130,7 +128,7 @@ def cmd_analyze(args) -> int:
         "blocks": blocks_doc,
         "d": div.d,
         "kprime": div.kprime,
-        "partition_admissible": admissible,
+        "partition_admissible": div.all_divisible,
     }
     _emit(doc, args.output)
     return 0
@@ -145,9 +143,7 @@ def cmd_factorize(args) -> int:
         return 1
     doc = io.encode_amatrix(result.unitary)
     doc["b"] = result.b
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    io.write_json(args.out, doc)
     _emit(
         {
             "b": result.b,
@@ -215,9 +211,7 @@ def cmd_minimize(args) -> int:
     if args.trace_out:
         full = dict(doc)
         full["frame"] = io.encode_frame_file(trace.frame)
-        with open(args.trace_out, "w") as fh:
-            json.dump(full, fh)
-            fh.write("\n")
+        io.write_json(args.trace_out, full)
     _emit(doc, args.output)
     return 0 if trace.converged else 1
 
@@ -269,20 +263,14 @@ def _equivalence_corpus(kmax: int) -> list[Frame]:
     return corpus
 
 
-def _selftest_equivalence(kmax: int, inject_fault: bool) -> dict:
+def _selftest_equivalence(kmax: int) -> dict:
     disagreements = []
     checked = 0
     for fi, F in enumerate(_equivalence_corpus(kmax)):
         for size in range(F.k + 1):
             for I in itertools.combinations(range(1, F.k + 1), size):
-                rep = split_equivalence(F, I, 1e-9)
-                agree = rep.agree
-                if inject_fault and fi == 0 and I == (1,):
-                    # debug hook: pretend the Gram picked up an off-diagonal
-                    # perturbation so the commutation side flips
-                    agree = (not rep.commutes) == rep.splits
                 checked += 1
-                if not agree:
+                if not split_equivalence(F, I, 1e-9).agree:
                     disagreements.append(
                         {"frame": fi, "subset": list(I)}
                     )
@@ -326,7 +314,7 @@ def cmd_selftest(args) -> int:
     kmax = 8 if args.full else 6
     suites = {
         "cstar": _selftest_cstar(1000 if args.full else 200),
-        "equivalence": _selftest_equivalence(kmax, args.inject_gram_fault),
+        "equivalence": _selftest_equivalence(kmax),
         "divisibility": _selftest_divisibility(quick=not args.full),
     }
     passed = all(s["passed"] for s in suites.values())
@@ -390,7 +378,6 @@ def build_parser() -> ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--inject-gram-fault", action="store_true", help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_selftest)
 

@@ -136,8 +136,9 @@ def _gram_offdiag_norms(F: Frame) -> np.ndarray:
     G = gram_matrix(F)
     k = F.k
     norms = np.zeros((k, k))
-    for arr in G.summands:
-        svals = np.linalg.svd(arr, compute_uv=False)[..., 0]
+    for m, blk in zip(F.spec.summand_dims, G.blocks):
+        entries = blk.reshape(k, m, k, m).transpose(0, 2, 1, 3)  # (k, k, m, m)
+        svals = np.linalg.svd(entries, compute_uv=False)[..., 0]
         norms = np.maximum(norms, svals)
     return norms
 
@@ -178,12 +179,11 @@ def restrict(F: Frame, I: Iterable[int]) -> Frame:
 def range_projection(F: Frame, tol: float = 1e-9) -> AMatrix:
     """Orthogonal projection onto the column space of F, per summand.
 
-    Computed from the SVD of the flattened frame matrix with singular
-    values below tol * max(1, s_max) treated as zero.
+    Computed from the SVD of each summand block of the frame matrix with
+    singular values below tol * max(1, s_max) treated as zero.
     """
     blocks = []
-    flat = F.matrix.flatten()
-    for blk in flat.blocks:
+    for blk in F.matrix.blocks:
         u, s, _ = np.linalg.svd(blk, full_matrices=False)
         if s.size:
             rank = int(np.sum(s > tol * max(1.0, s[0])))
@@ -191,7 +191,7 @@ def range_projection(F: Frame, tol: float = 1e-9) -> AMatrix:
             rank = 0
         ur = u[:, :rank]
         blocks.append(ur @ ur.conj().T)
-    return AMatrix.from_flat(blocks, F.n, F.n, F.spec)
+    return AMatrix(F.spec, F.n, F.n, tuple(blocks))
 
 
 def _tight_on_range_residual(
@@ -334,11 +334,10 @@ def direct_sum_frames(
     n_total = sum(p.n for p in parts)
     k_total = sum(p.k for p in parts)
     out = AMatrix.zeros(spec, n_total, k_total)
-    summands = [arr.copy() for arr in out.summands]
     r0 = c0 = 0
     for part in parts:
-        for dst, src in zip(summands, part.matrix.summands):
-            dst[r0 : r0 + part.n, c0 : c0 + part.k] = src
+        for m, dst, src in zip(spec.summand_dims, out.blocks, part.matrix.blocks):
+            dst[r0 * m : (r0 + part.n) * m, c0 * m : (c0 + part.k) * m] = src
         r0 += part.n
         c0 += part.k
-    return Frame(AMatrix(spec, n_total, k_total, tuple(summands)))
+    return Frame(out)

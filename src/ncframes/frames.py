@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraSpec, ShapeError
+from .algebra import AlgebraSpec, ShapeError
 from .module import AMatrix, complete_to_unitary, is_unitary
 
 __all__ = [
@@ -115,7 +115,7 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     """Estimate the frame constant and measure the defect ||FF* - bI||.
 
     Per summand j the constant is estimated as the normalized trace of the
-    flattened frame operator; the single constant b is their mean.  The
+    frame operator's summand block; the single constant b is their mean.  The
     frame is reported tight when the worst-summand residual is within
     tol * max(1, b), the per-summand estimates agree to the same tolerance,
     and b > tol.
@@ -123,14 +123,14 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = F.n
-    flat = frame_operator(F).flatten()
+    S = frame_operator(F)
     per_b = []
-    for m, blk in zip(F.spec.summand_dims, flat.blocks):
+    for m, blk in zip(F.spec.summand_dims, S.blocks):
         per_b.append(float(np.trace(blk).real) / (n * m))
     b = float(np.mean(per_b))
     residual = max(
         float(np.linalg.norm(blk - b * np.eye(blk.shape[0]), 2))
-        for blk in flat.blocks
+        for blk in S.blocks
     )
     scale = max(1.0, abs(b))
     spread = max(abs(bj - b) for bj in per_b)
@@ -139,13 +139,13 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
 
 
 def _column_pairings(F: Frame, vflat: list[np.ndarray]) -> np.ndarray:
-    """Per-sample norms ||<v, f_i>|| for a batch of flattened vectors.
+    """Per-sample norms ||<v, f_i>|| for a batch of vectors in A^n.
 
     vflat holds one array of shape (B, n*m_j, m_j) per summand; the result
     has shape (B, k) with the C*-norm already maximized over summands.
     """
     k = F.k
-    fblocks = F.matrix.flatten().blocks
+    fblocks = F.matrix.blocks
     batch = vflat[0].shape[0]
     norms = np.zeros((batch, k))
     for m, fb, vb in zip(F.spec.summand_dims, fblocks, vflat):
@@ -203,21 +203,24 @@ def is_spherical(
     """
     if mode not in ("strict", "equal_norm"):
         raise ValueError(f"unknown mode {mode!r}")
-    gram = gram_matrix(F)
-    diag = [gram.entry(i, i) for i in range(F.k)]
+    k = F.k
+    # per summand, the k diagonal blocks <f_i, f_i> as one (k, m, m) stack
+    diag = [
+        np.einsum("iaib->iab", blk.reshape(k, m, k, m))
+        for m, blk in zip(F.spec.summand_dims, gram_matrix(F).blocks)
+    ]
     if mode == "strict":
-        radii = [g.normalized_trace().real for g in diag]
-        r = float(np.mean(radii))
+        traces = sum(np.trace(d, axis1=1, axis2=2) for d in diag)
+        r = float(np.mean((traces / sum(F.spec.summand_dims)).real))
         deviation = max(
-            float(np.linalg.norm(blk - r * np.eye(blk.shape[0]), 2))
-            for g in diag
-            for blk in g.blocks
+            float(np.max(np.linalg.norm(d - r * np.eye(d.shape[1]), 2, axis=(1, 2))))
+            for d in diag
         )
         ok = deviation <= tol * max(1.0, abs(r)) and r > tol
         return SphericalReport(ok, r, deviation, mode)
-    norms = [g.norm() for g in diag]
+    norms = np.max([np.linalg.norm(d, 2, axis=(1, 2)) for d in diag], axis=0)
     r = float(np.mean(norms))
-    deviation = max(abs(x - r) for x in norms)
+    deviation = float(np.max(np.abs(norms - r)))
     ok = deviation <= tol * max(1.0, abs(r)) and r > tol
     return SphericalReport(ok, r, deviation, mode)
 
@@ -226,13 +229,7 @@ def canonical_coisometry(spec: AlgebraSpec, k: int, n: int) -> AMatrix:
     """The n x k matrix [I_n | 0] over A; the model coisometry."""
     if k < n:
         raise ShapeError(f"need k >= n, got k={k}, n={n}")
-    summands = []
-    for m in spec.summand_dims:
-        arr = np.zeros((n, k, m, m), dtype=complex)
-        idx = np.arange(n)
-        arr[idx, idx] = np.eye(m)
-        summands.append(arr)
-    return AMatrix(spec, n, k, tuple(summands))
+    return AMatrix.diagonal(spec, n, k, range(n))
 
 
 def canonical_frame(
@@ -267,10 +264,10 @@ def factorize(F: Frame, tol: float = 1e-9) -> FactorizationResult:
     b = report.b
     G = (1.0 / np.sqrt(b)) * F.matrix
     polished = []
-    for blk in G.flatten().blocks:
+    for blk in G.blocks:
         u, _, vh = np.linalg.svd(blk, full_matrices=False)
         polished.append(u @ vh)
-    Gp = AMatrix.from_flat(polished, F.n, F.k, F.spec)
+    Gp = AMatrix(F.spec, F.n, F.k, tuple(polished))
     U = complete_to_unitary(Gp, tol=max(tol, 1e-8))
     W = canonical_coisometry(F.spec, F.k, F.n)
     recon = (F.matrix - np.sqrt(b) * (W @ U)).norm()
@@ -294,7 +291,7 @@ def random_unitary(
         q, r = np.linalg.qr(z)
         phases = np.diagonal(r) / np.abs(np.diagonal(r))
         blocks.append(q * phases)
-    return AMatrix.from_flat(blocks, k, k, spec)
+    return AMatrix(spec, k, k, tuple(blocks))
 
 
 def random_tight_frame(

@@ -4,7 +4,9 @@ Complex numbers are written as [re, im] pairs and matrix blocks row-major,
 so files are language-neutral and diff-able; Python's shortest-repr float
 serialization makes read/write round trips bit-identical on the numeric
 payload.  Frame files carry the algebra, the shape, the k columns (each a
-list of n element encodings) and optional metadata.
+list of n element encodings) and optional metadata.  Each summand is
+encoded and decoded as one array; decoding rejects a payload of the wrong
+shape or with a non-finite entry with FormatError.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "load_frame",
     "save_frame",
     "load_amatrix",
+    "write_json",
 ]
 
 
@@ -50,31 +53,49 @@ def decode_spec(data: Any) -> AlgebraSpec:
         raise FormatError(f"bad algebra spec: {exc}") from exc
 
 
-def _encode_block(block: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in block.ravel(order="C")]
+def _pairs(blocks: np.ndarray) -> list:
+    """[re, im] pair lists of (..., m, m) blocks, each block row-major."""
+    pairs = np.stack([blocks.real, blocks.imag], axis=-1)
+    return pairs.reshape(blocks.shape[:-2] + (-1, 2)).tolist()
 
 
-def _decode_block(data: Any, m: int) -> np.ndarray:
-    if len(data) != m * m:
-        raise FormatError(f"block has {len(data)} entries, expected {m * m}")
-    flat = np.array(
-        [complex(re, im) for re, im in data], dtype=complex
-    )
-    return flat.reshape(m, m)
+def _encode_entries(M: AMatrix) -> list:
+    """Row-major list of the entry encodings, one array pass per summand."""
+    per_summand = [
+        _pairs(blk.reshape(M.rows, m, M.cols, m).transpose(0, 2, 1, 3).reshape(-1, m, m))
+        for m, blk in zip(M.spec.summand_dims, M.blocks)
+    ]
+    return [list(entry) for entry in zip(*per_summand)]
+
+
+def _decode_entries(entries: list, spec: AlgebraSpec, rows: int, cols: int) -> AMatrix:
+    """Inverse of _encode_entries; rejects wrong shapes and non-finite values."""
+    if len(entries) != rows * cols:
+        raise FormatError("entry count does not match shape")
+    if any(len(e) != spec.num_summands for e in entries):
+        raise FormatError("wrong number of blocks")
+    blocks = []
+    for j, m in enumerate(spec.summand_dims):
+        arr = np.asarray([e[j] for e in entries])
+        if arr.dtype.kind not in "biuf":
+            raise FormatError("block entries must be numbers")
+        if arr.shape != (rows * cols, m * m, 2):
+            raise FormatError(f"summand {j} data has shape {arr.shape}")
+        arr = arr.astype(float)
+        if not np.isfinite(arr).all():
+            raise FormatError("non-finite matrix entry")
+        grid = arr.view(complex).reshape(rows, cols, m, m)
+        blocks.append(grid.transpose(0, 2, 1, 3).reshape(rows * m, cols * m))
+    return AMatrix(spec, rows, cols, tuple(blocks))
 
 
 def encode_element(elem: AlgebraElement) -> list:
-    return [_encode_block(b) for b in elem.blocks]
+    return [_pairs(b) for b in elem.blocks]
 
 
 def decode_element(data: Any, spec: AlgebraSpec) -> AlgebraElement:
     try:
-        blocks = tuple(
-            _decode_block(blk, m) for blk, m in zip(data, spec.summand_dims)
-        )
-        if len(data) != spec.num_summands:
-            raise FormatError("wrong number of blocks")
-        return AlgebraElement(spec, blocks)
+        return _decode_entries([data], spec, 1, 1).entry(0, 0)
     except (TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"bad element encoding: {exc}") from exc
 
@@ -84,11 +105,7 @@ def encode_amatrix(M: AMatrix) -> dict:
         "algebra": encode_spec(M.spec),
         "rows": M.rows,
         "cols": M.cols,
-        "entries": [
-            encode_element(M.entry(i, j))
-            for i in range(M.rows)
-            for j in range(M.cols)
-        ],
+        "entries": _encode_entries(M),
     }
 
 
@@ -96,28 +113,18 @@ def decode_amatrix(data: Any) -> AMatrix:
     try:
         spec = decode_spec(data["algebra"])
         rows, cols = int(data["rows"]), int(data["cols"])
-        entries = data["entries"]
-        if len(entries) != rows * cols:
-            raise FormatError("entry count does not match shape")
-        grid = [
-            [decode_element(entries[i * cols + j], spec) for j in range(cols)]
-            for i in range(rows)
-        ]
-        return AMatrix.from_entries(grid)
-    except (KeyError, TypeError, ValueError) as exc:
+        return _decode_entries(data["entries"], spec, rows, cols)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"bad matrix encoding: {exc}") from exc
 
 
 def encode_frame_file(F: Frame, metadata: dict | None = None) -> dict:
-    columns = [
-        [encode_element(F.matrix.entry(i, j)) for i in range(F.n)]
-        for j in range(F.k)
-    ]
+    entries = _encode_entries(F.matrix)
     doc = {
         "algebra": encode_spec(F.spec),
         "n": F.n,
         "k": F.k,
-        "columns": columns,
+        "columns": [entries[j :: F.k] for j in range(F.k)],
         "kind": "frame",
     }
     if metadata:
@@ -132,12 +139,9 @@ def decode_frame_file(data: Any) -> Frame:
         columns = data["columns"]
         if len(columns) != k or any(len(col) != n for col in columns):
             raise FormatError("column shape does not match n, k")
-        grid = [
-            [decode_element(columns[j][i], spec) for j in range(k)]
-            for i in range(n)
-        ]
-        return Frame(AMatrix.from_entries(grid))
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = [col[i] for i in range(n) for col in columns]
+        return Frame(_decode_entries(entries, spec, n, k))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"bad frame file: {exc}") from exc
 
 
@@ -150,25 +154,30 @@ def encode_tightness_report(report: TightnessReport) -> dict:
     }
 
 
-def save_frame(path, F: Frame, metadata: dict | None = None):
+def write_json(path, doc):
+    """Write doc as one line of JSON.
+
+    json.dumps runs the C encoder; json.dump into a file does not.
+    """
     with open(path, "w") as fh:
-        json.dump(encode_frame_file(F, metadata), fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
+
+
+def _read_json(path) -> Any:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+
+
+def save_frame(path, F: Frame, metadata: dict | None = None):
+    write_json(path, encode_frame_file(F, metadata))
 
 
 def load_frame(path) -> Frame:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return decode_frame_file(data)
+    return decode_frame_file(_read_json(path))
 
 
 def load_amatrix(path) -> AMatrix:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return decode_amatrix(data)
+    return decode_amatrix(_read_json(path))

@@ -1,10 +1,11 @@
-"""Matrices and vectors over a block C*-algebra and their flat realizations.
+"""Matrices and vectors over a block C*-algebra.
 
-An AMatrix is an r x c grid of algebra elements, stored per summand as a
-numpy array of shape (r, c, m_j, m_j).  Flattening interleaves the entry
-blocks into one (r*m_j) x (c*m_j) complex matrix per summand; flatten is a
-*-isomorphism onto its image, so norms, products and adjoints can be
-computed on either side.
+An r x c AMatrix over A = ⊕_j M_{m_j}(C) is stored as one complex
+(r*m_j) x (c*m_j) array per summand, whose (i, p) block of size m_j x m_j
+is summand j of the entry (i, p).  This realization is a *-isomorphism onto
+its image, so products are one matrix product per summand, the adjoint is
+the conjugate transpose, the operator norm is the largest summand spectral
+norm, and entries, columns and column selections are slices.
 
 Vectors in A^n are AMatrix values with a single column; the A-valued inner
 product is conjugate-linear in the first argument, <v, w> = sum_i v_i* w_i
@@ -22,7 +23,6 @@ from .algebra import AlgebraElement, AlgebraSpec, ShapeError
 
 __all__ = [
     "AMatrix",
-    "FlatView",
     "NotCoisometricError",
     "inner_product",
     "is_unitary",
@@ -43,65 +43,61 @@ class NotCoisometricError(ValueError):
         )
 
 
+def _spread(indices: Sequence[int], m: int) -> np.ndarray:
+    """Flat row/column positions of the entry indices for block size m."""
+    idx = np.asarray(indices, dtype=np.intp).reshape(-1, 1)
+    return (idx * m + np.arange(m)).ravel()
+
+
 @dataclass(frozen=True)
-class FlatView:
-    """Per-summand complex realization of an AMatrix."""
+class AMatrix:
+    """An r x c matrix with entries in ⊕_j M_{m_j}(C), one flat block per summand."""
 
     spec: AlgebraSpec
     rows: int
     cols: int
     blocks: tuple[np.ndarray, ...] = field(repr=False)
 
-
-@dataclass(frozen=True)
-class AMatrix:
-    """An r x c matrix with entries in ⊕_j M_{m_j}(C)."""
-
-    spec: AlgebraSpec
-    rows: int
-    cols: int
-    summands: tuple[np.ndarray, ...] = field(repr=False)
-
     def __post_init__(self):
         dims = self.spec.summand_dims
         if self.rows < 1 or self.cols < 1:
             raise ShapeError("matrix dimensions must be positive")
-        if len(self.summands) != len(dims):
-            raise ShapeError("wrong number of summand arrays")
+        if len(self.blocks) != len(dims):
+            raise ShapeError("wrong number of summand blocks")
         arrays = []
-        for m, arr in zip(dims, self.summands):
-            a = np.asarray(arr, dtype=complex)
-            if a.shape != (self.rows, self.cols, m, m):
+        for m, blk in zip(dims, self.blocks):
+            a = np.asarray(blk, dtype=complex)
+            if a.shape != (self.rows * m, self.cols * m):
                 raise ShapeError(
-                    f"summand array has shape {a.shape}, expected "
-                    f"({self.rows}, {self.cols}, {m}, {m})"
+                    f"summand block has shape {a.shape}, expected "
+                    f"({self.rows * m}, {self.cols * m})"
                 )
             arrays.append(a)
-        object.__setattr__(self, "summands", tuple(arrays))
+        object.__setattr__(self, "blocks", tuple(arrays))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def diagonal(
+        cls, spec: AlgebraSpec, rows: int, cols: int, indices: Iterable[int] = ()
+    ) -> "AMatrix":
+        """The rows x cols matrix with 1_A at (i, i) for i in indices, else 0."""
+        idx = list(indices)
+        blocks = []
+        for m in spec.summand_dims:
+            blk = np.zeros((rows * m, cols * m), dtype=complex)
+            pos = _spread(idx, m)
+            blk[pos, pos] = 1.0
+            blocks.append(blk)
+        return cls(spec, rows, cols, tuple(blocks))
+
+    @classmethod
     def zeros(cls, spec: AlgebraSpec, rows: int, cols: int) -> "AMatrix":
-        return cls(
-            spec,
-            rows,
-            cols,
-            tuple(
-                np.zeros((rows, cols, m, m), dtype=complex)
-                for m in spec.summand_dims
-            ),
-        )
+        return cls.diagonal(spec, rows, cols)
 
     @classmethod
     def identity(cls, spec: AlgebraSpec, n: int) -> "AMatrix":
-        summands = []
-        for m in spec.summand_dims:
-            arr = np.zeros((n, n, m, m), dtype=complex)
-            idx = np.arange(n)
-            arr[idx, idx] = np.eye(m)
-            summands.append(arr)
-        return cls(spec, n, n, tuple(summands))
+        return cls.diagonal(spec, n, n, range(n))
 
     @classmethod
     def from_entries(
@@ -111,39 +107,16 @@ class AMatrix:
         rows = len(entries)
         cols = len(entries[0])
         spec = entries[0][0].spec
-        summands = []
-        for j, m in enumerate(spec.summand_dims):
-            arr = np.zeros((rows, cols, m, m), dtype=complex)
-            for p, row in enumerate(entries):
-                if len(row) != cols:
-                    raise ShapeError("ragged entry grid")
-                for q, elem in enumerate(row):
-                    if elem.spec != spec:
-                        raise ShapeError("entries belong to different algebras")
-                    arr[p, q] = elem.blocks[j]
-            summands.append(arr)
-        return cls(spec, rows, cols, tuple(summands))
-
-    @classmethod
-    def from_flat(
-        cls,
-        blocks: Iterable[np.ndarray],
-        rows: int,
-        cols: int,
-        spec: AlgebraSpec,
-    ) -> "AMatrix":
-        """Inverse of flatten: split (r*m) x (c*m) matrices back into entries."""
-        summands = []
-        for m, blk in zip(spec.summand_dims, blocks):
-            a = np.asarray(blk, dtype=complex)
-            if a.shape != (rows * m, cols * m):
-                raise ShapeError(
-                    f"flat block has shape {a.shape}, expected ({rows * m}, {cols * m})"
-                )
-            summands.append(
-                a.reshape(rows, m, cols, m).transpose(0, 2, 1, 3).copy()
-            )
-        return cls(spec, rows, cols, tuple(summands))
+        for row in entries:
+            if len(row) != cols:
+                raise ShapeError("ragged entry grid")
+            if any(elem.spec != spec for elem in row):
+                raise ShapeError("entries belong to different algebras")
+        blocks = tuple(
+            np.block([[elem.blocks[j] for elem in row] for row in entries])
+            for j in range(spec.num_summands)
+        )
+        return cls(spec, rows, cols, blocks)
 
     @classmethod
     def column_vector(cls, entries: Sequence[AlgebraElement]) -> "AMatrix":
@@ -153,31 +126,23 @@ class AMatrix:
     def random(
         cls, spec: AlgebraSpec, rows: int, cols: int, rng: np.random.Generator
     ) -> "AMatrix":
-        summands = []
+        """Standard complex Gaussian entries: real then imaginary parts per summand."""
+        blocks = []
         for m in spec.summand_dims:
-            re = rng.standard_normal((rows, cols, m, m))
-            im = rng.standard_normal((rows, cols, m, m))
-            summands.append((re + 1j * im) / np.sqrt(2.0))
-        return cls(spec, rows, cols, tuple(summands))
+            re = rng.standard_normal((rows * m, cols * m))
+            im = rng.standard_normal((rows * m, cols * m))
+            blocks.append((re + 1j * im) / np.sqrt(2.0))
+        return cls(spec, rows, cols, tuple(blocks))
 
-    # -- views and entries -------------------------------------------------
-
-    def flatten(self) -> FlatView:
-        blocks = tuple(
-            arr.transpose(0, 2, 1, 3).reshape(
-                self.rows * m, self.cols * m
-            )
-            for m, arr in zip(self.spec.summand_dims, self.summands)
-        )
-        return FlatView(self.spec, self.rows, self.cols, blocks)
-
-    @classmethod
-    def unflatten(cls, view: FlatView) -> "AMatrix":
-        return cls.from_flat(view.blocks, view.rows, view.cols, view.spec)
+    # -- entries and columns -----------------------------------------------
 
     def entry(self, i: int, j: int) -> AlgebraElement:
         return AlgebraElement(
-            self.spec, tuple(arr[i, j] for arr in self.summands)
+            self.spec,
+            tuple(
+                blk[i * m : (i + 1) * m, j * m : (j + 1) * m]
+                for m, blk in zip(self.spec.summand_dims, self.blocks)
+            ),
         )
 
     def column(self, j: int) -> "AMatrix":
@@ -185,7 +150,10 @@ class AMatrix:
             self.spec,
             self.rows,
             1,
-            tuple(arr[:, j : j + 1] for arr in self.summands),
+            tuple(
+                blk[:, j * m : (j + 1) * m]
+                for m, blk in zip(self.spec.summand_dims, self.blocks)
+            ),
         )
 
     def select_columns(self, indices: Sequence[int]) -> "AMatrix":
@@ -194,7 +162,10 @@ class AMatrix:
             self.spec,
             self.rows,
             len(idx),
-            tuple(arr[:, idx] for arr in self.summands),
+            tuple(
+                blk[:, _spread(idx, m)]
+                for m, blk in zip(self.spec.summand_dims, self.blocks)
+            ),
         )
 
     # -- algebra -----------------------------------------------------------
@@ -211,7 +182,7 @@ class AMatrix:
             self.spec,
             self.rows,
             self.cols,
-            tuple(a + b for a, b in zip(self.summands, other.summands)),
+            tuple(a + b for a, b in zip(self.blocks, other.blocks)),
         )
 
     def __sub__(self, other: "AMatrix") -> "AMatrix":
@@ -222,7 +193,7 @@ class AMatrix:
             self.spec,
             self.rows,
             self.cols,
-            tuple(a - b for a, b in zip(self.summands, other.summands)),
+            tuple(a - b for a, b in zip(self.blocks, other.blocks)),
         )
 
     def __mul__(self, scalar) -> "AMatrix":
@@ -230,7 +201,7 @@ class AMatrix:
             self.spec,
             self.rows,
             self.cols,
-            tuple(complex(scalar) * a for a in self.summands),
+            tuple(complex(scalar) * a for a in self.blocks),
         )
 
     __rmul__ = __mul__
@@ -241,26 +212,26 @@ class AMatrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        summands = tuple(
-            np.einsum("ipxy,pjyz->ijxz", a, b)
-            for a, b in zip(self.summands, other.summands)
+        return AMatrix(
+            self.spec,
+            self.rows,
+            other.cols,
+            tuple(a @ b for a, b in zip(self.blocks, other.blocks)),
         )
-        return AMatrix(self.spec, self.rows, other.cols, summands)
 
     def adjoint(self) -> "AMatrix":
         """Conjugate transpose over A: (M*)_ij = (M_ji)*."""
-        summands = tuple(
-            arr.transpose(1, 0, 3, 2).conj() for arr in self.summands
+        return AMatrix(
+            self.spec, self.cols, self.rows, tuple(a.conj().T for a in self.blocks)
         )
-        return AMatrix(self.spec, self.cols, self.rows, summands)
 
     @property
     def H(self) -> "AMatrix":
         return self.adjoint()
 
     def norm(self) -> float:
-        """Operator norm: the largest summand spectral norm of the flat view."""
-        return max(float(np.linalg.norm(b, 2)) for b in self.flatten().blocks)
+        """Operator norm: the largest summand spectral norm."""
+        return max(float(np.linalg.norm(a, 2)) for a in self.blocks)
 
     def allclose(self, other: "AMatrix", tol: float = 1e-12) -> bool:
         self._check_same_spec(other)
@@ -268,7 +239,7 @@ class AMatrix:
             return False
         return all(
             np.allclose(a, b, rtol=0.0, atol=tol)
-            for a, b in zip(self.summands, other.summands)
+            for a, b in zip(self.blocks, other.blocks)
         )
 
 
@@ -355,7 +326,7 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
     if residual > tol:
         raise NotCoisometricError(residual, tol)
     out_blocks = []
-    for m, flat in zip(M.spec.summand_dims, M.flatten().blocks):
+    for m, flat in zip(M.spec.summand_dims, M.blocks):
         want = (k - n) * m
         if want == 0:
             out_blocks.append(flat)
@@ -363,7 +334,7 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
         basis = _pivoted_complement_basis(flat, want)
         extra = _fix_row_phases(basis.conj().T)
         out_blocks.append(np.vstack([flat, extra]))
-    return AMatrix.from_flat(out_blocks, k, k, M.spec)
+    return AMatrix(M.spec, k, k, tuple(out_blocks))
 
 
 def coordinate_projection(
@@ -373,10 +344,4 @@ def coordinate_projection(
     idx = sorted(set(int(i) for i in indices))
     if idx and (idx[0] < 0 or idx[-1] >= k):
         raise IndexError(f"index set {idx} out of range for k={k}")
-    summands = []
-    for m in spec.summand_dims:
-        arr = np.zeros((k, k, m, m), dtype=complex)
-        for i in idx:
-            arr[i, i] = np.eye(m)
-        summands.append(arr)
-    return AMatrix(spec, k, k, tuple(summands))
+    return AMatrix.diagonal(spec, k, k, idx)

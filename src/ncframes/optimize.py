@@ -68,7 +68,7 @@ class OptimizerTrace:
         return self.iterates[-1][2]
 
 
-# -- flat helpers (one complex matrix per summand) -------------------------
+# -- helpers on the summand blocks of the frame matrix ----------------------
 
 
 def _potential_flat(flats: list[np.ndarray]) -> float:
@@ -81,19 +81,6 @@ def _potential_flat(flats: list[np.ndarray]) -> float:
 
 def _gradient_flat(flats: list[np.ndarray]) -> list[np.ndarray]:
     return [4.0 * x @ (x.conj().T @ x) for x in flats]
-
-
-def _residual_flat(flats: list[np.ndarray], n: int, dims) -> float:
-    per_b = []
-    ops = []
-    for m, x in zip(dims, flats):
-        s = x @ x.conj().T
-        ops.append(s)
-        per_b.append(float(np.trace(s).real) / (n * m))
-    b = float(np.mean(per_b))
-    return max(
-        float(np.linalg.norm(s - b * np.eye(s.shape[0]), 2)) for s in ops
-    )
 
 
 def _excess_stats(
@@ -119,18 +106,18 @@ def _excess_stats(
 def _retract_flat(
     flats: list[np.ndarray], dims, k: int, r: float, tol: float
 ) -> list[np.ndarray]:
+    """Per summand, one stacked Gram and eigh over the k column blocks."""
     out = []
     for m, x in zip(dims, flats):
-        y = x.copy()
-        for i in range(k):
-            col = y[:, i * m : (i + 1) * m]
-            g = col.conj().T @ col
-            vals, vecs = np.linalg.eigh((g + g.conj().T) / 2)
-            if float(vals[0]) <= tol:
-                raise DegenerateColumnError(i)
-            w = (vecs * (vals / r) ** -0.5) @ vecs.conj().T
-            y[:, i * m : (i + 1) * m] = col @ w
-        out.append(y)
+        cols = x.reshape(-1, k, m).transpose(1, 0, 2)  # (k, n*m, m)
+        g = cols.conj().transpose(0, 2, 1) @ cols
+        vals, vecs = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
+        bad = np.nonzero(vals[:, 0] <= tol)[0]
+        if bad.size:
+            raise DegenerateColumnError(int(bad[0]))
+        scale = (vals / r) ** -0.5
+        w = (vecs * scale[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        out.append((cols @ w).transpose(1, 0, 2).reshape(x.shape))
     return out
 
 
@@ -139,13 +126,12 @@ def _retract_flat(
 
 def frame_potential(F: Frame) -> float:
     """Sum over summands of the squared Frobenius norm of the Gram matrix."""
-    return _potential_flat(list(F.matrix.flatten().blocks))
+    return _potential_flat(list(F.matrix.blocks))
 
 
 def potential_gradient(F: Frame) -> AMatrix:
     """Gradient of the frame potential: per summand 4 * X * (X^H X)."""
-    grads = _gradient_flat(list(F.matrix.flatten().blocks))
-    return AMatrix.from_flat(grads, F.n, F.k, F.spec)
+    return AMatrix(F.spec, F.n, F.k, tuple(_gradient_flat(list(F.matrix.blocks))))
 
 
 def retract_spherical(F: Frame, r: float, tol: float = 1e-12) -> Frame:
@@ -156,21 +142,8 @@ def retract_spherical(F: Frame, r: float, tol: float = 1e-12) -> Frame:
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    flats = _retract_flat(
-        list(F.matrix.flatten().blocks), F.spec.summand_dims, F.k, r, tol
-    )
-    return Frame(AMatrix.from_flat(flats, F.n, F.k, F.spec))
-
-
-def _random_flats(
-    spec: AlgebraSpec, n: int, k: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    flats = []
-    for m in spec.summand_dims:
-        re = rng.standard_normal((n * m, k * m))
-        im = rng.standard_normal((n * m, k * m))
-        flats.append((re + 1j * im) / np.sqrt(2.0))
-    return flats
+    flats = _retract_flat(list(F.matrix.blocks), F.spec.summand_dims, F.k, r, tol)
+    return Frame(AMatrix(F.spec, F.n, F.k, tuple(flats)))
 
 
 def minimize(
@@ -205,7 +178,7 @@ def minimize(
             x[:, col * m : (col + 1) * m] = (re + 1j * im) / np.sqrt(2.0)
         return True
 
-    flats = _random_flats(spec, n, k, rng)
+    flats = list(AMatrix.random(spec, n, k, rng).blocks)
     while True:
         try:
             flats = _retract_flat(flats, dims, k, r, degen_tol)
@@ -214,7 +187,7 @@ def minimize(
             if not rerandomize(flats, exc.column):
                 return OptimizerTrace(
                     iterates=((0, float("nan"), float("nan")),),
-                    frame=Frame(AMatrix.from_flat(flats, n, k, spec)),
+                    frame=Frame(AMatrix(spec, n, k, tuple(flats))),
                     converged=False,
                     failure="persistent degenerate columns",
                 )
@@ -260,7 +233,7 @@ def minimize(
 
     return OptimizerTrace(
         iterates=tuple(iterates),
-        frame=Frame(AMatrix.from_flat(flats, n, k, spec)),
+        frame=Frame(AMatrix(spec, n, k, tuple(flats))),
         converged=converged,
         failure=failure,
     )

@@ -300,10 +300,10 @@ def test_criterion_7_gradient_check():
         spec = specs[i % 3]
         n, k = 2, 3
         F = Frame(AMatrix.random(spec, n, k, rng))
-        analytic = potential_gradient(F).flatten().blocks
+        analytic = potential_gradient(F).blocks
         fd_err = 0.0
         scale = 0.0
-        base_blocks = [b.copy() for b in F.matrix.flatten().blocks]
+        base_blocks = [b.copy() for b in F.matrix.blocks]
         for j, blk in enumerate(base_blocks):
             for p in range(blk.shape[0]):
                 for q in range(blk.shape[1]):
@@ -312,7 +312,7 @@ def test_criterion_7_gradient_check():
                             mod = [b.copy() for b in base_blocks]
                             mod[j][p, q] += sign * h * direction
                             return frame_potential(
-                                Frame(AMatrix.from_flat(mod, n, k, spec))
+                                Frame(AMatrix(spec, n, k, tuple(mod)))
                             )
 
                         fd = (value(+1) - value(-1)) / (2 * h)
@@ -393,7 +393,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     checks.append(cli_main(["verify", fpath]) == 0)
     # perturbed frame -> exit 1
     F = load_frame(fpath)
-    blocks = [arr.copy() for arr in F.matrix.summands]
+    blocks = [arr.copy() for arr in F.matrix.blocks]
     blocks[0][0, 0] += 0.1
     bad = Frame(AMatrix(F.spec, F.n, F.k, tuple(blocks)))
     bpath = tmp_path / "bad.json"

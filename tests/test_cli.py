@@ -38,11 +38,32 @@ class TestGen:
             "--seed", "5", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    # sha256 of gen output recorded with the 4-index layout and the
+    # per-element encoder; pins frame bytes across implementations
+    GOLDEN = [
+        ("1", 5, 3, 0, "1.0",
+         "a4339e2d91aa2faed96ee0ab57799bda3aefb77245a61817cf17d8a740eb380c"),
+        ("2,1", 4, 2, 7, "1.5",
+         "d98f60b2d9bc6b67f349446459c5857b8b4eb9dea31da60d717a11ac398ff9fa"),
+        ("3,2", 6, 4, 11, "1.0",
+         "73c22a4818134978199d19d30a441d94e087c63f96cbc95d4cd8324532b1429c"),
+    ]
+
+    @pytest.mark.parametrize("algebra,k,n,seed,b,digest", GOLDEN)
+    def test_gen_golden_bytes(self, tmp_path, capsys, algebra, k, n, seed, b, digest):
+        import hashlib
+
+        path = tmp_path / "g.json"
+        rc, _ = run(capsys, "gen", "--algebra", algebra, "--k", str(k),
+                    "--n", str(n), "--seed", str(seed), "--b", b, "--out", str(path))
+        assert rc == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestVerify:
     def test_perturbed_frame_fails(self, tmp_path, capsys):
         F = make_mercedes()
-        blocks = [arr.copy() for arr in F.matrix.summands]
+        blocks = [arr.copy() for arr in F.matrix.blocks]
         blocks[0][0, 0] += 0.1
         from ncframes import AMatrix, Frame
 
@@ -52,6 +73,18 @@ class TestVerify:
         rc, out = run(capsys, "verify", str(path))
         assert rc == 1
         assert not json.loads(out)["is_tight"]
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_exit_2(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "f.json"
+        run(capsys, "gen", "--algebra", "2,1", "--k", "3", "--n", "2",
+            "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["columns"][1][0][0][2][1] = "BAD"
+        path.write_text(json.dumps(doc).replace('"BAD"', bad))
+        rc, _ = run(capsys, command, str(path))
+        assert rc == 2
 
     def test_truncated_file(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -182,8 +215,25 @@ class TestSelftest:
         assert doc["passed"]
         assert set(doc["suites"]) == {"cstar", "equivalence", "divisibility"}
 
-    def test_fault_injection_reports_subset(self, capsys):
-        rc, out = run(capsys, "selftest", "--inject-gram-fault")
+    def test_fault_injection_reports_subset(self, capsys, monkeypatch):
+        import dataclasses
+
+        from ncframes import cli
+
+        real = cli.split_equivalence
+        first = []
+
+        def faulty(F, I, tol):
+            # flip the commutation side for frame 0, subset (1,)
+            rep = real(F, I, tol)
+            if not first:
+                first.append(F)
+            if F is first[0] and tuple(I) == (1,):
+                return dataclasses.replace(rep, commutes=not rep.commutes)
+            return rep
+
+        monkeypatch.setattr(cli, "split_equivalence", faulty)
+        rc, out = run(capsys, "selftest")
         assert rc == 1
         doc = json.loads(out)
         assert not doc["passed"]

@@ -92,10 +92,10 @@ class TestOrthoDecompose:
         perm = [3, 5, 1, 4, 2]  # image of column i at position perm.index
         k = ds.k
         P = AMatrix.zeros(m2_spec, k, k)
-        summands = [arr.copy() for arr in P.summands]
+        summands = [arr.copy() for arr in P.blocks]
         for src, dst in enumerate(perm):
             for m, arr in zip(m2_spec.summand_dims, summands):
-                arr[src, dst - 1] = np.eye(m)
+                arr[src * m : (src + 1) * m, (dst - 1) * m : dst * m] = np.eye(m)
         Pi = AMatrix(m2_spec, k, k, tuple(summands))
         permuted = Frame(ds.matrix @ Pi)
         sig_perm = ortho_decompose(permuted)
@@ -130,7 +130,7 @@ class TestRestrictAndRange:
         F = Frame(AMatrix.from_entries([[one], [zero], [zero]]))  # e1 in C^3
         P = range_projection(F)
         expected = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(P.flatten().blocks[0], expected, atol=1e-12)
+        np.testing.assert_allclose(P.blocks[0], expected, atol=1e-12)
 
     def test_projection_fixes_frame(self, mixed_spec):
         rng = np.random.default_rng(6)

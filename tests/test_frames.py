@@ -38,7 +38,7 @@ class TestFrameOperator:
         S = frame_operator(F)
         assert S.H.allclose(S, tol=1e-12)
         # eigenvalue oracle on the flat view
-        for blk in S.flatten().blocks:
+        for blk in S.blocks:
             assert np.linalg.eigvalsh(blk).min() >= -1e-10
 
 
@@ -140,12 +140,37 @@ class TestIsSpherical:
         rep = is_spherical(F)
         assert rep.deviation > 1e-3  # generic columns have unequal lengths
 
+    def test_matches_per_column_reference(self):
+        # reference: one AlgebraElement <f_i, f_i> per column, looped
+        rng = np.random.default_rng(5)
+        for dims in [(1,), (2,), (2, 1), (3, 1, 2)]:
+            spec = AlgebraSpec(dims)
+            F = Frame(AMatrix.random(spec, 3, 5, rng))
+            gram = gram_matrix(F)
+            diag = [gram.entry(i, i) for i in range(F.k)]
+            r = float(np.mean([g.normalized_trace().real for g in diag]))
+            dev = max(
+                float(np.linalg.norm(b - r * np.eye(b.shape[0]), 2))
+                for g in diag
+                for b in g.blocks
+            )
+            rep = is_spherical(F, mode="strict")
+            assert rep.radius == pytest.approx(r, rel=1e-14)
+            assert rep.deviation == pytest.approx(dev, rel=1e-12)
+            norms = [g.norm() for g in diag]
+            rn = float(np.mean(norms))
+            rep = is_spherical(F, mode="equal_norm")
+            assert rep.radius == pytest.approx(rn, rel=1e-14)
+            assert rep.deviation == pytest.approx(
+                max(abs(x - rn) for x in norms), rel=1e-12, abs=1e-15
+            )
+
 
 class TestCanonicalForm:
     def test_w_matrix_values(self, scalar_spec):
         W = canonical_coisometry(scalar_spec, 3, 2)
         np.testing.assert_array_equal(
-            W.flatten().blocks[0], np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
+            W.blocks[0], np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
         )
         Wn = canonical_coisometry(scalar_spec, 3, 3)
         assert Wn.allclose(AMatrix.identity(scalar_spec, 3), tol=0.0)
@@ -222,7 +247,7 @@ class TestRandomTightFrame:
     def test_deterministic(self, m2_spec):
         F1 = random_tight_frame(m2_spec, 4, 2, seed=9)
         F2 = random_tight_frame(m2_spec, 4, 2, seed=9)
-        for a, b in zip(F1.matrix.summands, F2.matrix.summands):
+        for a, b in zip(F1.matrix.blocks, F2.matrix.blocks):
             np.testing.assert_array_equal(a, b)
 
     def test_square_gives_scaled_unitary(self, scalar_spec):

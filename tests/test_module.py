@@ -86,42 +86,92 @@ class TestInnerProduct:
             inner_product(AMatrix.zeros(m2_spec, 2, 1), AMatrix.zeros(m2_spec, 3, 1))
 
 
+def _entrywise_product(M, N):
+    """Oracle: (MN)_ij = sum_p M_ip N_pj, summed with AlgebraElement arithmetic."""
+    grid = []
+    for i in range(M.rows):
+        row = []
+        for j in range(N.cols):
+            acc = M.spec.zero()
+            for p in range(M.cols):
+                acc = acc + M.entry(i, p) * N.entry(p, j)
+            row.append(acc)
+        grid.append(row)
+    return grid
+
+
+MIXED_SPECS = [AlgebraSpec(d) for d in [(1,), (2,), (2, 1), (3, 1, 2)]]
+
+
 class TestFlatten:
+    """The storage is the flat realization: one (r*m, c*m) block per summand.
+
+    Products, adjoints and norms are checked against entrywise
+    AlgebraElement arithmetic, which never touches the flat blocks.
+    """
+
     def test_identity_flattens_to_identity(self, m2_spec):
         eye = AMatrix.identity(m2_spec, 2)
-        np.testing.assert_array_equal(eye.flatten().blocks[0], np.eye(4))
+        np.testing.assert_array_equal(eye.blocks[0], np.eye(4))
+        for i in range(2):
+            for j in range(2):
+                expected = m2_spec.identity() if i == j else m2_spec.zero()
+                assert eye.entry(i, j).allclose(expected, tol=0.0)
 
     def test_round_trip_bit_identical(self, mixed_spec):
         rng = np.random.default_rng(3)
         M = AMatrix.random(mixed_spec, 3, 4, rng)
-        back = AMatrix.unflatten(M.flatten())
-        for a, b in zip(M.summands, back.summands):
+        back = AMatrix.from_entries(
+            [[M.entry(i, j) for j in range(4)] for i in range(3)]
+        )
+        for a, b in zip(M.blocks, back.blocks):
             np.testing.assert_array_equal(a, b)
 
-    def test_flatten_multiplicative(self, mixed_spec):
+    def test_flatten_multiplicative(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            M = AMatrix.random(mixed_spec, 2, 3, rng)
-            N = AMatrix.random(mixed_spec, 3, 4, rng)
-            prod = (M @ N).flatten().blocks
-            # oracle: per-summand complex multiply of the flat views
-            for p, a, b in zip(prod, M.flatten().blocks, N.flatten().blocks):
-                np.testing.assert_allclose(p, a @ b, atol=1e-12)
+        for spec in MIXED_SPECS:
+            for _ in range(5):
+                M = AMatrix.random(spec, 2, 3, rng)
+                N = AMatrix.random(spec, 3, 4, rng)
+                prod = M @ N
+                for i, row in enumerate(_entrywise_product(M, N)):
+                    for j, expected in enumerate(row):
+                        assert prod.entry(i, j).allclose(expected, tol=1e-12)
 
-    def test_flatten_preserves_adjoint_and_norm(self, mixed_spec):
+    def test_flatten_preserves_adjoint_and_norm(self):
         rng = np.random.default_rng(5)
-        M = AMatrix.random(mixed_spec, 3, 2, rng)
-        for adj, blk in zip(M.H.flatten().blocks, M.flatten().blocks):
-            np.testing.assert_array_equal(adj, blk.conj().T)
-        assert M.norm() == pytest.approx(
-            max(np.linalg.norm(b, 2) for b in M.flatten().blocks)
-        )
+        for spec in MIXED_SPECS:
+            M = AMatrix.random(spec, 3, 2, rng)
+            MH = M.H
+            assert (MH.rows, MH.cols) == (2, 3)
+            for i in range(2):
+                for j in range(3):
+                    assert MH.entry(i, j).allclose(M.entry(j, i).adjoint(), tol=0.0)
+            # the C*-norm of a 1x1 matrix is the norm of its entry
+            v = M.column(0).select_columns([0])
+            e = AMatrix.from_entries([[v.entry(1, 0)]])
+            assert e.norm() == pytest.approx(v.entry(1, 0).norm(), rel=1e-12)
+            # ||M||^2 = ||M* M|| (C*-identity)
+            assert (MH @ M).norm() == pytest.approx(M.norm() ** 2, rel=1e-12)
 
     def test_coisometry_flat_rank(self, mixed_spec):
         W = canonical_coisometry(mixed_spec, 5, 3)
-        for m, blk in zip(mixed_spec.summand_dims, W.flatten().blocks):
+        for m, blk in zip(mixed_spec.summand_dims, W.blocks):
             svals = np.linalg.svd(blk, compute_uv=False)
             assert np.sum(svals > 1e-12) == 3 * m
+
+    def test_columns_are_entry_slices(self, mixed_spec):
+        rng = np.random.default_rng(7)
+        M = AMatrix.random(mixed_spec, 2, 5, rng)
+        S = M.select_columns([3, 0])
+        for i in range(2):
+            assert S.entry(i, 0).allclose(M.entry(i, 3), tol=0.0)
+            assert S.entry(i, 1).allclose(M.entry(i, 0), tol=0.0)
+            assert M.column(4).entry(i, 0).allclose(M.entry(i, 4), tol=0.0)
+
+    def test_wrong_block_shape_rejected(self, mixed_spec):
+        with pytest.raises(ShapeError):
+            AMatrix(mixed_spec, 2, 2, (np.zeros((4, 4)), np.zeros((2, 3))))
 
 
 class TestAdjoint:
@@ -156,7 +206,7 @@ class TestUnitaryPredicates:
             # QR orthogonality oracle
             np.testing.assert_allclose(q.conj().T @ q, np.eye(3 * m), atol=1e-12)
             blocks.append(q)
-        Q = AMatrix.from_flat(blocks, 3, 3, mixed_spec)
+        Q = AMatrix(mixed_spec, 3, 3, tuple(blocks))
         assert is_unitary(Q, 1e-10)
 
     def test_non_square_rejected(self, m2_spec):
@@ -191,15 +241,15 @@ class TestCompleteToUnitary:
         for _ in range(10):
             V = random_unitary(mixed_spec, 4, rng)
             blocks = [blk[: 2 * m] for m, blk in zip(
-                mixed_spec.summand_dims, V.flatten().blocks
+                mixed_spec.summand_dims, V.blocks
             )]
-            M = AMatrix.from_flat(blocks, 2, 4, mixed_spec)
+            M = AMatrix(mixed_spec, 2, 4, tuple(blocks))
             U = complete_to_unitary(M)
             assert is_unitary(U, 1e-10)
             top = [blk[: 2 * m] for m, blk in zip(
-                mixed_spec.summand_dims, U.flatten().blocks
+                mixed_spec.summand_dims, U.blocks
             )]
-            for a, b in zip(top, M.flatten().blocks):
+            for a, b in zip(top, M.blocks):
                 np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_rejects_non_coisometry(self, m2_spec):

@@ -35,7 +35,7 @@ class TestFramePotential:
         F = Frame(AMatrix.random(mixed_spec, 2, 4, rng))
         expected = sum(
             float(np.sum(np.abs(blk) ** 2))
-            for blk in gram_matrix(F).flatten().blocks
+            for blk in gram_matrix(F).blocks
         )
         assert frame_potential(F) == pytest.approx(expected)
 
@@ -47,7 +47,7 @@ class TestFramePotential:
                 F = Frame(AMatrix.random(spec, 3, 5, rng))
                 bound = sum(
                     float(np.trace(blk).real) ** 2 / (3 * m)
-                    for m, blk in zip(dims, gram_matrix(F).flatten().blocks)
+                    for m, blk in zip(dims, gram_matrix(F).blocks)
                 )
                 assert frame_potential(F) >= bound - 1e-9
 
@@ -64,8 +64,8 @@ class TestGradient:
         h = 1e-5
         for _ in range(5):
             F = Frame(AMatrix.random(spec, 2, 3, rng))
-            grad = potential_gradient(F).flatten().blocks
-            for j, blk in enumerate(F.matrix.flatten().blocks):
+            grad = potential_gradient(F).blocks
+            for j, blk in enumerate(F.matrix.blocks):
                 # central finite differences in a few random coordinates
                 coords = [
                     (rng.integers(blk.shape[0]), rng.integers(blk.shape[1]))
@@ -75,12 +75,12 @@ class TestGradient:
                     for direction in (1.0, 1.0j):
                         def perturbed(sign):
                             blocks = [
-                                b.copy() for b in F.matrix.flatten().blocks
+                                b.copy() for b in F.matrix.blocks
                             ]
                             blocks[j][p, q] += sign * h * direction
                             return frame_potential(
                                 Frame(
-                                    AMatrix.from_flat(blocks, 2, 3, spec)
+                                    AMatrix(spec, 2, 3, tuple(blocks))
                                 )
                             )
 
@@ -98,8 +98,8 @@ class TestGradient:
         F = trace.frame
         grad = potential_gradient(F)
         # remove the radial (per-column normalization) component per column
-        flats = [blk.copy() for blk in grad.flatten().blocks]
-        fblk = F.matrix.flatten().blocks
+        flats = [blk.copy() for blk in grad.blocks]
+        fblk = F.matrix.blocks
         for m, g, x in zip(scalar_spec.summand_dims, flats, fblk):
             for i in range(F.k):
                 col = x[:, i * m : (i + 1) * m]
@@ -133,6 +133,40 @@ class TestRetraction:
         np.testing.assert_allclose(np.linalg.eigvalsh(g), [0.7, 0.7], atol=1e-10)
 
 
+    def test_matches_per_column_reference(self):
+        # reference: the per-column loop, one eigh per column block
+        rng = np.random.default_rng(6)
+        for dims in [(1,), (2,), (2, 1), (3, 2)]:
+            spec = AlgebraSpec(dims)
+            F = Frame(AMatrix.random(spec, 3, 4, rng))
+            expected = []
+            for m, x in zip(dims, F.matrix.blocks):
+                y = x.copy()
+                for i in range(F.k):
+                    col = y[:, i * m : (i + 1) * m]
+                    g = col.conj().T @ col
+                    vals, vecs = np.linalg.eigh((g + g.conj().T) / 2)
+                    w = (vecs * (vals / 0.6) ** -0.5) @ vecs.conj().T
+                    y[:, i * m : (i + 1) * m] = col @ w
+                expected.append(y)
+            out = retract_spherical(F, 0.6)
+            for a, b in zip(out.matrix.blocks, expected):
+                np.testing.assert_array_equal(a, b)
+
+    def test_degenerate_column_reports_first_index(self, mixed_spec):
+        from ncframes import DegenerateColumnError
+
+        rng = np.random.default_rng(4)
+        M = AMatrix.random(mixed_spec, 2, 5, rng)
+        blocks = [b.copy() for b in M.blocks]
+        # summand 0 (m = 2): column 3 rank-deficient; summand 1: column 1 zero
+        blocks[0][:, 7] = blocks[0][:, 6]
+        blocks[1][:, 1] = 0.0
+        with pytest.raises(DegenerateColumnError) as info:
+            retract_spherical(Frame(AMatrix(mixed_spec, 2, 5, tuple(blocks))), 1.0)
+        assert info.value.column == 3
+
+
 class TestMinimize:
     def test_scalar_case_reaches_bound(self, scalar_spec):
         trace = minimize(scalar_spec, 3, 2, OptimizerConfig(seed=1, tight_tol=1e-10))
@@ -154,7 +188,7 @@ class TestMinimize:
         t1 = minimize(m2_spec, 4, 2, OptimizerConfig(seed=7))
         t2 = minimize(m2_spec, 4, 2, OptimizerConfig(seed=7))
         assert t1.iterates == t2.iterates
-        for a, b in zip(t1.frame.matrix.summands, t2.frame.matrix.summands):
+        for a, b in zip(t1.frame.matrix.blocks, t2.frame.matrix.blocks):
             np.testing.assert_array_equal(a, b)
 
     def test_monotone_potential(self, mixed_spec):
