@@ -8,6 +8,7 @@ converged, selftest failure), 2 I/O or parse error, 3 invalid arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -325,7 +326,9 @@ def cmd_selftest(args) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> ArgumentParser:
+    """The argument parser, built on first use and shared by every main call."""
     parser = ArgumentParser(prog="ncframes")
     sub = parser.add_subparsers(dest="command", required=True)
 

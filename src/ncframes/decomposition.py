@@ -28,7 +28,7 @@ from .frames import (
     check_tight,
     gram_matrix,
 )
-from .module import AMatrix, coordinate_projection
+from .module import AMatrix
 
 __all__ = [
     "Partition",
@@ -119,11 +119,17 @@ def _to_zero_based(I: Iterable[int], k: int) -> list[int]:
 
 
 def commutation_residual(F: Frame, I: Iterable[int]) -> float:
-    """||Q_I (F*F) - (F*F) Q_I|| for the coordinate projection onto I."""
+    """||Q_I (F*F) - (F*F) Q_I|| for the coordinate projection onto I.
+
+    The commutator has the Gram block F_I* F_{I^c} and minus its adjoint as
+    its only nonzero blocks, so its norm is ||F_I* F_{I^c}||, which is what
+    is computed; it is 0 when I or its complement is empty.
+    """
     idx = _to_zero_based(I, F.k)
-    Q = coordinate_projection(F.spec, F.k, idx)
-    G = gram_matrix(F)
-    return (Q @ G - G @ Q).norm()
+    comp = sorted(set(range(F.k)) - set(idx))
+    if not idx or not comp:
+        return 0.0
+    return (F.matrix.select_columns(idx).H @ F.matrix.select_columns(comp)).norm()
 
 
 def gram_edge_tol(F: Frame) -> float:

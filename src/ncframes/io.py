@@ -5,8 +5,9 @@ so files are language-neutral and diff-able; Python's shortest-repr float
 serialization makes read/write round trips bit-identical on the numeric
 payload.  Frame files carry the algebra, the shape, the k columns (each a
 list of n element encodings) and optional metadata.  Each summand is
-encoded and decoded as one array; decoding rejects a payload of the wrong
-shape or with a non-finite entry with FormatError.
+encoded and decoded as one array; decoding rejects with FormatError a
+payload of the wrong shape, with a non-finite entry, or with entries so
+large that the trace of M M* overflows (so M M* cannot be formed finitely).
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ def _decode_entries(entries: list, spec: AlgebraSpec, rows: int, cols: int) -> A
         arr = arr.astype(float)
         if not np.isfinite(arr).all():
             raise FormatError("non-finite matrix entry")
+        flat = arr.ravel()
+        with np.errstate(over="ignore"):
+            power = flat @ flat  # trace of the summand's M M*
+        if not np.isfinite(power):
+            raise FormatError(f"summand {j} entries too large: trace of M M* overflows")
         grid = arr.view(complex).reshape(rows, cols, m, m)
         blocks.append(grid.transpose(0, 2, 1, 3).reshape(rows * m, cols * m))
     return AMatrix(spec, rows, cols, tuple(blocks))

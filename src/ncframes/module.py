@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import AlgebraElement, AlgebraSpec, ShapeError
 
@@ -117,10 +118,6 @@ class AMatrix:
             for j in range(spec.num_summands)
         )
         return cls(spec, rows, cols, blocks)
-
-    @classmethod
-    def column_vector(cls, entries: Sequence[AlgebraElement]) -> "AMatrix":
-        return cls.from_entries([[e] for e in entries])
 
     @classmethod
     def random(
@@ -266,57 +263,21 @@ def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:
     return defect <= tol * max(1.0, M.norm())
 
 
-def _pivoted_complement_basis(flat: np.ndarray, want: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a coisometric flat matrix.
-
-    Deterministic pivoted modified Gram-Schmidt on the columns of the
-    orthogonal projector I - M*M, choosing the largest residual column at
-    each step (ties broken by lowest index).  For [I | 0] this returns the
-    trailing standard basis vectors in ascending order.
-    """
-    dim = flat.shape[1]
-    proj = np.eye(dim, dtype=complex) - flat.conj().T @ flat
-    residuals = proj.copy()
-    basis = np.zeros((dim, want), dtype=complex)
-    for step in range(want):
-        norms = np.linalg.norm(residuals, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] < 1e-8:
-            raise NotCoisometricError(float(norms[j]), 1e-8)
-        q = residuals[:, j] / norms[j]
-        # second orthogonalization pass for stability
-        for prev in range(step):
-            q = q - basis[:, prev] * (basis[:, prev].conj() @ q)
-        q = q / np.linalg.norm(q)
-        basis[:, step] = q
-        residuals -= np.outer(q, q.conj() @ residuals)
-    return basis
-
-
-def _fix_row_phases(rows: np.ndarray) -> np.ndarray:
-    """Scale each row so its first non-negligible entry is real positive."""
-    out = rows.copy()
-    for i in range(out.shape[0]):
-        row = out[i]
-        nz = np.nonzero(np.abs(row) > 1e-12)[0]
-        if nz.size:
-            pivot = row[nz[0]]
-            out[i] = row * (abs(pivot) / pivot)
-    return out
-
-
 def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
     """Extend a coisometric n x k matrix to a k x k unitary over A.
 
     The first n rows of the result equal M; the remaining rows are a
     deterministic orthonormal basis of the orthogonal complement of the row
-    space, computed per summand with each added row's leading entry made
-    real positive.
+    space: per summand, the leading columns of a LAPACK pivoted QR of the
+    projector I - M*M (largest column first, lowest-index tie-break), with
+    each added row's leading entry made real positive.  For [I | 0] the
+    added rows are the trailing standard basis rows in ascending order.
 
     Raises
     ------
     NotCoisometricError
-        If ||MM* - I|| > tol.
+        If ||MM* - I|| > tol, or if the projector's rank falls short of
+        (k - n) * m, its last pivot in R being below 1e-8.
     """
     n, k = M.rows, M.cols
     if n > k:
@@ -331,8 +292,16 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
         if want == 0:
             out_blocks.append(flat)
             continue
-        basis = _pivoted_complement_basis(flat, want)
-        extra = _fix_row_phases(basis.conj().T)
+        proj = np.eye(k * m, dtype=complex) - flat.conj().T @ flat
+        q, r, _ = scipy.linalg.qr(proj, mode="economic", pivoting=True)
+        pivot = float(abs(r[want - 1, want - 1]))
+        if pivot < 1e-8:
+            raise NotCoisometricError(pivot, 1e-8)
+        extra = q[:, :want].conj().T
+        # a unit row always has an entry above 1e-12; the first becomes real
+        # positive, and + 0.0 clears the -0.0 a negative phase leaves on zeros
+        lead = extra[np.arange(want), (np.abs(extra) > 1e-12).argmax(axis=1)]
+        extra = extra * (np.abs(lead) / lead)[:, None] + 0.0
         out_blocks.append(np.vstack([flat, extra]))
     return AMatrix(M.spec, k, k, tuple(out_blocks))
 

@@ -68,24 +68,7 @@ class OptimizerTrace:
         return self.iterates[-1][2]
 
 
-# -- helpers on the summand blocks of the frame matrix ----------------------
-
-
-def _potential_flat(flats: list[np.ndarray]) -> float:
-    total = 0.0
-    for x in flats:
-        g = x.conj().T @ x
-        total += float(np.sum(np.abs(g) ** 2))
-    return total
-
-
-def _gradient_flat(flats: list[np.ndarray]) -> list[np.ndarray]:
-    return [4.0 * x @ (x.conj().T @ x) for x in flats]
-
-
-def _excess_stats(
-    flats: list[np.ndarray], dims, b_target: float
-) -> tuple[float, float]:
+def _excess_stats(F: Frame, b_target: float) -> tuple[float, float]:
     """(sum_j ||S_j - b I||_F^2, max_j ||S_j - b I||_2) against the target b.
 
     Under the spherical constraint trace(S_j) is pinned at k*m_j*r, so the
@@ -95,7 +78,7 @@ def _excess_stats(
     """
     excess = 0.0
     res = 0.0
-    for m, x in zip(dims, flats):
+    for x in F.matrix.blocks:
         s = x @ x.conj().T
         d = s - b_target * np.eye(s.shape[0])
         excess += float(np.sum(np.abs(d) ** 2))
@@ -103,12 +86,34 @@ def _excess_stats(
     return excess, res
 
 
-def _retract_flat(
-    flats: list[np.ndarray], dims, k: int, r: float, tol: float
-) -> list[np.ndarray]:
-    """Per summand, one stacked Gram and eigh over the k column blocks."""
+def frame_potential(F: Frame) -> float:
+    """Sum over summands of the squared Frobenius norm of the Gram matrix."""
+    total = 0.0
+    for x in F.matrix.blocks:
+        g = x.conj().T @ x
+        total += float(np.sum(np.abs(g) ** 2))
+    return total
+
+
+def potential_gradient(F: Frame) -> AMatrix:
+    """Gradient of the frame potential: per summand 4 * X * (X^H X)."""
+    return AMatrix(
+        F.spec, F.n, F.k, tuple(4.0 * x @ (x.conj().T @ x) for x in F.matrix.blocks)
+    )
+
+
+def retract_spherical(F: Frame, r: float, tol: float = 1e-12) -> Frame:
+    """Rescale each column to <f_i, f_i> = r * 1_A via inverse square roots.
+
+    Per summand, one stacked Gram and eigh over the k column blocks.
+    Raises DegenerateColumnError if some column Gram block has an
+    eigenvalue at or below tol.
+    """
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    k = F.k
     out = []
-    for m, x in zip(dims, flats):
+    for m, x in zip(F.spec.summand_dims, F.matrix.blocks):
         cols = x.reshape(-1, k, m).transpose(1, 0, 2)  # (k, n*m, m)
         g = cols.conj().transpose(0, 2, 1) @ cols
         vals, vecs = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
@@ -118,32 +123,7 @@ def _retract_flat(
         scale = (vals / r) ** -0.5
         w = (vecs * scale[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
         out.append((cols @ w).transpose(1, 0, 2).reshape(x.shape))
-    return out
-
-
-# -- public operations on frames -------------------------------------------
-
-
-def frame_potential(F: Frame) -> float:
-    """Sum over summands of the squared Frobenius norm of the Gram matrix."""
-    return _potential_flat(list(F.matrix.blocks))
-
-
-def potential_gradient(F: Frame) -> AMatrix:
-    """Gradient of the frame potential: per summand 4 * X * (X^H X)."""
-    return AMatrix(F.spec, F.n, F.k, tuple(_gradient_flat(list(F.matrix.blocks))))
-
-
-def retract_spherical(F: Frame, r: float, tol: float = 1e-12) -> Frame:
-    """Rescale each column to <f_i, f_i> = r * 1_A via inverse square roots.
-
-    Raises DegenerateColumnError if some column Gram block has an
-    eigenvalue at or below tol.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    flats = _retract_flat(list(F.matrix.blocks), F.spec.summand_dims, F.k, r, tol)
-    return Frame(AMatrix(F.spec, F.n, F.k, tuple(flats)))
+    return Frame(AMatrix(F.spec, F.n, k, tuple(out)))
 
 
 def minimize(
@@ -167,27 +147,27 @@ def minimize(
     degen_tol = 1e-10
     rerandomizations = 0
 
-    def rerandomize(flats: list[np.ndarray], col: int):
+    def rerandomize(X: AMatrix, col: int):
         nonlocal rerandomizations
         rerandomizations += 1
         if rerandomizations > 10:
             return False
-        for m, x in zip(dims, flats):
+        for m, x in zip(dims, X.blocks):
             re = rng.standard_normal((n * m, m))
             im = rng.standard_normal((n * m, m))
             x[:, col * m : (col + 1) * m] = (re + 1j * im) / np.sqrt(2.0)
         return True
 
-    flats = list(AMatrix.random(spec, n, k, rng).blocks)
+    X = AMatrix.random(spec, n, k, rng)
     while True:
         try:
-            flats = _retract_flat(flats, dims, k, r, degen_tol)
+            F = retract_spherical(Frame(X), r, degen_tol)
             break
         except DegenerateColumnError as exc:
-            if not rerandomize(flats, exc.column):
+            if not rerandomize(X, exc.column):
                 return OptimizerTrace(
                     iterates=((0, float("nan"), float("nan")),),
-                    frame=Frame(AMatrix(spec, n, k, tuple(flats))),
+                    frame=Frame(X),
                     converged=False,
                     failure="persistent degenerate columns",
                 )
@@ -195,7 +175,7 @@ def minimize(
     b_target = k * r / n
     # potential at the constraint is this constant plus the excess
     pot_floor = sum((k * r) ** 2 * m / n for m in dims)
-    excess, res = _excess_stats(flats, dims, b_target)
+    excess, res = _excess_stats(F, b_target)
     iterates = [(0, pot_floor + excess, res)]
     step = config.step_size
     converged = res <= config.tight_tol
@@ -204,22 +184,16 @@ def minimize(
     it = 0
     while not converged and it < config.max_iters:
         it += 1
-        grad = _gradient_flat(flats)
+        grad = potential_gradient(F)
         trial = step * 2.0
         accepted = None
         for _ in range(60):
             try:
-                cand = _retract_flat(
-                    [x - trial * g for x, g in zip(flats, grad)],
-                    dims,
-                    k,
-                    r,
-                    degen_tol,
-                )
+                cand = retract_spherical(Frame(F.matrix - trial * grad), r, degen_tol)
             except DegenerateColumnError:
                 trial *= 0.5
                 continue
-            cand_excess, cand_res = _excess_stats(cand, dims, b_target)
+            cand_excess, cand_res = _excess_stats(cand, b_target)
             if cand_excess < excess:
                 accepted = (cand, cand_excess, cand_res, trial)
                 break
@@ -227,13 +201,13 @@ def minimize(
         if accepted is None:
             # no decrease found at any step length: stationary to roundoff
             break
-        flats, excess, res, step = accepted
+        F, excess, res, step = accepted
         iterates.append((it, pot_floor + excess, res))
         converged = res <= config.tight_tol
 
     return OptimizerTrace(
         iterates=tuple(iterates),
-        frame=Frame(AMatrix(spec, n, k, tuple(flats))),
+        frame=F,
         converged=converged,
         failure=failure,
     )

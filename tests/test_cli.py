@@ -86,6 +86,34 @@ class TestVerify:
         rc, _ = run(capsys, command, str(path))
         assert rc == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["verify", "analyze", "factorize"])
+    def test_overflowing_entry_exit_2(self, tmp_path, capsys, command):
+        # 1e308 is finite, but its square, a term of trace(FF*), is not
+        path = tmp_path / "f.json"
+        run(capsys, "gen", "--algebra", "1", "--k", "3", "--n", "2",
+            "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["columns"][0][0][0][0][0] = 1e308
+        path.write_text(json.dumps(doc))
+        extra = ["--out", str(tmp_path / "u.json")] if command == "factorize" else []
+        rc, _ = run(capsys, command, str(path), *extra)
+        assert rc == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_scale_still_verifies(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        run(capsys, "gen", "--algebra", "1", "--k", "3", "--n", "2",
+            "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["columns"] = json.loads(
+            json.dumps(doc["columns"]), parse_float=lambda t: 1e100 * float(t)
+        )
+        path.write_text(json.dumps(doc))
+        rc, out = run(capsys, "verify", str(path))
+        assert rc == 0
+        assert json.loads(out)["b"] == pytest.approx(1e200)
+
     def test_truncated_file(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text('{"algebra": [1]')
@@ -199,6 +227,34 @@ class TestMinimize:
         run(capsys, "minimize", "--algebra", "1", "--k", "4", "--n", "2",
             "--seed", "3", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    # sha256 of the minimize output and of its --trace-out, recorded with the
+    # optimizer running on per-summand helper copies of the AMatrix algebra
+    GOLDEN = [
+        ("1", 5, 3, 0,
+         "20655c10efafd47c175e6e78fe5972a054c8e094be1f76922273aa8ecc4706d0",
+         "992d75b63d0286a3389cf35e01f17642d1d00e40868166b83f53b27dd03a04ce"),
+        ("2", 6, 4, 1,
+         "249898d6fec622a04c760dfcfae89bc09dfcc147ee792533fbe11c36c07438d3",
+         "723c7548f176871bf5bf141962c322efc204c0f042b2be5c5de0bfc991da9546"),
+        ("2,1", 12, 8, 3,
+         "e3ce8de4b91aad2fb7e38588652d920713ffd0a02bf0f5473103b9e103edf3f3",
+         "8c4c5cad5f9f8b1745280fd42eaa79d9f5ea27d131c3ae72db50093d20d85911"),
+    ]
+
+    @pytest.mark.parametrize("algebra,k,n,seed,digest,trace_digest", GOLDEN)
+    def test_minimize_golden_bytes(
+        self, tmp_path, capsys, algebra, k, n, seed, digest, trace_digest
+    ):
+        import hashlib
+
+        path, trace = tmp_path / "m.json", tmp_path / "t.json"
+        rc, _ = run(capsys, "minimize", "--algebra", algebra, "--k", str(k),
+                    "--n", str(n), "--seed", str(seed), "--out", str(path),
+                    "--trace-out", str(trace))
+        assert rc == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
 
     def test_iteration_budget_exhausted(self, tmp_path, capsys):
         rc, _ = run(capsys, "minimize", "--algebra", "1", "--k", "3", "--n", "2",

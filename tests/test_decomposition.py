@@ -14,6 +14,7 @@ from ncframes import (
     check_tight,
     classify_frame,
     commutation_residual,
+    coordinate_projection,
     direct_sum_frames,
     divisibility_check,
     enumerate_partitions,
@@ -58,6 +59,29 @@ class TestCommutationResidual:
         # column leaves a commutator of that size
         res = commutation_residual(mercedes, [1])
         assert res == pytest.approx(np.sqrt(2) * 0.5, rel=1e-9)
+
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+    def test_matches_projection_commutator(self, dims):
+        # the Gram block ||F_I* F_Ic|| against ||Q_I G - G Q_I|| built from Q_I
+        spec = AlgebraSpec(dims)
+        frames = [
+            random_tight_frame(spec, 5, 3, seed=7),
+            direct_sum_frames(
+                [random_tight_frame(spec, 3, 2, seed=1),
+                 random_tight_frame(spec, 2, 1, seed=2)],
+                1.0,
+            ),
+        ]
+        for F in frames:
+            G = gram_matrix(F)
+            for size in range(F.k + 1):
+                for I in itertools.combinations(range(1, F.k + 1), size):
+                    Q = coordinate_projection(spec, F.k, [i - 1 for i in I])
+                    ref = (Q @ G - G @ Q).norm()
+                    assert commutation_residual(F, I) == pytest.approx(
+                        ref, rel=1e-12, abs=1e-15
+                    )
 
 
 class TestOrthoDecompose:

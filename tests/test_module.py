@@ -252,6 +252,86 @@ class TestCompleteToUnitary:
             for a, b in zip(top, M.blocks):
                 np.testing.assert_allclose(a, b, atol=1e-8)
 
+    @staticmethod
+    def _partial_identity(spec, k, cols):
+        """The len(cols) x k matrix with 1_A at (i, cols[i]), else 0."""
+        blocks = []
+        for m in spec.summand_dims:
+            blk = np.zeros((len(cols) * m, k * m), dtype=complex)
+            for i, c in enumerate(cols):
+                blk[i * m : (i + 1) * m, c * m : (c + 1) * m] = np.eye(m)
+            blocks.append(blk)
+        return AMatrix(spec, len(cols), k, tuple(blocks))
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("k,cols", [(4, [0, 1]), (4, [2, 3]), (6, [5, 2])])
+    def test_partial_identity_completes_with_standard_rows(self, dims, k, cols):
+        # the added rows are the unused standard basis rows in ascending
+        # order, bit for bit (so no -0.0 either)
+        spec = AlgebraSpec(dims)
+        U = complete_to_unitary(self._partial_identity(spec, k, cols))
+        rest = [c for c in range(k) if c not in cols]
+        expected = self._partial_identity(spec, k, cols + rest)
+        assert all(
+            a.tobytes() == b.tobytes() for a, b in zip(U.blocks, expected.blocks)
+        )
+
+    @staticmethod
+    def _gram_schmidt_completion(flat, want):
+        """Reference: pivoted modified Gram-Schmidt on the columns of I - M*M
+        (largest residual first, lowest index on ties), rows phase-fixed one
+        at a time."""
+        residuals = np.eye(flat.shape[1]) - flat.conj().T @ flat
+        rows = []
+        for _ in range(want):
+            norms = np.linalg.norm(residuals, axis=0)
+            j = int(np.argmax(norms))
+            q = residuals[:, j] / norms[j]
+            for prev in rows:
+                q = q - prev.conj() * (prev @ q)
+            q = q / np.linalg.norm(q)
+            residuals = residuals - np.outer(q, q.conj() @ residuals)
+            row = q.conj()
+            pivot = row[np.nonzero(np.abs(row) > 1e-12)[0][0]]
+            rows.append(row * (abs(pivot) / pivot))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 2)])
+    def test_added_rows_match_reference_and_properties(self, dims):
+        from ncframes import random_unitary
+
+        spec = AlgebraSpec(dims)
+        rng = np.random.default_rng(4)
+        k, n = 5, 2
+        for _ in range(3):
+            V = random_unitary(spec, k, rng)
+            M = AMatrix(spec, n, k, tuple(
+                blk[: n * m] for m, blk in zip(dims, V.blocks)
+            ))
+            U = complete_to_unitary(M)
+            for m, blk, top in zip(dims, U.blocks, M.blocks):
+                extra = blk[n * m :]
+                lead = extra[
+                    np.arange(len(extra)), (np.abs(extra) > 1e-12).argmax(axis=1)
+                ]
+                assert np.all(lead.real > 0)
+                assert np.all(np.abs(lead.imag) <= 1e-15 * lead.real)
+                np.testing.assert_allclose(extra @ top.conj().T, 0, atol=1e-12)
+                ref = self._gram_schmidt_completion(top, (k - n) * m)
+                np.testing.assert_allclose(extra, ref, rtol=0, atol=1e-12)
+
+    def test_repeat_calls_bit_equal(self, mixed_spec):
+        from ncframes import random_unitary
+
+        V = random_unitary(mixed_spec, 6, np.random.default_rng(2))
+        M = AMatrix(mixed_spec, 3, 6, tuple(
+            blk[: 3 * m] for m, blk in zip(mixed_spec.summand_dims, V.blocks)
+        ))
+        first, second = complete_to_unitary(M), complete_to_unitary(M)
+        assert all(
+            a.tobytes() == b.tobytes() for a, b in zip(first.blocks, second.blocks)
+        )
+
     def test_rejects_non_coisometry(self, m2_spec):
         M = 2.0 * canonical_coisometry(m2_spec, 3, 2)
         with pytest.raises(NotCoisometricError):
