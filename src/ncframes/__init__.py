@@ -12,6 +12,7 @@ from .decomposition import (
     SplitEquivalenceReport,
     classify_frame,
     commutation_residual,
+    count_partitions,
     direct_sum_frames,
     divisibility_check,
     enumerate_partitions,

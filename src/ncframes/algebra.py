@@ -23,6 +23,15 @@ class ShapeError(ValueError):
     """Operands do not conform (different algebra or incompatible shapes)."""
 
 
+def _spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of a 2-D array.
+
+    The same value as np.linalg.norm(a, 2), which computes these singular
+    values and takes their maximum, without that wrapper's dispatch cost.
+    """
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Block structure of a finite-dimensional C*-algebra.
@@ -138,14 +147,14 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """The C*-norm: the largest singular value over all blocks."""
-        return max(float(np.linalg.norm(a, 2)) for a in self.blocks)
+        return max(_spectral_norm(a) for a in self.blocks)
 
     def is_positive(self, tol: float = 1e-9) -> bool:
         """Hermitian within tol and smallest eigenvalue >= -tol, per block."""
         if tol <= 0:
             raise ValueError("tol must be positive")
         for a in self.blocks:
-            if np.linalg.norm(a - a.conj().T, 2) > tol:
+            if _spectral_norm(a - a.conj().T) > tol:
                 return False
             herm = (a + a.conj().T) / 2
             if float(np.linalg.eigvalsh(herm)[0]) < -tol:

@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from . import io
 from .algebra import AlgebraSpec, ShapeError
 from .decomposition import (
     commutation_residual,
+    count_partitions,
     divisibility_check,
     direct_sum_frames,
     enumerate_partitions,
@@ -56,6 +58,31 @@ def _parse_algebra(text: str) -> AlgebraSpec:
         raise UsageError(f"bad --algebra value {text!r}: {exc}") from exc
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type that converts text and rejects values failing ok.
+
+    A rejected value goes through parser.error, so it exits 3 before the
+    command runs or writes anything.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+# comparisons written so that NaN fails them
+_positive_float = _checked(float, lambda x: 0 < x < math.inf, "a finite positive number")
+_positive_int = _checked(int, lambda x: x >= 1, "an integer >= 1")
+_seed = _checked(int, lambda x: x >= 0, "a non-negative integer")
+
+
 def _emit(doc: dict, mode: str):
     if mode == "json":
         print(json.dumps(doc, indent=2))
@@ -65,7 +92,7 @@ def _emit(doc: dict, mode: str):
 
 
 def _add_common(parser: ArgumentParser):
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=_positive_float, default=1e-9)
     parser.add_argument("--output", choices=("json", "text"), default="json")
 
 
@@ -76,8 +103,6 @@ def cmd_gen(args) -> int:
     spec = _parse_algebra(args.algebra)
     if args.k < args.n:
         raise UsageError(f"need k >= n, got k={args.k}, n={args.n}")
-    if args.b <= 0:
-        raise UsageError("b must be positive")
     F = random_tight_frame(spec, args.k, args.n, args.b, args.seed)
     io.save_frame(
         args.out,
@@ -157,12 +182,13 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    if args.kprime < 1 or args.k % args.kprime != 0:
+    if args.k % args.kprime != 0:
         raise UsageError(f"kprime={args.kprime} does not divide k={args.k}")
-    parts = enumerate_partitions(args.k, args.kprime)
     if args.count_only:
-        _emit({"k": args.k, "kprime": args.kprime, "count": len(parts)}, args.output)
+        count = count_partitions(args.k, args.kprime)
+        _emit({"k": args.k, "kprime": args.kprime, "count": count}, args.output)
     else:
+        parts = enumerate_partitions(args.k, args.kprime)
         doc = {
             "k": args.k,
             "kprime": args.kprime,
@@ -334,10 +360,10 @@ def build_parser() -> ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded random tight frame")
     p.add_argument("--algebra", required=True, help="block sizes, e.g. 1 or 2,1")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--b", type=_positive_float, default=1.0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_gen)
@@ -359,21 +385,21 @@ def build_parser() -> ArgumentParser:
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("partitions", help="enumerate admissible partitions")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kprime", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--kprime", type=_positive_int, required=True)
     p.add_argument("--count-only", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("minimize", help="build a spherical tight frame by descent")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--step-size", type=float, default=0.05)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--tight-tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=float, default=None)
+    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--step-size", type=_positive_float, default=0.05)
+    p.add_argument("--max-iters", type=_positive_int, default=20000)
+    p.add_argument("--tight-tol", type=_positive_float, default=1e-8)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--radius", type=_positive_float, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--trace-out", default=None)
     _add_common(p)

@@ -41,6 +41,7 @@ __all__ = [
     "split_equivalence",
     "divisibility_check",
     "enumerate_partitions",
+    "count_partitions",
     "classify_frame",
     "direct_sum_frames",
     "gram_edge_tol",
@@ -105,6 +106,7 @@ class SplitEquivalenceReport:
     sub_tight_residual: float
     comp_tight_residual: float
     range_overlap: float
+    closure_residual: float
 
     @property
     def agree(self) -> bool:
@@ -264,6 +266,7 @@ def split_equivalence(
         sub_tight_residual=sub_res,
         comp_tight_residual=comp_res,
         range_overlap=overlap,
+        closure_residual=closure,
     )
 
 
@@ -302,6 +305,27 @@ def enumerate_partitions(k: int, kprime: int) -> list[Partition]:
     parts = [Partition(k, blocks) for blocks in grow(tuple(range(1, k + 1)))]
     parts.sort(key=lambda p: p.blocks)
     return parts
+
+
+def count_partitions(k: int, kprime: int) -> int:
+    """len(enumerate_partitions(k, kprime)), without building the partitions.
+
+    The block holding element 1 has some size s = j * kprime; choosing its
+    other s - 1 elements and partitioning the remaining k - s gives
+    a(k) = sum_j C(k - 1, s - 1) * a(k - s) with a(0) = 1, in exact integers.
+    """
+    if k < 0 or kprime < 1 or k % kprime != 0:
+        raise ValueError(f"kprime={kprime} does not divide k={k}")
+    counts = [1]  # counts[i]: admissible partitions of i * kprime elements
+    for i in range(1, k // kprime + 1):
+        size = i * kprime
+        counts.append(
+            sum(
+                math.comb(size - 1, j * kprime - 1) * counts[i - j]
+                for j in range(1, i + 1)
+            )
+        )
+    return counts[-1]
 
 
 def classify_frame(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, ShapeError
+from .algebra import AlgebraSpec, ShapeError, _spectral_norm
 from .module import AMatrix, complete_to_unitary, is_unitary
 
 __all__ = [
@@ -129,7 +129,7 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
         per_b.append(float(np.trace(blk).real) / (n * m))
     b = float(np.mean(per_b))
     residual = max(
-        float(np.linalg.norm(blk - b * np.eye(blk.shape[0]), 2))
+        _spectral_norm(blk - b * np.eye(blk.shape[0]))
         for blk in S.blocks
     )
     scale = max(1.0, abs(b))

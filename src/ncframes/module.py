@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, AlgebraSpec, ShapeError
+from .algebra import AlgebraElement, AlgebraSpec, ShapeError, _spectral_norm
 
 __all__ = [
     "AMatrix",
@@ -228,7 +228,7 @@ class AMatrix:
 
     def norm(self) -> float:
         """Operator norm: the largest summand spectral norm."""
-        return max(float(np.linalg.norm(a, 2)) for a in self.blocks)
+        return max(_spectral_norm(a) for a in self.blocks)
 
     def allclose(self, other: "AMatrix", tol: float = 1e-12) -> bool:
         self._check_same_spec(other)

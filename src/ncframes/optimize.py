@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, _spectral_norm
 from .frames import Frame
 from .module import AMatrix
 
@@ -46,10 +46,13 @@ class OptimizerConfig:
     radius: float | None = None  # None -> n/k, making b = 1
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.tight_tol <= 0 or self.max_iters < 1:
-            raise ValueError("step_size, tight_tol, max_iters must be positive")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive")
+        # written so that NaN fails the range tests
+        if not (0 < self.step_size < np.inf and 0 < self.tight_tol < np.inf):
+            raise ValueError("step_size and tight_tol must be finite and positive")
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be at least 1")
+        if self.radius is not None and not 0 < self.radius < np.inf:
+            raise ValueError("radius must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ class OptimizerTrace:
         return self.iterates[-1][2]
 
 
-def _excess_stats(F: Frame, b_target: float) -> tuple[float, float]:
-    """(sum_j ||S_j - b I||_F^2, max_j ||S_j - b I||_2) against the target b.
+def _defects(F: Frame, b_target: float) -> tuple[float, list[np.ndarray]]:
+    """(sum_j ||S_j - b I||_F^2, [S_j - b I]) against the target b.
 
     Under the spherical constraint trace(S_j) is pinned at k*m_j*r, so the
     excess orders iterates exactly like the raw potential while staying
@@ -77,13 +80,18 @@ def _excess_stats(F: Frame, b_target: float) -> tuple[float, float]:
     roundoff.
     """
     excess = 0.0
-    res = 0.0
+    defects = []
     for x in F.matrix.blocks:
-        s = x @ x.conj().T
-        d = s - b_target * np.eye(s.shape[0])
+        d = x @ x.conj().T
+        d.flat[:: d.shape[0] + 1] -= b_target
         excess += float(np.sum(np.abs(d) ** 2))
-        res = max(res, float(np.linalg.norm(d, 2)))
-    return excess, res
+        defects.append(d)
+    return excess, defects
+
+
+def _residual(defects: list[np.ndarray]) -> float:
+    """Tightness residual max_j ||S_j - b I||_2 of the defects from _defects."""
+    return max(_spectral_norm(d) for d in defects)
 
 
 def frame_potential(F: Frame) -> float:
@@ -175,7 +183,8 @@ def minimize(
     b_target = k * r / n
     # potential at the constraint is this constant plus the excess
     pot_floor = sum((k * r) ** 2 * m / n for m in dims)
-    excess, res = _excess_stats(F, b_target)
+    excess, defects = _defects(F, b_target)
+    res = _residual(defects)
     iterates = [(0, pot_floor + excess, res)]
     step = config.step_size
     converged = res <= config.tight_tol
@@ -193,15 +202,17 @@ def minimize(
             except DegenerateColumnError:
                 trial *= 0.5
                 continue
-            cand_excess, cand_res = _excess_stats(cand, b_target)
+            cand_excess, cand_defects = _defects(cand, b_target)
             if cand_excess < excess:
-                accepted = (cand, cand_excess, cand_res, trial)
+                accepted = (cand, cand_excess, cand_defects, trial)
                 break
             trial *= 0.5
         if accepted is None:
             # no decrease found at any step length: stationary to roundoff
             break
-        F, excess, res, step = accepted
+        F, excess, defects, step = accepted
+        # only accepted iterates pay for the SVD behind the stopping test
+        res = _residual(defects)
         iterates.append((it, pot_floor + excess, res))
         converged = res <= config.tight_tol
 

@@ -125,3 +125,14 @@ def test_trace_cyclicity(mixed_spec):
         a = mixed_spec.random_element(rng)
         b = mixed_spec.random_element(rng)
         assert abs((a * b).normalized_trace() - (b * a).normalized_trace()) <= 1e-10
+
+
+def test_spectral_norm_equals_numpy_2_norm():
+    from ncframes.algebra import _spectral_norm
+
+    rng = np.random.default_rng(8)
+    shapes = [(r, c) for r in (1, 2, 3, 7, 16, 48) for c in (1, 2, 5, 16, 48)]
+    for r, c in shapes:
+        real = rng.standard_normal((r, c))
+        for a in (real, real + 1j * rng.standard_normal((r, c)), np.zeros((r, c))):
+            assert _spectral_norm(a) == np.linalg.norm(a, 2)

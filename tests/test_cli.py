@@ -205,6 +205,67 @@ class TestPartitions:
         rc, _ = run(capsys, "partitions", "--k", "5", "--kprime", "2")
         assert rc == 3
 
+    def test_count_only_by_recurrence(self, capsys):
+        import time
+
+        start = time.perf_counter()
+        rc, out = run(capsys, "partitions", "--k", "30", "--kprime", "1",
+                      "--count-only")
+        elapsed = time.perf_counter() - start
+        assert rc == 0
+        assert json.loads(out)["count"] == 846749014511809332450147  # Bell(30)
+        assert elapsed < 1.0
+
+
+class TestArgumentContract:
+    GEN = ["gen", "--algebra", "1", "--k", "3", "--n", "2"]
+    MIN = ["minimize", "--algebra", "1", "--k", "3", "--n", "2"]
+    BAD = [
+        GEN + ["--b", "nan"],
+        GEN + ["--b", "inf"],
+        GEN + ["--b", "-1"],
+        GEN + ["--b", "one"],
+        GEN + ["--tol", "0"],
+        GEN + ["--tol", "nan"],
+        GEN + ["--seed", "-1"],
+        ["gen", "--algebra", "1", "--k", "3", "--n", "0"],
+        ["gen", "--algebra", "1", "--k", "0", "--n", "0"],
+        MIN + ["--step-size", "nan"],
+        MIN + ["--radius", "nan"],
+        MIN + ["--radius", "0"],
+        MIN + ["--tight-tol", "inf"],
+        MIN + ["--max-iters", "0"],
+        MIN + ["--seed", "-1"],
+    ]
+
+    @pytest.mark.parametrize("argv", BAD, ids=" ".join)
+    def test_bad_number_exits_3_before_writing(self, tmp_path, capsys, argv):
+        out = tmp_path / "f.json"
+        rc = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "factorize"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_bad_tol_exits_3(self, tmp_path, capsys, command, tol):
+        path = tmp_path / "f.json"
+        assert main(self.GEN + ["--out", str(path)]) == 0
+        capsys.readouterr()
+        extra = ["--out", str(tmp_path / "u.json")] if command == "factorize" else []
+        rc = main([command, str(path), "--tol", tol] + extra)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument --tol")
+        assert not (tmp_path / "u.json").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_partitions_nonpositive_k_exits_3(self, capsys, k):
+        assert main(["partitions", "--k", k, "--kprime", "1"]) == 3
+
 
 class TestMinimize:
     def test_converges_and_writes(self, tmp_path, capsys):

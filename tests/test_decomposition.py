@@ -15,6 +15,7 @@ from ncframes import (
     classify_frame,
     commutation_residual,
     coordinate_projection,
+    count_partitions,
     direct_sum_frames,
     divisibility_check,
     enumerate_partitions,
@@ -175,6 +176,23 @@ class TestSplitEquivalence:
     def test_mercedes_single_both_false(self, mercedes):
         rep = split_equivalence(mercedes, [1])
         assert not rep.commutes and not rep.splits
+        # f_2, f_3 span C^2, so P + Pc - I is the rank-one projection P
+        assert rep.closure_residual == pytest.approx(1.0)
+
+    def test_closure_residual_within_threshold_on_direct_sums(self):
+        for dims in [(1,), (2,), (2, 1)]:
+            spec = AlgebraSpec(dims)
+            parts = [
+                random_tight_frame(spec, 2, 1, seed=10),
+                random_tight_frame(spec, 3, 2, seed=11),
+                random_tight_frame(spec, 4, 3, seed=12),
+            ]
+            F = direct_sum_frames(parts, b=1.0)
+            threshold = 1e-9 * max(1.0, float(F.k))  # tol * max(1, b) * max(1, k)
+            for I in ([1, 2], [3, 4, 5], [6, 7, 8, 9], [1, 2, 6, 7, 8, 9]):
+                rep = split_equivalence(F, I)
+                assert rep.splits
+                assert 0.0 <= rep.closure_residual <= threshold
 
     def test_exhaustive_small_corpus(self):
         corpus = []
@@ -254,6 +272,16 @@ class TestEnumeratePartitions:
     def test_invalid_kprime(self):
         with pytest.raises(ValueError):
             enumerate_partitions(5, 2)
+
+    def test_count_matches_enumeration(self):
+        for k in range(1, 11):
+            for kprime in range(1, k + 1):
+                if k % kprime == 0:
+                    expected = len(enumerate_partitions(k, kprime))
+                    assert count_partitions(k, kprime) == expected, (k, kprime)
+        assert count_partitions(30, 1) == 846749014511809332450147  # Bell(30)
+        with pytest.raises(ValueError):
+            count_partitions(5, 2)
 
 
 class TestClassify:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncframes import optimize
 from ncframes import (
     AlgebraSpec,
     AMatrix,
@@ -167,6 +168,27 @@ class TestRetraction:
         assert info.value.column == 3
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("step_size", float("nan")),
+            ("step_size", float("inf")),
+            ("step_size", 0.0),
+            ("tight_tol", float("nan")),
+            ("tight_tol", float("inf")),
+            ("tight_tol", -1e-8),
+            ("radius", float("nan")),
+            ("radius", float("inf")),
+            ("radius", 0.0),
+            ("max_iters", 0),
+        ],
+    )
+    def test_rejects_non_finite_or_non_positive(self, field, value):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{field: value})
+
+
 class TestMinimize:
     def test_scalar_case_reaches_bound(self, scalar_spec):
         trace = minimize(scalar_spec, 3, 2, OptimizerConfig(seed=1, tight_tol=1e-10))
@@ -212,3 +234,94 @@ class TestMinimize:
         trace = minimize(scalar_spec, 6, 4, OptimizerConfig(seed=6))
         sigma, admissible = classify_frame(trace.frame)
         assert admissible
+
+
+def _minimize_per_candidate_residual(spec, k, n, config):
+    """The descent loop as it ran before the residual moved to accepted
+    iterates: one spectral-norm residual per backtracking candidate.
+    Kept as the reference for bit-identical iterates and frames.
+    """
+    r = config.radius if config.radius is not None else n / k
+    rng = np.random.default_rng(config.seed)
+    rerandomizations = 0
+
+    def stats(F, b):
+        excess, res = 0.0, 0.0
+        for x in F.matrix.blocks:
+            s = x @ x.conj().T
+            d = s - b * np.eye(s.shape[0])
+            excess += float(np.sum(np.abs(d) ** 2))
+            res = max(res, float(np.linalg.norm(d, 2)))
+        return excess, res
+
+    X = AMatrix.random(spec, n, k, rng)
+    while True:
+        try:
+            F = retract_spherical(Frame(X), r, 1e-10)
+            break
+        except optimize.DegenerateColumnError as exc:
+            rerandomizations += 1
+            assert rerandomizations <= 10
+            for m, x in zip(spec.summand_dims, X.blocks):
+                re = rng.standard_normal((n * m, m))
+                im = rng.standard_normal((n * m, m))
+                x[:, exc.column * m : (exc.column + 1) * m] = (re + 1j * im) / np.sqrt(2.0)
+    b = k * r / n
+    floor = sum((k * r) ** 2 * m / n for m in spec.summand_dims)
+    excess, res = stats(F, b)
+    iterates = [(0, floor + excess, res)]
+    step = config.step_size
+    it = 0
+    while res > config.tight_tol and it < config.max_iters:
+        it += 1
+        grad = potential_gradient(F)
+        trial = step * 2.0
+        accepted = None
+        for _ in range(60):
+            try:
+                cand = retract_spherical(Frame(F.matrix - trial * grad), r, 1e-10)
+            except optimize.DegenerateColumnError:
+                trial *= 0.5
+                continue
+            cand_excess, cand_res = stats(cand, b)
+            if cand_excess < excess:
+                accepted = (cand, cand_excess, cand_res, trial)
+                break
+            trial *= 0.5
+        if accepted is None:
+            break
+        F, excess, res, step = accepted
+        iterates.append((it, floor + excess, res))
+    return tuple(iterates), F
+
+
+DESCENT_SHAPES = [((1,), 5, 3), ((2,), 6, 4), ((2,), 8, 6), ((2, 1), 12, 8), ((3, 2), 24, 16)]
+
+
+class TestAcceptedResidual:
+    @pytest.mark.parametrize("dims,k,n", DESCENT_SHAPES)
+    def test_matches_per_candidate_reference(self, dims, k, n):
+        spec = AlgebraSpec(dims)
+        for seed in range(4):
+            config = OptimizerConfig(seed=seed, tight_tol=1e-8)
+            trace = minimize(spec, k, n, config)
+            iterates, F = _minimize_per_candidate_residual(spec, k, n, config)
+            assert trace.iterates == iterates
+            for a, b in zip(trace.frame.matrix.blocks, F.matrix.blocks):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dims,k,n", [((1,), 5, 3), ((2, 1), 12, 8)])
+    def test_one_svd_per_summand_per_accepted_iterate(self, monkeypatch, dims, k, n):
+        calls = []
+        real = optimize._spectral_norm
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(optimize, "_spectral_norm", counting)
+        spec = AlgebraSpec(dims)
+        trace = minimize(spec, k, n, OptimizerConfig(seed=1, tight_tol=1e-8))
+        # iterates holds the start point plus every accepted iterate
+        assert len(trace.iterates) > 2
+        assert len(calls) == len(trace.iterates) * spec.num_summands
