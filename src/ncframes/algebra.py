@@ -32,6 +32,18 @@ def _spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., p, q) stack."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian array: all real parts drawn, then all imaginary."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Block structure of a finite-dimensional C*-algebra.
@@ -79,12 +91,9 @@ class AlgebraSpec:
 
     def random_element(self, rng: np.random.Generator) -> "AlgebraElement":
         """Independent standard complex Gaussian entries per block."""
-        blocks = []
-        for m in self.summand_dims:
-            re = rng.standard_normal((m, m))
-            im = rng.standard_normal((m, m))
-            blocks.append((re + 1j * im) / np.sqrt(2.0))
-        return AlgebraElement(self, tuple(blocks))
+        return AlgebraElement(
+            self, tuple(_complex_gaussian(rng, (m, m)) for m in self.summand_dims)
+        )
 
 
 @dataclass(frozen=True)
@@ -151,8 +160,8 @@ class AlgebraElement:
 
     def is_positive(self, tol: float = 1e-9) -> bool:
         """Hermitian within tol and smallest eigenvalue >= -tol, per block."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < tol < np.inf:  # written so that NaN fails
+            raise ValueError("tol must be finite and positive")
         for a in self.blocks:
             if _spectral_norm(a - a.conj().T) > tol:
                 return False

@@ -139,18 +139,6 @@ def gram_edge_tol(F: Frame) -> float:
     return 1e-9 * F.matrix.norm() ** 2
 
 
-def _gram_offdiag_norms(F: Frame) -> np.ndarray:
-    """k x k matrix of entry norms ||(F*F)_ij||."""
-    G = gram_matrix(F)
-    k = F.k
-    norms = np.zeros((k, k))
-    for m, blk in zip(F.spec.summand_dims, G.blocks):
-        entries = blk.reshape(k, m, k, m).transpose(0, 2, 1, 3)  # (k, k, m, m)
-        svals = np.linalg.svd(entries, compute_uv=False)[..., 0]
-        norms = np.maximum(norms, svals)
-    return norms
-
-
 def ortho_decompose(F: Frame, tol: float | None = None) -> Partition:
     """Finest splitting of a tight frame into mutually orthogonal column groups.
 
@@ -167,7 +155,7 @@ def ortho_decompose(F: Frame, tol: float | None = None) -> Partition:
         raise NotTightError(report.residual, tight_tol)
     if tol is None:
         tol = gram_edge_tol(F)
-    adj = _gram_offdiag_norms(F) > tol
+    adj = gram_matrix(F).entry_norms() > tol
     np.fill_diagonal(adj, False)
     num, labels = connected_components(adj, directed=False)
     blocks = [
@@ -366,8 +354,8 @@ def direct_sum_frames(
     out = AMatrix.zeros(spec, n_total, k_total)
     r0 = c0 = 0
     for part in parts:
-        for m, dst, src in zip(spec.summand_dims, out.blocks, part.matrix.blocks):
-            dst[r0 * m : (r0 + part.n) * m, c0 * m : (c0 + part.k) * m] = src
+        for dst, src in zip(out.grids, part.matrix.grids):
+            dst[r0 : r0 + part.n, c0 : c0 + part.k] = src
         r0 += part.n
         c0 += part.k
     return Frame(out)

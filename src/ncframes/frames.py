@@ -11,11 +11,13 @@ over matrix blocks the sum can strictly dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, ShapeError, _spectral_norm
+from .algebra import (
+    AlgebraSpec, ShapeError, _complex_gaussian, _spectral_norm, _spectral_norms
+)
 from .module import AMatrix, complete_to_unitary, is_unitary
 
 __all__ = [
@@ -120,8 +122,8 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     tol * max(1, b), the per-summand estimates agree to the same tolerance,
     and b > tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # written so that NaN fails
+        raise ValueError("tol must be finite and positive")
     n = F.n
     S = frame_operator(F)
     per_b = []
@@ -136,24 +138,6 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     spread = max(abs(bj - b) for bj in per_b)
     is_tight = residual <= tol * scale and spread <= tol * scale and b > tol
     return TightnessReport(b, residual, is_tight, tuple(per_b))
-
-
-def _column_pairings(F: Frame, vflat: list[np.ndarray]) -> np.ndarray:
-    """Per-sample norms ||<v, f_i>|| for a batch of vectors in A^n.
-
-    vflat holds one array of shape (B, n*m_j, m_j) per summand; the result
-    has shape (B, k) with the C*-norm already maximized over summands.
-    """
-    k = F.k
-    fblocks = F.matrix.blocks
-    batch = vflat[0].shape[0]
-    norms = np.zeros((batch, k))
-    for m, fb, vb in zip(F.spec.summand_dims, fblocks, vflat):
-        cols = fb.reshape(fb.shape[0], k, m).transpose(1, 0, 2)  # (k, n*m, m)
-        pair = np.einsum("bpx,kpy->bkxy", vb.conj(), cols)  # (B, k, m, m)
-        svals = np.linalg.svd(pair, compute_uv=False)[..., 0]
-        norms = np.maximum(norms, svals)
-    return norms
 
 
 def scalar_definition_check(
@@ -172,19 +156,11 @@ def scalar_definition_check(
     roundoff, with equality in the scalar algebra.
     """
     rng = np.random.default_rng(seed)
-    n = F.n
-    vflat = []
-    for m in F.spec.summand_dims:
-        re = rng.standard_normal((num_samples, n * m, m))
-        im = rng.standard_normal((num_samples, n * m, m))
-        vflat.append((re + 1j * im) / np.sqrt(2.0))
-    pair_norms = _column_pairings(F, vflat)
-    lhs = np.sum(pair_norms**2, axis=1)
-    self_norm = np.zeros(num_samples)
-    for vb in vflat:
-        g = np.einsum("bpx,bpy->bxy", vb.conj(), vb)
-        svals = np.linalg.svd(g, compute_uv=False)[..., 0]
-        self_norm = np.maximum(self_norm, svals)
+    # sample s, drawn entry by entry per summand, is column s of V
+    draws = [_complex_gaussian(rng, (num_samples, F.n, m, m)) for m in F.spec.summand_dims]
+    V = AMatrix.from_grids(F.spec, [z.swapaxes(0, 1) for z in draws])
+    lhs = np.sum((V.H @ F.matrix).entry_norms() ** 2, axis=1)
+    self_norm = np.max([_spectral_norms(g) for g in V.column_grams()], axis=0)
     delta = lhs - b * self_norm
     return ScalarCheckReport(
         max_equality_deviation=float(np.max(np.abs(delta))),
@@ -203,22 +179,16 @@ def is_spherical(
     """
     if mode not in ("strict", "equal_norm"):
         raise ValueError(f"unknown mode {mode!r}")
-    k = F.k
-    # per summand, the k diagonal blocks <f_i, f_i> as one (k, m, m) stack
-    diag = [
-        np.einsum("iaib->iab", blk.reshape(k, m, k, m))
-        for m, blk in zip(F.spec.summand_dims, gram_matrix(F).blocks)
-    ]
+    grams = F.matrix.column_grams()
     if mode == "strict":
-        traces = sum(np.trace(d, axis1=1, axis2=2) for d in diag)
+        traces = sum(np.trace(g, axis1=1, axis2=2) for g in grams)
         r = float(np.mean((traces / sum(F.spec.summand_dims)).real))
         deviation = max(
-            float(np.max(np.linalg.norm(d - r * np.eye(d.shape[1]), 2, axis=(1, 2))))
-            for d in diag
+            float(np.max(_spectral_norms(g - r * np.eye(g.shape[1])))) for g in grams
         )
         ok = deviation <= tol * max(1.0, abs(r)) and r > tol
         return SphericalReport(ok, r, deviation, mode)
-    norms = np.max([np.linalg.norm(d, 2, axis=(1, 2)) for d in diag], axis=0)
+    norms = np.max([_spectral_norms(g) for g in grams], axis=0)
     r = float(np.mean(norms))
     deviation = float(np.max(np.abs(norms - r)))
     ok = deviation <= tol * max(1.0, abs(r)) and r > tol
@@ -240,8 +210,8 @@ def canonical_frame(
     U must be a k x k unitary over A; the result always passes check_tight
     with constant b.
     """
-    if b <= 0:
-        raise ValueError("frame constant b must be positive")
+    if not 0 < b < np.inf:  # written so that NaN fails
+        raise ValueError("frame constant b must be finite and positive")
     if U.rows != k or U.cols != U.rows:
         raise ShapeError(f"U must be {k}x{k}")
     if not is_unitary(U, tol):
@@ -284,11 +254,7 @@ def random_unitary(
     """
     blocks = []
     for m in spec.summand_dims:
-        dim = k * m
-        z = (
-            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        ) / np.sqrt(2.0)
-        q, r = np.linalg.qr(z)
+        q, r = np.linalg.qr(_complex_gaussian(rng, (k * m, k * m)))
         phases = np.diagonal(r) / np.abs(np.diagonal(r))
         blocks.append(q * phases)
     return AMatrix(spec, k, k, tuple(blocks))

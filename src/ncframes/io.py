@@ -50,7 +50,7 @@ def encode_spec(spec: AlgebraSpec) -> list[int]:
 def decode_spec(data: Any) -> AlgebraSpec:
     try:
         return AlgebraSpec(tuple(int(m) for m in data))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad algebra spec: {exc}") from exc
 
 
@@ -62,11 +62,8 @@ def _pairs(blocks: np.ndarray) -> list:
 
 def _encode_entries(M: AMatrix) -> list:
     """Row-major list of the entry encodings, one array pass per summand."""
-    per_summand = [
-        _pairs(blk.reshape(M.rows, m, M.cols, m).transpose(0, 2, 1, 3).reshape(-1, m, m))
-        for m, blk in zip(M.spec.summand_dims, M.blocks)
-    ]
-    return [list(entry) for entry in zip(*per_summand)]
+    per_summand = [_pairs(grid) for grid in M.grids]
+    return [list(entry) for row in zip(*per_summand) for entry in zip(*row)]
 
 
 def _decode_entries(entries: list, spec: AlgebraSpec, rows: int, cols: int) -> AMatrix:
@@ -75,7 +72,7 @@ def _decode_entries(entries: list, spec: AlgebraSpec, rows: int, cols: int) -> A
         raise FormatError("entry count does not match shape")
     if any(len(e) != spec.num_summands for e in entries):
         raise FormatError("wrong number of blocks")
-    blocks = []
+    grids = []
     for j, m in enumerate(spec.summand_dims):
         arr = np.asarray([e[j] for e in entries])
         if arr.dtype.kind not in "biuf":
@@ -90,9 +87,8 @@ def _decode_entries(entries: list, spec: AlgebraSpec, rows: int, cols: int) -> A
             power = flat @ flat  # trace of the summand's M M*
         if not np.isfinite(power):
             raise FormatError(f"summand {j} entries too large: trace of M M* overflows")
-        grid = arr.view(complex).reshape(rows, cols, m, m)
-        blocks.append(grid.transpose(0, 2, 1, 3).reshape(rows * m, cols * m))
-    return AMatrix(spec, rows, cols, tuple(blocks))
+        grids.append(arr.view(complex).reshape(rows, cols, m, m))
+    return AMatrix.from_grids(spec, grids)
 
 
 def encode_element(elem: AlgebraElement) -> list:
@@ -120,7 +116,7 @@ def decode_amatrix(data: Any) -> AMatrix:
         spec = decode_spec(data["algebra"])
         rows, cols = int(data["rows"]), int(data["cols"])
         return _decode_entries(data["entries"], spec, rows, cols)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad matrix encoding: {exc}") from exc
 
 
@@ -147,7 +143,7 @@ def decode_frame_file(data: Any) -> Frame:
             raise FormatError("column shape does not match n, k")
         entries = [col[i] for i in range(n) for col in columns]
         return Frame(_decode_entries(entries, spec, n, k))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad frame file: {exc}") from exc
 
 
@@ -173,7 +169,7 @@ def _read_json(path) -> Any:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
 
 

@@ -5,7 +5,10 @@ An r x c AMatrix over A = ⊕_j M_{m_j}(C) is stored as one complex
 is summand j of the entry (i, p).  This realization is a *-isomorphism onto
 its image, so products are one matrix product per summand, the adjoint is
 the conjugate transpose, the operator norm is the largest summand spectral
-norm, and entries, columns and column selections are slices.
+norm, entries are slices and a column selection is one gather per summand.
+This module is the only code that indexes inside a summand block: the
+others reach entries through the (rows, cols, m, m) grids view, column
+Grams, column scaling and entry norms.
 
 Vectors in A^n are AMatrix values with a single column; the A-valued inner
 product is conjugate-linear in the first argument, <v, w> = sum_i v_i* w_i
@@ -20,7 +23,9 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, AlgebraSpec, ShapeError, _spectral_norm
+from .algebra import (
+    AlgebraElement, AlgebraSpec, ShapeError, _complex_gaussian, _spectral_norm, _spectral_norms
+)
 
 __all__ = [
     "AMatrix",
@@ -124,34 +129,72 @@ class AMatrix:
         cls, spec: AlgebraSpec, rows: int, cols: int, rng: np.random.Generator
     ) -> "AMatrix":
         """Standard complex Gaussian entries: real then imaginary parts per summand."""
-        blocks = []
-        for m in spec.summand_dims:
-            re = rng.standard_normal((rows * m, cols * m))
-            im = rng.standard_normal((rows * m, cols * m))
-            blocks.append((re + 1j * im) / np.sqrt(2.0))
-        return cls(spec, rows, cols, tuple(blocks))
+        return cls(
+            spec,
+            rows,
+            cols,
+            tuple(_complex_gaussian(rng, (rows * m, cols * m)) for m in spec.summand_dims),
+        )
+
+    @classmethod
+    def from_grids(cls, spec: AlgebraSpec, grids: Sequence[np.ndarray]) -> "AMatrix":
+        """Inverse of grids: build from one (rows, cols, m, m) array per summand."""
+        rows, cols = grids[0].shape[:2]
+        return cls(
+            spec,
+            rows,
+            cols,
+            tuple(
+                g.swapaxes(1, 2).reshape(rows * m, cols * m)
+                for m, g in zip(spec.summand_dims, grids)
+            ),
+        )
 
     # -- entries and columns -----------------------------------------------
 
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        return AlgebraElement(
-            self.spec,
-            tuple(
-                blk[i * m : (i + 1) * m, j * m : (j + 1) * m]
-                for m, blk in zip(self.spec.summand_dims, self.blocks)
-            ),
+    @property
+    def grids(self) -> tuple[np.ndarray, ...]:
+        """Per summand, a (rows, cols, m, m) view whose [i, j] is entry (i, j).
+
+        The views share memory with the blocks, so writes land in the matrix.
+        """
+        return tuple(
+            blk.reshape(self.rows, m, self.cols, m).swapaxes(1, 2)
+            for m, blk in zip(self.spec.summand_dims, self.blocks)
         )
 
+    def entry(self, i: int, j: int) -> AlgebraElement:
+        return AlgebraElement(self.spec, tuple(g[i, j] for g in self.grids))
+
     def column(self, j: int) -> "AMatrix":
+        return self.select_columns([j])
+
+    def _column_stacks(self) -> list[np.ndarray]:
+        """Per summand, a (cols, rows*m, m) view stacking the column blocks."""
+        return [
+            blk.reshape(-1, self.cols, m).transpose(1, 0, 2)
+            for m, blk in zip(self.spec.summand_dims, self.blocks)
+        ]
+
+    def column_grams(self) -> tuple[np.ndarray, ...]:
+        """Per summand, the (cols, m, m) stack of the pairings <M_i, M_i>."""
+        return tuple(c.conj().transpose(0, 2, 1) @ c for c in self._column_stacks())
+
+    def scale_columns(self, w: Sequence[np.ndarray]) -> "AMatrix":
+        """M diag(w_1, ..., w_cols), with w one (cols, m, m) stack per summand."""
         return AMatrix(
             self.spec,
             self.rows,
-            1,
+            self.cols,
             tuple(
-                blk[:, j * m : (j + 1) * m]
-                for m, blk in zip(self.spec.summand_dims, self.blocks)
+                (c @ wj).transpose(1, 0, 2).reshape(self.rows * m, self.cols * m)
+                for m, c, wj in zip(self.spec.summand_dims, self._column_stacks(), w)
             ),
         )
+
+    def entry_norms(self) -> np.ndarray:
+        """The (rows, cols) array of entry C*-norms ||M_ij||."""
+        return np.max([_spectral_norms(g) for g in self.grids], axis=0)
 
     def select_columns(self, indices: Sequence[int]) -> "AMatrix":
         idx = list(indices)
@@ -279,6 +322,8 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
         If ||MM* - I|| > tol, or if the projector's rank falls short of
         (k - n) * m, its last pivot in R being below 1e-8.
     """
+    if not 0 < tol < np.inf:  # written so that NaN fails
+        raise ValueError("tol must be finite and positive")
     n, k = M.rows, M.cols
     if n > k:
         raise ShapeError("completion needs at least as many columns as rows")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _spectral_norm
+from .algebra import AlgebraSpec, _complex_gaussian, _spectral_norm
 from .frames import Frame
 from .module import AMatrix
 
@@ -113,25 +113,21 @@ def potential_gradient(F: Frame) -> AMatrix:
 def retract_spherical(F: Frame, r: float, tol: float = 1e-12) -> Frame:
     """Rescale each column to <f_i, f_i> = r * 1_A via inverse square roots.
 
-    Per summand, one stacked Gram and eigh over the k column blocks.
-    Raises DegenerateColumnError if some column Gram block has an
-    eigenvalue at or below tol.
+    Per summand, one eigh over the stacked column Grams.  Raises
+    DegenerateColumnError if some column Gram block has an eigenvalue at or
+    below tol.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    k = F.k
-    out = []
-    for m, x in zip(F.spec.summand_dims, F.matrix.blocks):
-        cols = x.reshape(-1, k, m).transpose(1, 0, 2)  # (k, n*m, m)
-        g = cols.conj().transpose(0, 2, 1) @ cols
+    if not 0 < r < np.inf:  # written so that NaN fails
+        raise ValueError("radius must be finite and positive")
+    weights = []
+    for g in F.matrix.column_grams():
         vals, vecs = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
         bad = np.nonzero(vals[:, 0] <= tol)[0]
         if bad.size:
             raise DegenerateColumnError(int(bad[0]))
         scale = (vals / r) ** -0.5
-        w = (vecs * scale[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-        out.append((cols @ w).transpose(1, 0, 2).reshape(x.shape))
-    return Frame(AMatrix(F.spec, F.n, k, tuple(out)))
+        weights.append((vecs * scale[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
+    return Frame(F.matrix.scale_columns(weights))
 
 
 def minimize(
@@ -160,10 +156,8 @@ def minimize(
         rerandomizations += 1
         if rerandomizations > 10:
             return False
-        for m, x in zip(dims, X.blocks):
-            re = rng.standard_normal((n * m, m))
-            im = rng.standard_normal((n * m, m))
-            x[:, col * m : (col + 1) * m] = (re + 1j * im) / np.sqrt(2.0)
+        for m, grid in zip(dims, X.grids):
+            grid[:, col] = _complex_gaussian(rng, (n, m, m))
         return True
 
     X = AMatrix.random(spec, n, k, rng)

@@ -136,3 +136,37 @@ def test_spectral_norm_equals_numpy_2_norm():
         real = rng.standard_normal((r, c))
         for a in (real, real + 1j * rng.standard_normal((r, c)), np.zeros((r, c))):
             assert _spectral_norm(a) == np.linalg.norm(a, 2)
+
+
+def test_spectral_norms_are_per_matrix_norms():
+    from ncframes.algebra import _spectral_norm, _spectral_norms
+
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    norms = _spectral_norms(stack)
+    assert norms.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        assert norms[idx] == _spectral_norm(stack[idx])
+
+
+def test_complex_gaussian_draws_real_then_imaginary_parts():
+    from ncframes.algebra import _complex_gaussian
+
+    z = _complex_gaussian(np.random.default_rng(10), (3, 2, 2))
+    rng = np.random.default_rng(10)
+    re = rng.standard_normal((3, 2, 2))
+    im = rng.standard_normal((3, 2, 2))
+    np.testing.assert_array_equal(z, (re + 1j * im) / np.sqrt(2.0))
+    # random_element keeps the per-block stream: block 0 first, then block 1
+    a = AlgebraSpec((2, 1)).random_element(np.random.default_rng(10))
+    rng = np.random.default_rng(10)
+    for m, blk in zip((2, 1), a.blocks):
+        re = rng.standard_normal((m, m))
+        im = rng.standard_normal((m, m))
+        np.testing.assert_array_equal(blk, (re + 1j * im) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_is_positive_rejects_bad_tol(mixed_spec, tol):
+    with pytest.raises(ValueError, match="tol"):
+        mixed_spec.identity().is_positive(tol)

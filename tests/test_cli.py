@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncframes import cli
 from ncframes.cli import main
 from ncframes.io import load_frame, save_frame
 from conftest import make_mercedes
@@ -216,6 +220,27 @@ class TestPartitions:
         assert json.loads(out)["count"] == 846749014511809332450147  # Bell(30)
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("k", ["12", "30"])
+    def test_listing_beyond_cap_exits_3_at_once(self, capsys, k):
+        import time
+
+        start = time.perf_counter()
+        rc = main(["partitions", "--k", k, "--kprime", "1"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "--count-only" in captured.err
+        assert elapsed < 1.0
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LISTED_PARTITIONS", 4)
+        rc, out = run(capsys, "partitions", "--k", "4", "--kprime", "2")
+        assert rc == 0
+        assert json.loads(out)["count"] == 4
+        rc, out = run(capsys, "partitions", "--k", "6", "--kprime", "2")
+        assert (rc, out) == (3, "")
+
 
 class TestArgumentContract:
     GEN = ["gen", "--algebra", "1", "--k", "3", "--n", "2"]
@@ -236,6 +261,10 @@ class TestArgumentContract:
         MIN + ["--tight-tol", "inf"],
         MIN + ["--max-iters", "0"],
         MIN + ["--seed", "-1"],
+    ] + [
+        [command, "--algebra", algebra, "--k", "3", "--n", "2"]
+        for command in ("gen", "minimize")
+        for algebra in ("x", "0", "2,,1", "")
     ]
 
     @pytest.mark.parametrize("argv", BAD, ids=" ".join)
@@ -355,3 +384,68 @@ class TestSelftest:
         doc = json.loads(out)
         assert not doc["passed"]
         assert doc["suites"]["equivalence"]["disagreements"][0]["subset"] == [1]
+
+
+# -- fuzzing the argument contract -------------------------------------------
+
+_NUMBERS = st.sampled_from(["1", "2", "3", "4", "0", "-1", "nan", "inf", "1e-9", "x", ""])
+_ALGEBRAS = st.sampled_from(["1", "2", "2,1", "x", "0", "2,,1", "", "-1"])
+_EXTRA = st.lists(
+    st.sampled_from(
+        ["--tol", "--b", "--seed", "--output", "json", "text", "--bogus", "--help"]
+    )
+    | _NUMBERS,
+    max_size=4,
+)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --help
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _check_contract(rc, out, err):
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if rc in (2, 3):
+        assert err.startswith("error:")
+    if rc == 3:
+        assert out == ""
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen", "--algebra", "2,1", "--k", "3", "--n", "2",
+                 "--out", str(root / "frame.json")]) == 0
+    (root / "text.json").write_text("not json")
+    (root / "binary.json").write_bytes(b"\xff\xfe\x00")
+    (root / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    (root / "truncated.json").write_text('{"algebra": [1], "n": 2')
+    (root / "bad_shape.json").write_text('{"algebra": [1], "n": Infinity, "k": 1}')
+    return root
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_ALGEBRAS, _NUMBERS, _NUMBERS, _EXTRA)
+def test_fuzzed_gen_argv_keeps_exit_codes(fuzz_files, algebra, k, n, extra):
+    argv = ["gen", "--algebra", algebra, "--k", k, "--n", n]
+    argv += extra + ["--out", str(fuzz_files / "gen.json")]
+    _check_contract(*_run_quietly(argv))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from(
+        ["frame.json", "text.json", "binary.json", "deep.json", "truncated.json",
+         "bad_shape.json", "missing.json", "."]
+    ),
+    _EXTRA,
+)
+def test_fuzzed_verify_argv_keeps_exit_codes(fuzz_files, name, extra):
+    _check_contract(*_run_quietly(["verify", str(fuzz_files / name)] + extra))

@@ -124,6 +124,35 @@ class TestScalarDefinitionCheck:
         assert rep.max_equality_deviation > 0.1
 
 
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 1, 2)])
+    def test_samples_match_per_vector_reference(self, dims):
+        # reference: the same seeded draws, per summand (samples, n*m, m)
+        # real then imaginary parts, paired one vector at a time
+        from ncframes import inner_product
+
+        spec = AlgebraSpec(dims)
+        F = Frame(AMatrix.random(spec, 2, 3, np.random.default_rng(0)))
+        rng = np.random.default_rng(4)
+        draws = []
+        for m in dims:
+            re = rng.standard_normal((40, 2 * m, m))
+            im = rng.standard_normal((40, 2 * m, m))
+            draws.append((re + 1j * im) / np.sqrt(2.0))
+        sums, selfs = [], []
+        for s in range(40):
+            v = AMatrix(spec, 2, 1, tuple(d[s] for d in draws))
+            sums.append(sum(inner_product(v, F.column(i)).norm() ** 2 for i in range(3)))
+            selfs.append(inner_product(v, v).norm())
+        b = float(np.median(np.array(sums) / np.array(selfs)))  # both signs occur
+        deltas = [t - b * u for t, u in zip(sums, selfs)]
+        rep = scalar_definition_check(F, b, num_samples=40, seed=4)
+        assert rep.max_equality_deviation == pytest.approx(
+            max(abs(d) for d in deltas), rel=1e-12
+        )
+        assert rep.inequality_violations == sum(d < -1e-9 for d in deltas)
+        assert 0 < rep.inequality_violations < 40
+
+
 class TestIsSpherical:
     def test_canonical_coisometry_not_spherical(self, scalar_spec):
         F = Frame(canonical_coisometry(scalar_spec, 4, 2))
@@ -274,3 +303,16 @@ def test_mercedes_gram_offdiagonals(mercedes):
         for j in range(3):
             expected = 1.0 if i == j else 0.5
             assert abs(G.entry(i, j).blocks[0][0, 0]) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_check_tight_rejects_bad_tol(mixed_spec, bad):
+    F = random_tight_frame(mixed_spec, 3, 2, seed=0)
+    with pytest.raises(ValueError, match="tol"):
+        check_tight(F, bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_random_tight_frame_rejects_bad_constant(mixed_spec, bad):
+    with pytest.raises(ValueError, match="frame constant"):
+        random_tight_frame(mixed_spec, 3, 2, b=bad)

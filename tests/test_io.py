@@ -1,17 +1,23 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncframes import AMatrix, AlgebraSpec, Frame, random_tight_frame
+from ncframes import AMatrix, AlgebraSpec, Frame, canonical_coisometry, random_tight_frame
+from ncframes.cli import main
 from ncframes.io import (
     FormatError,
     decode_amatrix,
+    decode_element,
     decode_frame_file,
     decode_spec,
     encode_amatrix,
+    encode_element,
     encode_frame_file,
     encode_spec,
+    load_amatrix,
     load_frame,
     save_frame,
 )
@@ -104,3 +110,112 @@ def test_wrong_block_size_rejected(m2_spec):
     doc["columns"][2][1][0].pop()
     with pytest.raises(FormatError):
         decode_frame_file(doc)
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 1, 2)])
+def test_element_round_trip_bit_identical(dims):
+    x = AlgebraSpec(dims).random_element(np.random.default_rng(2))
+    back = decode_element(json.loads(json.dumps(encode_element(x))), x.spec)
+    for a, b in zip(x.blocks, back.blocks):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_load_amatrix_rebuilds_frame_from_factorize_output(tmp_path, capsys):
+    frame, unitary = tmp_path / "f.json", tmp_path / "u.json"
+    assert main(["gen", "--algebra", "2,1", "--k", "5", "--n", "3", "--b", "1.7",
+                 "--seed", "4", "--out", str(frame)]) == 0
+    assert main(["factorize", str(frame), "--out", str(unitary)]) == 0
+    capsys.readouterr()
+    F = load_frame(frame)
+    U = load_amatrix(unitary)
+    b = json.loads(unitary.read_text())["b"]
+    W = canonical_coisometry(F.spec, F.k, F.n)
+    assert (F.matrix - np.sqrt(b) * (W @ U)).norm() <= 1e-9
+
+
+@pytest.mark.parametrize("field", ["n", "k"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 1e300, [3], None])
+def test_non_integer_shape_rejected(mixed_spec, field, value):
+    doc = json.loads(json.dumps(encode_frame_file(random_tight_frame(mixed_spec, 3, 2, seed=0))))
+    doc[field] = value
+    with pytest.raises(FormatError):
+        decode_frame_file(doc)
+
+
+@pytest.mark.parametrize(
+    "payload", [b"\xff\xfe\x00{", b"[" * 100000 + b"]" * 100000], ids=["non-utf8", "deep"]
+)
+def test_unreadable_json_is_a_format_error(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    with pytest.raises(FormatError):
+        load_frame(path)
+
+
+# -- fuzzing the decoder ------------------------------------------------------
+
+_BASE = json.loads(
+    json.dumps(encode_frame_file(random_tight_frame(AlgebraSpec((2, 1)), 2, 1, seed=0)))
+)
+
+
+def _paths(doc, prefix=()):
+    """Every path (a tuple of keys and indices) into a JSON document."""
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from([10**6, 2**70, 1e308])
+    | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(doc, path, action, value):
+    """Replace, delete or append at path; a path a previous edit broke is skipped."""
+    if not path:
+        return value if action == "replace" else doc
+    parent = doc
+    try:
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]].append(value)
+    except (KeyError, IndexError, TypeError, AttributeError):
+        pass
+    return doc
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(_paths(_BASE))),
+            st.sampled_from(["replace", "delete", "append"]),
+            _JSON,
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_fuzzed_frame_document_decodes_or_raises_format_error(edits):
+    doc = copy.deepcopy(_BASE)
+    for path, action, value in edits:
+        doc = _mutate(doc, path, action, value)
+    try:
+        F = decode_frame_file(doc)
+    except FormatError:
+        return
+    assert isinstance(F, Frame)

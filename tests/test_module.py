@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncframes import (
+    AlgebraElement,
     AlgebraSpec,
     AMatrix,
     NotCoisometricError,
@@ -364,3 +365,84 @@ class TestCoordinateProjection:
     def test_out_of_range(self, scalar_spec):
         with pytest.raises(IndexError):
             coordinate_projection(scalar_spec, 3, [3])
+
+
+ACCESSOR_SPECS = [(1,), (2,), (2, 1), (3, 1, 2)]
+
+
+def _views(M):
+    """M, its adjoint (a transposed layout) and its first two columns as
+    strided slices of M's blocks."""
+    dims = M.spec.summand_dims
+    cut = AMatrix(M.spec, M.rows, 2, tuple(b[:, : 2 * m] for m, b in zip(dims, M.blocks)))
+    return [M, M.H, cut]
+
+
+class TestBlockAccessors:
+    """grids, from_grids, column_grams, scale_columns and entry_norms
+    against entrywise AlgebraElement arithmetic."""
+
+    @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
+    def test_entry_norms_match_element_norms(self, dims):
+        rng = np.random.default_rng(11)
+        for M in _views(AMatrix.random(AlgebraSpec(dims), 3, 4, rng)):
+            norms = M.entry_norms()
+            assert norms.shape == (M.rows, M.cols)
+            for i in range(M.rows):
+                for j in range(M.cols):
+                    assert norms[i, j] == pytest.approx(M.entry(i, j).norm(), rel=1e-14)
+
+    @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
+    def test_column_grams_match_inner_products(self, dims):
+        rng = np.random.default_rng(12)
+        for M in _views(AMatrix.random(AlgebraSpec(dims), 3, 4, rng)):
+            grams = M.column_grams()
+            assert len(grams) == len(dims)
+            for i in range(M.cols):
+                ref = inner_product(M.column(i), M.column(i))
+                for g, blk in zip(grams, ref.blocks):
+                    np.testing.assert_allclose(g[i], blk, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
+    def test_scale_columns_matches_diagonal_product(self, dims):
+        spec = AlgebraSpec(dims)
+        rng = np.random.default_rng(13)
+        M = AMatrix.random(spec, 3, 4, rng)
+        w = [spec.random_element(rng) for _ in range(4)]
+        D = AMatrix.from_entries(
+            [[w[i] if i == j else spec.zero() for j in range(4)] for i in range(4)]
+        )
+        stacks = [np.stack([x.blocks[s] for x in w]) for s in range(len(dims))]
+        assert M.scale_columns(stacks).allclose(M @ D, tol=1e-13)
+
+    @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
+    def test_grids_round_trip_and_write_through(self, dims):
+        spec = AlgebraSpec(dims)
+        rng = np.random.default_rng(14)
+        for M in _views(AMatrix.random(spec, 3, 4, rng)):
+            grids = M.grids
+            for m, g in zip(dims, grids):
+                assert g.shape == (M.rows, M.cols, m, m)
+            for i in range(M.rows):
+                for j in range(M.cols):
+                    assert AlgebraElement(spec, tuple(g[i, j] for g in grids)).allclose(
+                        M.entry(i, j), tol=0.0
+                    )
+            back = AMatrix.from_grids(spec, grids)
+            for a, b in zip(M.blocks, back.blocks):
+                np.testing.assert_array_equal(a, b)
+            # a write through the views lands in the matrix, nowhere else
+            expected = [M.entry(i, j) for i in range(M.rows) for j in range(M.cols)]
+            x = spec.random_element(rng)
+            for g, blk in zip(M.grids, x.blocks):
+                g[M.rows - 1, 0] = blk
+            expected[(M.rows - 1) * M.cols] = x
+            got = [M.entry(i, j) for i in range(M.rows) for j in range(M.cols)]
+            assert all(a.allclose(b, tol=0.0) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_complete_to_unitary_rejects_bad_tol(mixed_spec, tol):
+    M = canonical_coisometry(mixed_spec, 4, 2)
+    with pytest.raises(ValueError, match="tol"):
+        complete_to_unitary(M, tol=tol)

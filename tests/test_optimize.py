@@ -167,6 +167,61 @@ class TestRetraction:
             retract_spherical(Frame(AMatrix(mixed_spec, 2, 5, tuple(blocks))), 1.0)
         assert info.value.column == 3
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_radius(self, mercedes, r):
+        with pytest.raises(ValueError, match="radius"):
+            retract_spherical(mercedes, r)
+
+
+class TestRerandomization:
+    @staticmethod
+    def _patch(monkeypatch, failing, column):
+        """Make the retraction raise DegenerateColumnError(column) on the
+        calls numbered in failing (from 1); record every matrix it is given."""
+        seen = []
+        real = optimize.retract_spherical
+
+        def retract(F, r, tol=1e-12):
+            seen.append([blk.copy() for blk in F.matrix.blocks])
+            if len(seen) in failing:
+                raise optimize.DegenerateColumnError(column)
+            return real(F, r, tol)
+
+        monkeypatch.setattr(optimize, "retract_spherical", retract)
+        return seen
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+    def test_redraws_reported_column_from_the_same_stream(self, monkeypatch, dims):
+        spec = AlgebraSpec(dims)
+        k, n, col = 5, 3, 2
+        seen = self._patch(monkeypatch, {1}, col)
+        trace = minimize(spec, k, n, OptimizerConfig(seed=3, max_iters=3))
+        # reference: the start draw, then per summand one (n*m, m) column
+        # block, real parts then imaginary parts, from the same generator
+        rng = np.random.default_rng(3)
+        start = AMatrix.random(spec, n, k, rng)
+        expected = [blk.copy() for blk in start.blocks]
+        for m, blk in zip(dims, expected):
+            re = rng.standard_normal((n * m, m))
+            im = rng.standard_normal((n * m, m))
+            blk[:, col * m : (col + 1) * m] = (re + 1j * im) / np.sqrt(2.0)
+        for first, start_blk, second, want in zip(seen[0], start.blocks, seen[1], expected):
+            np.testing.assert_array_equal(first, start_blk)
+            np.testing.assert_array_equal(second, want)
+            assert not np.array_equal(second, first)
+        assert trace.failure is None
+        assert len(trace.iterates) == 4
+
+    def test_persistent_degenerate_columns(self, monkeypatch, mixed_spec):
+        seen = self._patch(monkeypatch, range(1, 100), 0)
+        trace = minimize(mixed_spec, 4, 2, OptimizerConfig(seed=0))
+        assert len(seen) == 11  # the start point and 10 redraws
+        assert trace.failure == "persistent degenerate columns"
+        assert not trace.converged
+        assert len(trace.iterates) == 1 and np.isnan(trace.final_residual)
+        for blk, last in zip(trace.frame.matrix.blocks, seen[-1]):
+            np.testing.assert_array_equal(blk, last)
+
 
 class TestConfig:
     @pytest.mark.parametrize(
