@@ -226,6 +226,10 @@ def cmd_minimize(args) -> int:
         "final_potential": trace.final_potential,
         "final_residual": trace.final_residual,
         "iterate_log": log,
+        "stop_reason": trace.stop_reason,
+        "candidates": trace.candidates,
+        "backtracks": trace.backtracks,
+        "rerandomizations": trace.rerandomizations,
     }
     if trace.failure:
         doc["failure"] = trace.failure

@@ -179,6 +179,8 @@ def is_spherical(
     """
     if mode not in ("strict", "equal_norm"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not 0 < tol < np.inf:  # written so that NaN fails
+        raise ValueError("tol must be finite and positive")
     grams = F.matrix.column_grams()
     if mode == "strict":
         traces = sum(np.trace(g, axis1=1, axis2=2) for g in grams)

@@ -6,8 +6,9 @@ serialization makes read/write round trips bit-identical on the numeric
 payload.  Frame files carry the algebra, the shape, the k columns (each a
 list of n element encodings) and optional metadata.  Each summand is
 encoded and decoded as one array; decoding rejects with FormatError a
-payload of the wrong shape, with a non-finite entry, or with entries so
-large that the trace of M M* overflows (so M M* cannot be formed finitely).
+payload of the wrong shape, with a shape or block size that is not a
+JSON integer, with a non-finite entry, or with entries so large that the
+trace of M M* overflows (so M M* cannot be formed finitely).
 """
 
 from __future__ import annotations
@@ -47,9 +48,16 @@ def encode_spec(spec: AlgebraSpec) -> list[int]:
     return list(spec.summand_dims)
 
 
+def _json_int(value: Any) -> int:
+    """value itself if it is a JSON integer; floats, bools and strings fail."""
+    if type(value) is not int:
+        raise FormatError(f"expected an integer, got {value!r}")
+    return value
+
+
 def decode_spec(data: Any) -> AlgebraSpec:
     try:
-        return AlgebraSpec(tuple(int(m) for m in data))
+        return AlgebraSpec(tuple(_json_int(m) for m in data))
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad algebra spec: {exc}") from exc
 
@@ -114,7 +122,7 @@ def encode_amatrix(M: AMatrix) -> dict:
 def decode_amatrix(data: Any) -> AMatrix:
     try:
         spec = decode_spec(data["algebra"])
-        rows, cols = int(data["rows"]), int(data["cols"])
+        rows, cols = _json_int(data["rows"]), _json_int(data["cols"])
         return _decode_entries(data["entries"], spec, rows, cols)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad matrix encoding: {exc}") from exc
@@ -137,7 +145,7 @@ def encode_frame_file(F: Frame, metadata: dict | None = None) -> dict:
 def decode_frame_file(data: Any) -> Frame:
     try:
         spec = decode_spec(data["algebra"])
-        n, k = int(data["n"]), int(data["k"])
+        n, k = _json_int(data["n"]), _json_int(data["k"])
         columns = data["columns"]
         if len(columns) != k or any(len(col) != n for col in columns):
             raise FormatError("column shape does not match n, k")

@@ -296,12 +296,16 @@ def is_unitary(M: AMatrix, tol: float = 1e-9) -> bool:
     """True iff both ||MM* - I|| and ||M*M - I|| are at most tol."""
     if M.rows != M.cols:
         raise ShapeError("is_unitary expects a square matrix")
+    if not 0 < tol < np.inf:  # written so that NaN fails
+        raise ValueError("tol must be finite and positive")
     eye = AMatrix.identity(M.spec, M.rows)
     return (M @ M.H - eye).norm() <= tol and (M.H @ M - eye).norm() <= tol
 
 
 def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:
     """True iff ||M M* M - M|| <= tol * max(1, ||M||)."""
+    if not 0 < tol < np.inf:  # written so that NaN fails
+        raise ValueError("tol must be finite and positive")
     defect = (M @ M.H @ M - M).norm()
     return defect <= tol * max(1.0, M.norm())
 

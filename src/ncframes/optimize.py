@@ -3,9 +3,12 @@
 Projected gradient descent on the frame potential sum_ij ||<f_i, f_j>||_HS^2
 with a retraction that renormalizes every column to <f_i, f_i> = r * 1_A
 after each step.  At the default radius r = n/k the minimizers are tight
-with constant b = 1; any r > 0 gives b = k r / n.  Backtracking line search
-keeps the potential non-increasing along accepted steps, and runs are
-bit-reproducible for a fixed seed.
+with constant b = 1; any r > 0 gives b = k r / n.  Each line search starts
+at the Barzilai-Borwein step <s, s> / <s, y> (Barzilai & Borwein, IMA J.
+Numer. Anal. 8, 1988), where s and y are the changes in iterate and gradient
+between the last two accepted iterates, and backtracks by halving until the
+potential strictly decreases.  Runs are bit-reproducible for a fixed seed,
+and the trace says why the run stopped and how many candidates it tried.
 """
 
 from __future__ import annotations
@@ -57,10 +60,32 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerTrace:
+    """A finished descent: its iterates, final frame, and why it stopped.
+
+    stop_reason is "converged" (the residual reached tight_tol), "stalled"
+    (no step length decreased the potential), "max_iters" (the iteration
+    budget ran out) or "degenerate" (the start kept a degenerate column
+    after every re-randomization).
+    candidates counts retracted trial points, backtracks the halvings among
+    them, and rerandomizations the redrawn start columns.
+    """
+
     iterates: tuple[tuple[int, float, float], ...] = field(repr=False)
     frame: Frame
-    converged: bool
-    failure: str | None = None
+    stop_reason: str
+    candidates: int = 0
+    backtracks: int = 0
+    rerandomizations: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def failure(self) -> str | None:
+        if self.stop_reason == "degenerate":
+            return "persistent degenerate columns"
+        return None
 
     @property
     def final_potential(self) -> float:
@@ -92,6 +117,11 @@ def _defects(F: Frame, b_target: float) -> tuple[float, list[np.ndarray]]:
 def _residual(defects: list[np.ndarray]) -> float:
     """Tightness residual max_j ||S_j - b I||_2 of the defects from _defects."""
     return max(_spectral_norm(d) for d in defects)
+
+
+def _real_inner(a: AMatrix, b: AMatrix) -> float:
+    """Real inner product Re sum_j vdot(a_j, b_j) over the summand blocks."""
+    return sum(float(np.vdot(x, y).real) for x, y in zip(a.blocks, b.blocks))
 
 
 def frame_potential(F: Frame) -> float:
@@ -136,10 +166,16 @@ def minimize(
     """Descend the frame potential to a strict-spherical tight frame.
 
     Each iteration takes a gradient step, retracts back to the spherical
-    constraint, and halves the step until the potential decreases; the run
-    stops once the tightness residual drops below config.tight_tol or the
-    iteration budget is exhausted.  Columns whose Gram degenerates are
-    re-randomized (at most 10 times in total) from the same seeded stream.
+    constraint, and halves the step (at most 60 times) until the potential
+    strictly decreases.  The first trial step is the Barzilai-Borwein step
+    <s, s> / <s, y> from the last two accepted iterates, in the real inner
+    product Re sum_j vdot over summands; on the first iteration, and when
+    <s, y> <= 0, it is twice the last accepted step, which starts at
+    config.step_size.  The run stops once the tightness residual drops
+    below config.tight_tol, when no step length decreases the potential,
+    or when the iteration budget is exhausted.  Start columns whose Gram
+    degenerates are re-randomized (at most 10 times in total) from the same
+    seeded stream.
     """
     if k < n:
         raise ValueError(f"need k >= n, got k={k}, n={n}")
@@ -151,28 +187,22 @@ def minimize(
     degen_tol = 1e-10
     rerandomizations = 0
 
-    def rerandomize(X: AMatrix, col: int):
-        nonlocal rerandomizations
-        rerandomizations += 1
-        if rerandomizations > 10:
-            return False
-        for m, grid in zip(dims, X.grids):
-            grid[:, col] = _complex_gaussian(rng, (n, m, m))
-        return True
-
     X = AMatrix.random(spec, n, k, rng)
     while True:
         try:
             F = retract_spherical(Frame(X), r, degen_tol)
             break
         except DegenerateColumnError as exc:
-            if not rerandomize(X, exc.column):
+            if rerandomizations == 10:
                 return OptimizerTrace(
                     iterates=((0, float("nan"), float("nan")),),
                     frame=Frame(X),
-                    converged=False,
-                    failure="persistent degenerate columns",
+                    stop_reason="degenerate",
+                    rerandomizations=rerandomizations,
                 )
+            rerandomizations += 1
+            for m, grid in zip(dims, X.grids):
+                grid[:, exc.column] = _complex_gaussian(rng, (n, m, m))
 
     b_target = k * r / n
     # potential at the constraint is this constant plus the excess
@@ -181,16 +211,24 @@ def minimize(
     res = _residual(defects)
     iterates = [(0, pot_floor + excess, res)]
     step = config.step_size
-    converged = res <= config.tight_tol
-    failure = None
+    previous = None  # (iterate, gradient) at the last accepted iterate
+    candidates = 0
+    stalled = False
 
     it = 0
-    while not converged and it < config.max_iters:
+    while res > config.tight_tol and it < config.max_iters:
         it += 1
         grad = potential_gradient(F)
         trial = step * 2.0
+        if previous is not None:
+            s, y = F.matrix - previous[0], grad - previous[1]
+            sy = _real_inner(s, y)
+            if sy > 0:
+                trial = _real_inner(s, s) / sy
+        previous = (F.matrix, grad)
         accepted = None
         for _ in range(60):
+            candidates += 1
             try:
                 cand = retract_spherical(Frame(F.matrix - trial * grad), r, degen_tol)
             except DegenerateColumnError:
@@ -203,16 +241,23 @@ def minimize(
             trial *= 0.5
         if accepted is None:
             # no decrease found at any step length: stationary to roundoff
+            stalled = True
             break
         F, excess, defects, step = accepted
         # only accepted iterates pay for the SVD behind the stopping test
         res = _residual(defects)
         iterates.append((it, pot_floor + excess, res))
-        converged = res <= config.tight_tol
 
+    if res <= config.tight_tol:
+        stop_reason = "converged"
+    else:
+        stop_reason = "stalled" if stalled else "max_iters"
     return OptimizerTrace(
         iterates=tuple(iterates),
         frame=F,
-        converged=converged,
-        failure=failure,
+        stop_reason=stop_reason,
+        candidates=candidates,
+        # every candidate but the accepted ones was followed by a halving
+        backtracks=candidates - (len(iterates) - 1),
+        rerandomizations=rerandomizations,
     )

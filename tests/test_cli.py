@@ -318,18 +318,19 @@ class TestMinimize:
             "--seed", "3", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    # sha256 of the minimize output and of its --trace-out, recorded with the
-    # optimizer running on per-summand helper copies of the AMatrix algebra
+    # sha256 of the minimize output and of its --trace-out, recorded with
+    # each line search started at the Barzilai-Borwein step and the
+    # stop_reason and counter keys in the report
     GOLDEN = [
         ("1", 5, 3, 0,
-         "20655c10efafd47c175e6e78fe5972a054c8e094be1f76922273aa8ecc4706d0",
-         "992d75b63d0286a3389cf35e01f17642d1d00e40868166b83f53b27dd03a04ce"),
+         "8118477ed7274664c1320a50ab36c848afe558403002da8159fc7ff1977aed2f",
+         "71569e81cec5acade222d1d471f9236a77ddcc0e4512e85194f5f6e68c0b36ae"),
         ("2", 6, 4, 1,
-         "249898d6fec622a04c760dfcfae89bc09dfcc147ee792533fbe11c36c07438d3",
-         "723c7548f176871bf5bf141962c322efc204c0f042b2be5c5de0bfc991da9546"),
+         "948140a2505bee921e8536534dad1dcd00a22aaaf5d6ac4626803b30f19c9182",
+         "16cd930d0015e5a2ee704cc24ff68fefff6f169465abd854505eb3c52b7e9038"),
         ("2,1", 12, 8, 3,
-         "e3ce8de4b91aad2fb7e38588652d920713ffd0a02bf0f5473103b9e103edf3f3",
-         "8c4c5cad5f9f8b1745280fd42eaa79d9f5ea27d131c3ae72db50093d20d85911"),
+         "7f7e8afcda6e63e04b37a40fcd3e91688d66a1940b796603f33beeff8633425b",
+         "e8ed06340f6900990663eaec17b649dccbd1a5d03564769fe3061c8e71645fac"),
     ]
 
     @pytest.mark.parametrize("algebra,k,n,seed,digest,trace_digest", GOLDEN)
@@ -351,6 +352,21 @@ class TestMinimize:
                     "--max-iters", "1", "--tight-tol", "1e-14",
                     "--out", str(tmp_path / "m.json"))
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "extra,rc_want,reason",
+        [([], 0, "converged"), (["--max-iters", "1", "--tight-tol", "1e-14"], 1, "max_iters")],
+    )
+    def test_reports_stop_reason_and_counters(self, tmp_path, capsys, extra, rc_want, reason):
+        rc, out = run(capsys, "minimize", "--algebra", "2", "--k", "3", "--n", "2",
+                      "--out", str(tmp_path / "m.json"), *extra)
+        doc = json.loads(out)
+        assert rc == rc_want
+        assert doc["stop_reason"] == reason
+        assert doc["converged"] == (reason == "converged")
+        assert "failure" not in doc
+        assert doc["rerandomizations"] == 0
+        assert doc["candidates"] == doc["backtracks"] + doc["iterations"] >= 1
 
 
 class TestSelftest:

@@ -312,6 +312,16 @@ def test_check_tight_rejects_bad_tol(mixed_spec, bad):
         check_tight(F, bad)
 
 
+@pytest.mark.parametrize("mode", ["strict", "equal_norm"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_is_spherical_rejects_bad_tol(mixed_spec, bad, mode):
+    # a spherical frame, so a silent False could only come from the tol
+    F = random_tight_frame(mixed_spec, 3, 3, seed=0)
+    assert is_spherical(F, 1e-9, mode).is_spherical
+    with pytest.raises(ValueError, match="tol"):
+        is_spherical(F, bad, mode)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
 def test_random_tight_frame_rejects_bad_constant(mixed_spec, bad):
     with pytest.raises(ValueError, match="frame constant"):

@@ -134,12 +134,30 @@ def test_load_amatrix_rebuilds_frame_from_factorize_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", ["n", "k"])
-@pytest.mark.parametrize("value", [float("inf"), float("nan"), 1e300, [3], None])
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("nan"), 1e300, [3], None, 2.7, True, "2"]
+)
 def test_non_integer_shape_rejected(mixed_spec, field, value):
     doc = json.loads(json.dumps(encode_frame_file(random_tight_frame(mixed_spec, 3, 2, seed=0))))
     doc[field] = value
     with pytest.raises(FormatError):
         decode_frame_file(doc)
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("delta", [0.5, 0.0])
+def test_amatrix_non_integer_shape_rejected(mixed_spec, field, delta):
+    rng = np.random.default_rng(0)
+    doc = json.loads(json.dumps(encode_amatrix(AMatrix.random(mixed_spec, 2, 3, rng))))
+    doc[field] += delta  # 2.5 or 2.0, 3.5 or 3.0: floats, not JSON integers
+    with pytest.raises(FormatError):
+        decode_amatrix(doc)
+
+
+@pytest.mark.parametrize("dims", [[2.0, 1], [True, 1], "21"])
+def test_non_integer_block_size_rejected(dims):
+    with pytest.raises(FormatError):
+        decode_spec(dims)
 
 
 @pytest.mark.parametrize(

@@ -446,3 +446,19 @@ def test_complete_to_unitary_rejects_bad_tol(mixed_spec, tol):
     M = canonical_coisometry(mixed_spec, 4, 2)
     with pytest.raises(ValueError, match="tol"):
         complete_to_unitary(M, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_is_unitary_rejects_bad_tol(mixed_spec, tol):
+    eye = AMatrix.identity(mixed_spec, 2)
+    assert is_unitary(eye, 1e-9)
+    with pytest.raises(ValueError, match="tol"):
+        is_unitary(eye, tol)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_is_partial_isometry_rejects_bad_tol(mixed_spec, tol):
+    W = canonical_coisometry(mixed_spec, 4, 2)
+    assert is_partial_isometry(W, 1e-9)
+    with pytest.raises(ValueError, match="tol"):
+        is_partial_isometry(W, tol)

@@ -222,6 +222,19 @@ class TestRerandomization:
         for blk, last in zip(trace.frame.matrix.blocks, seen[-1]):
             np.testing.assert_array_equal(blk, last)
 
+    def test_persistent_degenerate_columns_stop_reason(self, monkeypatch, mixed_spec):
+        self._patch(monkeypatch, range(1, 100), 0)
+        trace = minimize(mixed_spec, 4, 2, OptimizerConfig(seed=0))
+        assert trace.stop_reason == "degenerate"
+        assert trace.rerandomizations == 10
+        assert (trace.candidates, trace.backtracks) == (0, 0)
+
+    def test_redraw_counted(self, monkeypatch, mixed_spec):
+        self._patch(monkeypatch, {1, 2}, 1)
+        trace = minimize(mixed_spec, 4, 2, OptimizerConfig(seed=0))
+        assert trace.rerandomizations == 2
+        assert trace.stop_reason == "converged"
+
 
 class TestConfig:
     @pytest.mark.parametrize(
@@ -291,10 +304,33 @@ class TestMinimize:
         assert admissible
 
 
+class TestStopReason:
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+    def test_stationary_start_stalls(self, monkeypatch, dims):
+        # columns 1_A e_0, 1_A e_0, 1_A e_1 at radius 1: S = diag(2, 1) is
+        # not tight, yet each column is an eigenvector of S, so the gradient
+        # 4 S X is radial and the retraction undoes every step
+        spec = AlgebraSpec(dims)
+        one, zero = spec.identity(), spec.zero()
+        start = AMatrix.from_entries([[one, one, zero], [zero, zero, one]])
+        monkeypatch.setattr(
+            AMatrix, "random", classmethod(lambda cls, spec, rows, cols, rng: start)
+        )
+        trace = minimize(spec, 3, 2, OptimizerConfig(radius=1.0))
+        assert trace.stop_reason == "stalled"
+        assert not trace.converged and trace.failure is None
+        # the last line search tried and halved all 60 of its candidates
+        accepted = len(trace.iterates) - 1
+        assert trace.backtracks >= 60
+        assert trace.candidates == trace.backtracks + accepted
+        assert trace.final_residual == pytest.approx(0.5, abs=1e-12)
+
+
 def _minimize_per_candidate_residual(spec, k, n, config):
-    """The descent loop as it ran before the residual moved to accepted
-    iterates: one spectral-norm residual per backtracking candidate.
-    Kept as the reference for bit-identical iterates and frames.
+    """The descent loop with one spectral-norm residual per backtracking
+    candidate, each line search started at the Barzilai-Borwein step.
+    Kept as the reference for bit-identical iterates and frames; also
+    returns the number of candidates tried.
     """
     r = config.radius if config.radius is not None else n / k
     rng = np.random.default_rng(config.seed)
@@ -326,13 +362,25 @@ def _minimize_per_candidate_residual(spec, k, n, config):
     excess, res = stats(F, b)
     iterates = [(0, floor + excess, res)]
     step = config.step_size
+    last = None  # blocks of the previous accepted iterate and its gradient
+    candidates = 0
     it = 0
     while res > config.tight_tol and it < config.max_iters:
         it += 1
         grad = potential_gradient(F)
         trial = step * 2.0
+        if last is not None:
+            ss = sy = 0.0
+            for x, x0, g, g0 in zip(F.matrix.blocks, last[0], grad.blocks, last[1]):
+                dx, dg = x - x0, g - g0
+                ss += float(np.vdot(dx, dx).real)
+                sy += float(np.vdot(dx, dg).real)
+            if sy > 0:
+                trial = ss / sy
+        last = (F.matrix.blocks, grad.blocks)
         accepted = None
         for _ in range(60):
+            candidates += 1
             try:
                 cand = retract_spherical(Frame(F.matrix - trial * grad), r, 1e-10)
             except optimize.DegenerateColumnError:
@@ -347,7 +395,7 @@ def _minimize_per_candidate_residual(spec, k, n, config):
             break
         F, excess, res, step = accepted
         iterates.append((it, floor + excess, res))
-    return tuple(iterates), F
+    return tuple(iterates), F, candidates
 
 
 DESCENT_SHAPES = [((1,), 5, 3), ((2,), 6, 4), ((2,), 8, 6), ((2, 1), 12, 8), ((3, 2), 24, 16)]
@@ -360,7 +408,7 @@ class TestAcceptedResidual:
         for seed in range(4):
             config = OptimizerConfig(seed=seed, tight_tol=1e-8)
             trace = minimize(spec, k, n, config)
-            iterates, F = _minimize_per_candidate_residual(spec, k, n, config)
+            iterates, F, _ = _minimize_per_candidate_residual(spec, k, n, config)
             assert trace.iterates == iterates
             for a, b in zip(trace.frame.matrix.blocks, F.matrix.blocks):
                 assert a.tobytes() == b.tobytes()
@@ -380,3 +428,29 @@ class TestAcceptedResidual:
         # iterates holds the start point plus every accepted iterate
         assert len(trace.iterates) > 2
         assert len(calls) == len(trace.iterates) * spec.num_summands
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("dims,k,n", [((1,), 5, 3), ((2, 1), 12, 8)])
+    def test_candidates_match_reference(self, dims, k, n):
+        spec = AlgebraSpec(dims)
+        for seed in range(2):
+            config = OptimizerConfig(seed=seed, tight_tol=1e-8)
+            trace = minimize(spec, k, n, config)
+            _, _, candidates = _minimize_per_candidate_residual(spec, k, n, config)
+            assert trace.candidates == candidates
+            assert trace.backtracks == candidates - (len(trace.iterates) - 1)
+
+    def test_few_rejected_candidates(self):
+        # a line search that starts at a well-scaled step rarely backtracks:
+        # about 1.2 candidates per iteration here, against 2.0 when every
+        # search starts at twice the last accepted step
+        candidates = iterations = 0
+        for dims, k, n in DESCENT_SHAPES:
+            spec = AlgebraSpec(dims)
+            for seed in range(4):
+                trace = minimize(spec, k, n, OptimizerConfig(seed=seed, tight_tol=1e-8))
+                assert trace.converged
+                candidates += trace.candidates
+                iterations += trace.iterates[-1][0]
+        assert candidates <= 1.5 * iterations
