@@ -10,7 +10,6 @@ from .decomposition import (
     DivisibilityReport,
     Partition,
     SplitEquivalenceReport,
-    classify_frame,
     commutation_residual,
     count_partitions,
     direct_sum_frames,
@@ -43,7 +42,6 @@ from .module import (
     AMatrix,
     NotCoisometricError,
     complete_to_unitary,
-    coordinate_projection,
     inner_product,
     is_partial_isometry,
     is_unitary,

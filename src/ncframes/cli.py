@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
     if not report.is_tight:
         _emit(io.encode_tightness_report(report), args.output)
         return 1
-    sigma = ortho_decompose(F)
+    sigma = ortho_decompose(F, args.tol)
     div = divisibility_check(sigma, F.k, F.n)
     spherical = is_spherical(F, args.tol)
     blocks_doc = []
@@ -314,9 +314,7 @@ def _selftest_divisibility(quick: bool) -> dict:
         spec = AlgebraSpec(spec_dims)
         for k, n in cases:
             for seed in range(3 if quick else 6):
-                trace = run_minimize(
-                    spec, k, n, OptimizerConfig(seed=seed, tight_tol=1e-9)
-                )
+                trace = run_minimize(spec, k, n, OptimizerConfig(seed=seed))
                 if not trace.converged:
                     continue
                 sigma = ortho_decompose(trace.frame)
@@ -397,7 +395,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--step-size", type=_positive_float, default=0.05)
     p.add_argument("--max-iters", type=_positive_int, default=20000)
-    p.add_argument("--tight-tol", type=_positive_float, default=1e-8)
+    p.add_argument("--tight-tol", type=_positive_float, default=1e-9)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--radius", type=_positive_float, default=None)
     p.add_argument("--out", required=True)

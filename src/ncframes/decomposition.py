@@ -3,9 +3,12 @@
 A tight frame splits across a column subset I exactly when its Gram matrix
 F*F commutes with the coordinate projection Q_I; the finest such splitting
 is read off as the connected components of the support graph of the Gram
-off-diagonal.  Block sizes of a strict-spherical tight frame are forced to
-be multiples of k' = k / gcd(k, n), which picks out the admissible
-partitions enumerated here.
+off-diagonal.  One tolerance tol means the same in every verdict here: a
+frame is tight when ||FF* - bI|| <= tol * max(1, b) (check_tight), a Gram
+entry is an edge when its norm exceeds that same bound (ortho_decompose),
+and split_equivalence allows k times it.  Block sizes of a strict-spherical
+tight frame are forced to be multiples of k' = k / gcd(k, n), which picks
+out the admissible partitions enumerated here.
 
 Index sets and partition blocks use 1-based column labels {1, ..., k}
 throughout this module, matching the usual f_1, ..., f_k numbering; the
@@ -42,9 +45,7 @@ __all__ = [
     "divisibility_check",
     "enumerate_partitions",
     "count_partitions",
-    "classify_frame",
     "direct_sum_frames",
-    "gram_edge_tol",
 ]
 
 
@@ -134,28 +135,20 @@ def commutation_residual(F: Frame, I: Iterable[int]) -> float:
     return (F.matrix.select_columns(idx).H @ F.matrix.select_columns(comp)).norm()
 
 
-def gram_edge_tol(F: Frame) -> float:
-    """Scale-invariant default threshold for Gram support edges."""
-    return 1e-9 * F.matrix.norm() ** 2
-
-
-def ortho_decompose(F: Frame, tol: float | None = None) -> Partition:
+def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
     """Finest splitting of a tight frame into mutually orthogonal column groups.
 
-    Components of the graph on columns with an edge wherever the Gram entry
-    norm exceeds tol (default: scale-invariant gram_edge_tol).  Every union
-    of the returned blocks commutes with the Gram matrix within tolerance.
-
-    Tightness is checked at tol when given, else at 1e-6 so that optimizer
-    outputs at their default stopping tolerance are accepted.
+    Raises NotTightError unless check_tight(F, tol) passes.  Columns i and j
+    are joined when ||<f_i, f_j>|| exceeds tol * max(1, b), the bound that
+    check_tight held ||FF* - bI|| to, and the blocks are the connected
+    components of that graph.  A union I of blocks then has commutation
+    residual at most (k / 2) * tol * max(1, b), within split_equivalence's
+    bound, since every entry of F_I* F_{I^c} is a dropped edge.
     """
-    tight_tol = tol if tol is not None else 1e-6
-    report = check_tight(F, tight_tol)
+    report = check_tight(F, tol)
     if not report.is_tight:
-        raise NotTightError(report.residual, tight_tol)
-    if tol is None:
-        tol = gram_edge_tol(F)
-    adj = gram_matrix(F).entry_norms() > tol
+        raise NotTightError(report.residual, tol)
+    adj = gram_matrix(F).entry_norms() > tol * max(1.0, report.b)
     np.fill_diagonal(adj, False)
     num, labels = connected_components(adj, directed=False)
     blocks = [
@@ -314,21 +307,6 @@ def count_partitions(k: int, kprime: int) -> int:
             )
         )
     return counts[-1]
-
-
-def classify_frame(
-    F: Frame, n: int | None = None, tol: float | None = None
-) -> tuple[Partition, bool]:
-    """Ortho-decomposition of a tight frame plus its admissibility flag.
-
-    The flag says whether every block size is a multiple of
-    k / gcd(k, n); for strict-spherical tight frames it is expected true.
-    """
-    if n is None:
-        n = F.n
-    sigma = ortho_decompose(F, tol)
-    report = divisibility_check(sigma, F.k, n)
-    return sigma, report.all_divisible
 
 
 def direct_sum_frames(

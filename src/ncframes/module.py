@@ -34,7 +34,6 @@ __all__ = [
     "is_unitary",
     "is_partial_isometry",
     "complete_to_unitary",
-    "coordinate_projection",
 ]
 
 
@@ -353,13 +352,3 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
         extra = extra * (np.abs(lead) / lead)[:, None] + 0.0
         out_blocks.append(np.vstack([flat, extra]))
     return AMatrix(M.spec, k, k, tuple(out_blocks))
-
-
-def coordinate_projection(
-    spec: AlgebraSpec, k: int, indices: Iterable[int]
-) -> AMatrix:
-    """Diagonal k x k projection Q_I with 1_A on positions in I (0-based)."""
-    idx = sorted(set(int(i) for i in indices))
-    if idx and (idx[0] < 0 or idx[-1] >= k):
-        raise IndexError(f"index set {idx} out of range for k={k}")
-    return AMatrix.diagonal(spec, k, k, idx)

@@ -44,7 +44,7 @@ class DegenerateColumnError(ValueError):
 class OptimizerConfig:
     step_size: float = 0.05
     max_iters: int = 20000
-    tight_tol: float = 1e-8
+    tight_tol: float = 1e-9
     seed: int = 0
     radius: float | None = None  # None -> n/k, making b = 1
 

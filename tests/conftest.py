@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ncframes import AlgebraSpec, AMatrix, Frame
+from ncframes import AlgebraSpec, AMatrix, Frame, direct_sum_frames
 
 
 @pytest.fixture
@@ -36,6 +36,25 @@ def make_mercedes(spec=None):
 @pytest.fixture
 def mercedes():
     return make_mercedes()
+
+
+def perturbed_direct_sum(parts, b, eps, rng=None):
+    """Direct sum of two equal-shape tight frames plus eps * P with ||P|| = 1.
+
+    P is C = [[0, F_a], [F_b, 0]], plus a standard Gaussian draw when rng is
+    given, scaled to norm 1.  C writes each part's columns into the other's
+    rows, so alone it makes the cross Gram block
+    eps (F_a* F_a + F_b* F_b) / ||C||.
+    """
+    F = direct_sum_frames(parts, b)
+    n, k = parts[0].n, parts[0].k
+    P = AMatrix.zeros(F.spec, F.n, F.k)
+    for dst, fa, fb in zip(P.grids, parts[0].matrix.grids, parts[1].matrix.grids):
+        dst[:n, k:] = fa
+        dst[n:, :k] = fb
+    if rng is not None:
+        P = P + AMatrix.random(F.spec, F.n, F.k, rng)
+    return Frame(F.matrix + (eps / P.norm()) * P)
 
 
 def scalar_frame(columns):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ncframes import cli
 from ncframes.cli import main
 from ncframes.io import load_frame, save_frame
-from conftest import make_mercedes
+from conftest import make_mercedes, perturbed_direct_sum
 
 
 def run(capsys, *argv):
@@ -158,6 +158,17 @@ class TestAnalyze:
         save_frame(path, Frame(AMatrix.random(spec, 2, 4, rng)))
         rc, _ = run(capsys, "analyze", str(path))
         assert rc == 1
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-8"])
+    def test_perturbed_direct_sum_splits_at_its_tol(self, tmp_path, capsys, tol):
+        # residual 2.4e-9 and cross Gram entries up to 1.6e-9: tight at tol,
+        # so the coupling lies below the edge threshold tol * b as well
+        F = perturbed_direct_sum([make_mercedes(), make_mercedes()], 1.5, 1e-9)
+        path = tmp_path / "p.json"
+        save_frame(path, F)
+        rc, out = run(capsys, "analyze", str(path), "--tol", tol)
+        assert rc == 0
+        assert json.loads(out)["partition"] == [[1, 2, 3], [4, 5, 6]]
 
 
 class TestFactorize:
@@ -319,18 +330,19 @@ class TestMinimize:
         assert p1.read_bytes() == p2.read_bytes()
 
     # sha256 of the minimize output and of its --trace-out, recorded with
-    # each line search started at the Barzilai-Borwein step and the
-    # stop_reason and counter keys in the report
+    # each line search started at the Barzilai-Borwein step, the
+    # stop_reason and counter keys in the report, and the default
+    # --tight-tol 1e-9
     GOLDEN = [
         ("1", 5, 3, 0,
-         "8118477ed7274664c1320a50ab36c848afe558403002da8159fc7ff1977aed2f",
-         "71569e81cec5acade222d1d471f9236a77ddcc0e4512e85194f5f6e68c0b36ae"),
+         "479ef6df695ef2b6ef5c83107c3f20d037ab3a003c461f7fb693c4550f414c20",
+         "43c65514149531ed1cc7698fa29eb27607d4ac3b458ea712fbefd9cba775bd2a"),
         ("2", 6, 4, 1,
-         "948140a2505bee921e8536534dad1dcd00a22aaaf5d6ac4626803b30f19c9182",
-         "16cd930d0015e5a2ee704cc24ff68fefff6f169465abd854505eb3c52b7e9038"),
+         "2f89aff9e597584e28a6b34ada0c471cdb51200695b840b7281fb87bd88b79af",
+         "c244d091e6e67c670f6aa411d87b5dd9160c9b5b54c2f84ea0752a46eb9561eb"),
         ("2,1", 12, 8, 3,
-         "7f7e8afcda6e63e04b37a40fcd3e91688d66a1940b796603f33beeff8633425b",
-         "e8ed06340f6900990663eaec17b649dccbd1a5d03564769fe3061c8e71645fac"),
+         "2efc3bb1fc31b8f8a3b98af71ba406e0682a7b1ffc24066c1b83b1f89d358e0f",
+         "a174f7fc4467fd3411ac494f7a4a4ec42c621b9790eb3f59139a067670cb694e"),
     ]
 
     @pytest.mark.parametrize("algebra,k,n,seed,digest,trace_digest", GOLDEN)
@@ -346,6 +358,17 @@ class TestMinimize:
         assert rc == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+
+    def test_default_round_trip(self, tmp_path, capsys):
+        # minimize stops at the 1e-9 that verify and analyze check by default
+        path = str(tmp_path / "m.json")
+        for argv in (
+            ["minimize", "--algebra", "1", "--k", "5", "--n", "3", "--out", path],
+            ["verify", path],
+            ["analyze", path],
+        ):
+            rc, _ = run(capsys, *argv)
+            assert rc == 0, argv
 
     def test_iteration_budget_exhausted(self, tmp_path, capsys):
         rc, _ = run(capsys, "minimize", "--algebra", "1", "--k", "3", "--n", "2",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncframes import (
     AlgebraSpec,
@@ -12,21 +13,20 @@ from ncframes import (
     Partition,
     canonical_coisometry,
     check_tight,
-    classify_frame,
     commutation_residual,
-    coordinate_projection,
     count_partitions,
     direct_sum_frames,
     divisibility_check,
     enumerate_partitions,
     gram_matrix,
+    minimize,
     ortho_decompose,
     random_tight_frame,
     range_projection,
     restrict,
     split_equivalence,
 )
-from conftest import enumerate_set_partitions, make_mercedes
+from conftest import enumerate_set_partitions, make_mercedes, perturbed_direct_sum
 
 
 def orthonormal_basis_frame(spec, n):
@@ -78,7 +78,7 @@ class TestCommutationResidual:
             G = gram_matrix(F)
             for size in range(F.k + 1):
                 for I in itertools.combinations(range(1, F.k + 1), size):
-                    Q = coordinate_projection(spec, F.k, [i - 1 for i in I])
+                    Q = AMatrix.diagonal(spec, F.k, F.k, [i - 1 for i in I])
                     ref = (Q @ G - G @ Q).norm()
                     assert commutation_residual(F, I) == pytest.approx(
                         ref, rel=1e-12, abs=1e-15
@@ -127,6 +127,50 @@ class TestOrthoDecompose:
         # relabel: column i of F lands at position perm[i-1] in the product
         expected = ortho_decompose(ds).relabeled(perm)
         assert sig_perm == expected
+
+
+class TestOneTolerance:
+    """ortho_decompose(F, tol) cuts edges at the bound check_tight(F, tol) uses."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.sampled_from([(1,), (2,), (2, 1)]),
+        st.sampled_from([1e-9, 1e-8, 1e-6]),
+        st.floats(0.5, 50),
+        st.floats(0.0, 0.1),
+        st.integers(0, 2**20),
+    )
+    def test_perturbed_direct_sum_splits(self, dims, tol, b, frac, seed):
+        spec = AlgebraSpec(dims)
+        parts = [random_tight_frame(spec, 3, 2, b, seed + i) for i in range(2)]
+        F = perturbed_direct_sum(parts, b, frac * tol, np.random.default_rng(seed))
+        assert check_tight(F, tol).is_tight
+        assert ortho_decompose(F, tol).blocks == ((1, 2, 3), (4, 5, 6))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-8])
+    def test_unions_of_blocks_are_the_commuting_subsets(self, mercedes, tol):
+        # independent oracle: split_equivalence measures ||Q_I G - G Q_I||
+        frames = [Frame(AMatrix.identity(AlgebraSpec((2,)), 3))]
+        for dims in [(1,), (2,), (2, 1)]:
+            spec = AlgebraSpec(dims)
+            frames.append(random_tight_frame(spec, 5, 3, seed=21))
+            frames.append(random_tight_frame(spec, 6, 4, seed=22))
+            frames.append(
+                direct_sum_frames(
+                    [random_tight_frame(spec, 2, 1, seed=23),
+                     Frame(AMatrix.identity(spec, 1)),
+                     random_tight_frame(spec, 3, 2, seed=24)],
+                    1.0,
+                )
+            )
+        frames.append(perturbed_direct_sum([mercedes, make_mercedes()], 1.5, tol / 10))
+        frames.append(minimize(AlgebraSpec((1,)), 6, 4).frame)
+        for F in frames:
+            blocks = [set(blk) for blk in ortho_decompose(F, tol).blocks]
+            for size in range(F.k + 1):
+                for I in itertools.combinations(range(1, F.k + 1), size):
+                    union = all(blk <= set(I) or not blk & set(I) for blk in blocks)
+                    assert union == split_equivalence(F, I, tol).commutes, (F.k, I)
 
 
 class TestRestrictAndRange:
@@ -285,20 +329,26 @@ class TestEnumeratePartitions:
 
 
 class TestClassify:
+    # the partition and its admissibility flag, as analyze reports them
+    @staticmethod
+    def classify(F):
+        sigma = ortho_decompose(F)
+        return sigma, divisibility_check(sigma, F.k, F.n).all_divisible
+
     def test_generic_frame_single_block(self, m2_spec):
         F = random_tight_frame(m2_spec, 5, 3, seed=10)
-        sigma, admissible = classify_frame(F)
+        sigma, admissible = self.classify(F)
         assert sigma.blocks == (tuple(range(1, 6)),)
         assert admissible  # whole set is always a multiple of k'
 
     def test_orthonormal_basis(self, scalar_spec):
         F = Frame(AMatrix.identity(scalar_spec, 4))
-        sigma, admissible = classify_frame(F)
+        sigma, admissible = self.classify(F)
         assert sigma.num_blocks == 4 and admissible
 
     def test_double_mercedes_fixture(self, mercedes):
         ds = direct_sum_frames([mercedes, make_mercedes()], b=1.5)
-        sigma, admissible = classify_frame(ds)
+        sigma, admissible = self.classify(ds)
         assert sigma.blocks == ((1, 2, 3), (4, 5, 6))
         assert admissible  # k=6, n=4, k'=3 divides both block sizes
 

@@ -9,7 +9,6 @@ from ncframes import (
     ShapeError,
     canonical_coisometry,
     complete_to_unitary,
-    coordinate_projection,
     inner_product,
     is_partial_isometry,
     is_unitary,
@@ -339,32 +338,29 @@ class TestCompleteToUnitary:
             complete_to_unitary(M)
 
 
-class TestCoordinateProjection:
+class TestDiagonal:
+    # AMatrix.diagonal(spec, k, k, I) is the coordinate projection Q_I
     def test_full_and_empty(self, mixed_spec):
         k = 4
-        assert coordinate_projection(mixed_spec, k, range(k)).allclose(
+        assert AMatrix.diagonal(mixed_spec, k, k, range(k)).allclose(
             AMatrix.identity(mixed_spec, k)
         )
-        assert coordinate_projection(mixed_spec, k, []).allclose(
+        assert AMatrix.diagonal(mixed_spec, k, k, []).allclose(
             AMatrix.zeros(mixed_spec, k, k)
         )
 
     def test_idempotent_self_adjoint(self, m2_spec):
-        Q = coordinate_projection(m2_spec, 5, [0, 2, 3])
+        Q = AMatrix.diagonal(m2_spec, 5, 5, [0, 2, 3])
         assert (Q @ Q).allclose(Q, tol=1e-14)
         assert Q.H.allclose(Q, tol=0.0)
 
     def test_intersection_law(self, scalar_spec):
         k = 6
         I, J = {0, 1, 3, 4}, {1, 2, 4, 5}
-        QI = coordinate_projection(scalar_spec, k, I)
-        QJ = coordinate_projection(scalar_spec, k, J)
-        QIJ = coordinate_projection(scalar_spec, k, I & J)
+        QI = AMatrix.diagonal(scalar_spec, k, k, I)
+        QJ = AMatrix.diagonal(scalar_spec, k, k, J)
+        QIJ = AMatrix.diagonal(scalar_spec, k, k, I & J)
         assert (QI @ QJ).allclose(QIJ, tol=1e-14)
-
-    def test_out_of_range(self, scalar_spec):
-        with pytest.raises(IndexError):
-            coordinate_projection(scalar_spec, 3, [3])
 
 
 ACCESSOR_SPECS = [(1,), (2,), (2, 1), (3, 1, 2)]

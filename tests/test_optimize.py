@@ -297,10 +297,11 @@ class TestMinimize:
         assert is_spherical(trace.frame, tol=1e-8).is_spherical
 
     def test_output_feeds_decomposition(self, scalar_spec):
-        from ncframes import classify_frame
+        from ncframes import divisibility_check, ortho_decompose
 
         trace = minimize(scalar_spec, 6, 4, OptimizerConfig(seed=6))
-        sigma, admissible = classify_frame(trace.frame)
+        sigma = ortho_decompose(trace.frame)
+        admissible = divisibility_check(sigma, 6, 4).all_divisible
         assert admissible
 
 
