@@ -133,7 +133,7 @@ def cmd_analyze(args) -> int:
     spherical = is_spherical(F, args.tol)
     blocks_doc = []
     for blk, flag in zip(sigma.blocks, div.per_block):
-        sub = check_tight(restrict(F, blk), args.tol)
+        sub = report if len(blk) == F.k else check_tight(restrict(F, blk), args.tol)
         blocks_doc.append(
             {
                 "columns": list(blk),

@@ -2,13 +2,19 @@
 
 A tight frame splits across a column subset I exactly when its Gram matrix
 F*F commutes with the coordinate projection Q_I; the finest such splitting
-is read off as the connected components of the support graph of the Gram
-off-diagonal.  One tolerance tol means the same in every verdict here: a
-frame is tight when ||FF* - bI|| <= tol * max(1, b) (check_tight), a Gram
-entry is an edge when its norm exceeds that same bound (ortho_decompose),
-and split_equivalence allows k times it.  Block sizes of a strict-spherical
-tight frame are forced to be multiples of k' = k / gcd(k, n), which picks
-out the admissible partitions enumerated here.
+is read off as the connected components (a breadth-first search) of the
+support graph of the Gram off-diagonal.  split_equivalence measures both
+sides of that equivalence for one subset in a single pass over the summand
+blocks: the commutator norm ||F_I* F_Ic|| on one side; on the other, the
+overlap of the two column ranges, each side's tightness on its own range
+and how far the two range projections fall short of the identity, these
+last three from one batched eigvalsh per summand.  One tolerance tol means the same in every
+verdict here: a frame is tight when ||FF* - bI|| <= tol * max(1, b)
+(check_tight), a Gram entry is an edge when its norm exceeds that same
+bound (ortho_decompose), and split_equivalence allows k times it.  Block
+sizes of a strict-spherical tight frame are forced to be multiples of
+k' = k / gcd(k, n), which picks out the admissible partitions enumerated
+here.
 
 Index sets and partition blocks use 1-based column labels {1, ..., k}
 throughout this module, matching the usual f_1, ..., f_k numbering; the
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
+from .algebra import _spectral_norm
 from .frames import (
     Frame,
     NotTightError,
@@ -108,6 +114,7 @@ class SplitEquivalenceReport:
     comp_tight_residual: float
     range_overlap: float
     closure_residual: float
+    threshold: float  # tol * max(1, b) * max(1, k), the bound of every verdict
 
     @property
     def agree(self) -> bool:
@@ -150,11 +157,30 @@ def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
         raise NotTightError(report.residual, tol)
     adj = gram_matrix(F).entry_norms() > tol * max(1.0, report.b)
     np.fill_diagonal(adj, False)
-    num, labels = connected_components(adj, directed=False)
-    blocks = [
-        tuple(int(i) + 1 for i in np.nonzero(labels == c)[0]) for c in range(num)
-    ]
+    blocks = [tuple(i + 1 for i in blk) for blk in _components(adj)]
     return Partition(F.k, tuple(blocks))
+
+
+def _components(adj: np.ndarray) -> list[list[int]]:
+    """Connected components of a symmetric boolean adjacency matrix.
+
+    Breadth-first search, one frontier per step; each component is listed
+    ascending, the components in order of their smallest vertex.
+    """
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    components = []
+    for start in range(adj.shape[0]):
+        if seen[start]:
+            continue
+        seen[start] = True
+        frontier = [start]
+        component = [start]
+        while frontier:
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & ~seen).tolist()
+            seen[frontier] = True
+            component += frontier
+        components.append(sorted(component))
+    return components
 
 
 def restrict(F: Frame, I: Iterable[int]) -> Frame:
@@ -165,6 +191,16 @@ def restrict(F: Frame, I: Iterable[int]) -> Frame:
     return Frame(F.matrix.select_columns(idx))
 
 
+def _range_basis(x: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the column space of one summand block.
+
+    The leading left singular vectors whose singular values exceed
+    tol * max(1, s_max); the rest count as zero.
+    """
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return u[:, : int(np.sum(s > tol * max(1.0, s[0])))]
+
+
 def range_projection(F: Frame, tol: float = 1e-9) -> AMatrix:
     """Orthogonal projection onto the column space of F, per summand.
 
@@ -173,24 +209,9 @@ def range_projection(F: Frame, tol: float = 1e-9) -> AMatrix:
     """
     blocks = []
     for blk in F.matrix.blocks:
-        u, s, _ = np.linalg.svd(blk, full_matrices=False)
-        if s.size:
-            rank = int(np.sum(s > tol * max(1.0, s[0])))
-        else:
-            rank = 0
-        ur = u[:, :rank]
+        ur = _range_basis(blk, tol)
         blocks.append(ur @ ur.conj().T)
     return AMatrix(F.spec, F.n, F.n, tuple(blocks))
-
-
-def _tight_on_range_residual(
-    sub: Frame | None, b: float, P: AMatrix
-) -> float:
-    """||Fsub Fsub* - b P|| per summand, maximized; empty sub means Fsub = 0."""
-    if sub is None:
-        return b * P.norm()
-    S = sub.matrix @ sub.matrix.H
-    return (S - b * P).norm()
 
 
 def split_equivalence(
@@ -202,52 +223,64 @@ def split_equivalence(
     side, computed independently: the columns in I form a tight frame with
     the same constant b on the range of their own projection, the
     complementary columns do the same on an orthogonal range, and the two
-    range projections sum to the identity.
+    range projections sum to the identity.  Every residual is compared
+    against threshold = tol * max(1, b) * max(1, k).
+
+    The residuals come from one pass over the summand blocks, with F_I, F_Ic
+    the blocks of the two column sides, U, Uc orthonormal bases of their
+    ranges (the rank rule of range_projection) and P = U U*, Pc = Uc Uc*:
+
+    - commutation_residual: ||F_I* F_Ic||, the norm of Q_I G - G Q_I;
+    - range_overlap: ||U* Uc||, which equals ||P Pc||;
+    - sub_tight_residual, comp_tight_residual and closure_residual: the
+      largest |eigenvalue| of the Hermitian F_I F_I* - b P,
+      F_Ic F_Ic* - b Pc and P + Pc - I, from one batched eigvalsh.
+
+    All are maximized over the summands.  An empty side has no columns and
+    a zero projection, so it contributes 0 to every residual but closure.
     """
     report = check_tight(F, tol)
     if not report.is_tight:
         raise NotTightError(report.residual, tol)
     b = report.b
-    k = F.k
-    idx = sorted(set(int(i) for i in I))
-    comp = sorted(set(range(1, k + 1)) - set(idx))
-    scale = max(1.0, b) * max(1.0, float(k))
-    threshold = tol * scale
+    idx = _to_zero_based(I, F.k)
+    comp = sorted(set(range(F.k)) - set(idx))
+    threshold = tol * (max(1.0, b) * max(1.0, float(F.k)))
+    sides = [F.matrix.select_columns(cols).blocks if cols else None for cols in (idx, comp)]
 
-    comm = commutation_residual(F, idx)
-    commutes = comm <= threshold
+    comm = overlap = 0.0
+    hermitian = np.zeros(3)  # sub-tight, comp-tight and closure residuals
+    for j, x in enumerate(F.matrix.blocks):
+        nm = x.shape[0]
+        stack = np.zeros((3, nm, nm), dtype=complex)
+        bases = []
+        for side, blocks in enumerate(sides):
+            if blocks is None:
+                continue
+            y = blocks[j]
+            u = _range_basis(y, tol)
+            proj = u @ u.conj().T
+            stack[side] = y @ y.conj().T - b * proj
+            stack[2] += proj
+            bases.append((y, u))
+        stack[2].flat[:: nm + 1] -= 1.0
+        hermitian = np.maximum(hermitian, np.abs(np.linalg.eigvalsh(stack)).max(axis=1))
+        if len(bases) == 2:
+            (y, u), (yc, uc) = bases
+            comm = max(comm, _spectral_norm(y.conj().T @ yc))
+            if u.shape[1] and uc.shape[1]:
+                overlap = max(overlap, _spectral_norm(u.conj().T @ uc))
+    sub_res, comp_res, closure = (float(v) for v in hermitian)
 
-    zero = AMatrix.zeros(F.spec, F.n, F.n)
-    if idx:
-        sub = restrict(F, idx)
-        P = range_projection(sub, tol)
-    else:
-        sub, P = None, zero
-    if comp:
-        csub = restrict(F, comp)
-        Pc = range_projection(csub, tol)
-    else:
-        csub, Pc = None, zero
-
-    sub_res = _tight_on_range_residual(sub, b, P)
-    comp_res = _tight_on_range_residual(csub, b, Pc)
-    overlap = (P @ Pc).norm()
-    eye = AMatrix.identity(F.spec, F.n)
-    closure = (P + Pc - eye).norm()
-    splits = (
-        sub_res <= threshold
-        and comp_res <= threshold
-        and overlap <= threshold
-        and closure <= threshold
-    )
     return SplitEquivalenceReport(
-        commutes=commutes,
-        splits=splits,
+        commutes=comm <= threshold,
+        splits=all(v <= threshold for v in (sub_res, comp_res, overlap, closure)),
         commutation_residual=comm,
         sub_tight_residual=sub_res,
         comp_tight_residual=comp_res,
         range_overlap=overlap,
         closure_residual=closure,
+        threshold=threshold,
     )
 
 

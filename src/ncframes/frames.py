@@ -125,15 +125,15 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     if not 0 < tol < np.inf:  # written so that NaN fails
         raise ValueError("tol must be finite and positive")
     n = F.n
-    S = frame_operator(F)
-    per_b = []
-    for m, blk in zip(F.spec.summand_dims, S.blocks):
-        per_b.append(float(np.trace(blk).real) / (n * m))
+    per_b, defects = [], []
+    for m, x in zip(F.spec.summand_dims, F.matrix.blocks):
+        s = x @ x.conj().T  # summand block of the frame operator FF*
+        per_b.append(float(np.trace(s).real) / (n * m))
+        defects.append(s)
     b = float(np.mean(per_b))
-    residual = max(
-        _spectral_norm(blk - b * np.eye(blk.shape[0]))
-        for blk in S.blocks
-    )
+    for d in defects:
+        d.flat[:: d.shape[0] + 1] -= b
+    residual = max(_spectral_norm(d) for d in defects)
     scale = max(1.0, abs(b))
     spread = max(abs(bj - b) for bj in per_b)
     is_tight = residual <= tol * scale and spread <= tol * scale and b > tol

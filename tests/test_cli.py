@@ -170,6 +170,32 @@ class TestAnalyze:
         assert rc == 0
         assert json.loads(out)["partition"] == [[1, 2, 3], [4, 5, 6]]
 
+    def test_single_block_reuses_the_full_tightness_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the block covering all k columns is F itself, so its b is the one
+        # analyze already measured; check_tight then runs in analyze and in
+        # ortho_decompose only
+        from ncframes import AlgebraSpec, decomposition, random_tight_frame
+
+        path = tmp_path / "f.json"
+        save_frame(path, random_tight_frame(AlgebraSpec((2, 1)), 5, 3, 1.25, seed=4))
+        sizes = []
+        for module in (cli, decomposition):
+            real = module.check_tight
+
+            def counted(F, tol, real=real):
+                sizes.append(F.k)
+                return real(F, tol)
+
+            monkeypatch.setattr(module, "check_tight", counted)
+        rc, out = run(capsys, "analyze", str(path))
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["partition"] == [[1, 2, 3, 4, 5]]
+        assert doc["blocks"][0]["b"] == doc["tightness"]["b"]
+        assert sizes == [5, 5]
+
 
 class TestFactorize:
     def test_scaled_coisometry(self, tmp_path, capsys):

@@ -1,0 +1,196 @@
+"""The one-pass split verdict, check_tight and the component search against
+reference implementations kept here.
+
+reference_split_equivalence is the AMatrix formulation split_equivalence
+had before it became one pass over the summand blocks: it builds the range
+projections P and Pc and takes every residual as a spectral norm.  The
+arithmetic differs (eigvalsh and ||U* Uc|| in place of SVDs of the
+projections), so residuals are held to 1e-12 and verdicts to equality.
+"""
+
+import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.sparse.csgraph import connected_components
+
+import ncframes
+from ncframes import (
+    AlgebraSpec,
+    AMatrix,
+    Frame,
+    check_tight,
+    commutation_residual,
+    direct_sum_frames,
+    frame_operator,
+    random_tight_frame,
+    restrict,
+    split_equivalence,
+)
+from ncframes.decomposition import _components
+from conftest import make_mercedes, perturbed_direct_sum
+
+RESIDUALS = (
+    "commutation_residual",
+    "sub_tight_residual",
+    "comp_tight_residual",
+    "range_overlap",
+    "closure_residual",
+)
+
+
+def reference_range_projection(F, tol):
+    blocks = []
+    for blk in F.matrix.blocks:
+        u, s, _ = np.linalg.svd(blk, full_matrices=False)
+        ur = u[:, : int(np.sum(s > tol * max(1.0, s[0])))]
+        blocks.append(ur @ ur.conj().T)
+    return AMatrix(F.spec, F.n, F.n, tuple(blocks))
+
+
+def reference_split_equivalence(F, I, tol=1e-9):
+    """(commutes, splits, residuals by name, threshold) from AMatrix algebra."""
+    b = check_tight(F, tol).b
+    idx = sorted(set(int(i) for i in I))
+    comp = sorted(set(range(1, F.k + 1)) - set(idx))
+    threshold = tol * (max(1.0, b) * max(1.0, float(F.k)))
+    zero = AMatrix.zeros(F.spec, F.n, F.n)
+
+    def side(cols):
+        if not cols:
+            return zero, 0.0
+        sub = restrict(F, cols).matrix
+        P = reference_range_projection(restrict(F, cols), tol)
+        return P, (sub @ sub.H - b * P).norm()
+
+    P, sub_res = side(idx)
+    Pc, comp_res = side(comp)
+    residuals = {
+        "commutation_residual": commutation_residual(F, idx),
+        "sub_tight_residual": sub_res,
+        "comp_tight_residual": comp_res,
+        "range_overlap": (P @ Pc).norm(),
+        "closure_residual": (P + Pc - AMatrix.identity(F.spec, F.n)).norm(),
+    }
+    commutes = residuals["commutation_residual"] <= threshold
+    splits = all(residuals[name] <= threshold for name in RESIDUALS[1:])
+    return commutes, splits, residuals, threshold
+
+
+def rotated_mercedes_sum(theta):
+    """Direct sum of two Mercedes frames with columns 1 and 4 rotated by theta.
+
+    The rotation is a unitary on the right, so the frame stays exactly tight
+    while the cross Gram entries grow like theta.
+    """
+    F = direct_sum_frames([make_mercedes(), make_mercedes()], b=1.5)
+    R = np.eye(6, dtype=complex)
+    c, s = math.cos(theta), math.sin(theta)
+    R[[0, 0, 3, 3], [0, 3, 0, 3]] = [c, -s, s, c]
+    return Frame(F.matrix @ AMatrix(F.spec, 6, 6, (R,)))
+
+
+def corpus():
+    """pytest params (frame, tol); every frame is tight at its tol."""
+    cases = []
+    for seed, dims in enumerate([(1,), (2,), (1, 1), (2, 1), (3, 1, 2)]):
+        spec = AlgebraSpec(dims)
+        seed *= 10
+        parts = [random_tight_frame(spec, k, n, seed=seed + 2 + i)
+                 for i, (k, n) in enumerate([(3, 2), (2, 1), (2, 1)])]
+        frames = {
+            "random-4x2": random_tight_frame(spec, 4, 2, seed=seed),
+            "random-7x4": random_tight_frame(spec, 7, 4, seed=seed + 1),
+            "basis-3": Frame(AMatrix.identity(spec, 3)),
+            "sum-7x4": direct_sum_frames(parts, 1.0),
+        }
+        for name, F in frames.items():
+            cases.append(pytest.param(F, 1e-9, id=f"{dims}-{name}"))
+        pair = [random_tight_frame(spec, 3, 2, 1.5, seed + i) for i in (5, 6)]
+        for eps, tol in ((1e-11, 1e-9), (2e-10, 1e-9), (1e-7, 1e-6)):
+            F = perturbed_direct_sum(pair, 1.5, eps, np.random.default_rng(seed))
+            cases.append(pytest.param(F, tol, id=f"{dims}-perturbed-{eps:g}-tol-{tol:g}"))
+    for theta in (1e-9, 2e-9, 3e-9, 5e-9, 1e-8, 3e-8):
+        cases.append(pytest.param(rotated_mercedes_sum(theta), 1e-9, id=f"mercedes-theta-{theta:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("F, tol", corpus())
+def test_split_equivalence_matches_reference_on_every_subset(F, tol):
+    assert check_tight(F, tol).is_tight
+    for size in range(F.k + 1):
+        for I in itertools.combinations(range(1, F.k + 1), size):
+            rep = split_equivalence(F, I, tol)
+            commutes, splits, residuals, threshold = reference_split_equivalence(F, I, tol)
+            assert (rep.commutes, rep.splits) == (commutes, splits), I
+            assert rep.threshold == threshold
+            for name in RESIDUALS:
+                assert abs(getattr(rep, name) - residuals[name]) <= 1e-12, (I, name)
+
+
+def test_rotated_mercedes_band_keeps_its_verdicts():
+    # the band between the edge and the split thresholds (commutes but does
+    # not split at theta = 3e-9) is still open; the verdicts must not move
+    verdicts = []
+    for theta in (1e-9, 3e-9, 3e-8):
+        rep = split_equivalence(rotated_mercedes_sum(theta), [1, 2, 3])
+        verdicts.append((rep.commutes, rep.splits))
+        assert rep.threshold == 1e-9 * 1.5 * 6
+    assert verdicts == [(True, True), (True, False), (False, False)]
+
+
+def reference_check_tight(F, tol):
+    S = frame_operator(F)
+    per_b = [
+        float(np.trace(blk).real) / (F.n * m)
+        for m, blk in zip(F.spec.summand_dims, S.blocks)
+    ]
+    b = float(np.mean(per_b))
+    residual = max(np.linalg.norm(blk - b * np.eye(blk.shape[0]), 2) for blk in S.blocks)
+    scale = max(1.0, abs(b))
+    spread = max(abs(bj - b) for bj in per_b)
+    is_tight = residual <= tol * scale and spread <= tol * scale and b > tol
+    return ncframes.TightnessReport(b, residual, is_tight, tuple(per_b))
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (1, 1), (2, 1), (3, 1, 2)])
+def test_check_tight_equals_frame_operator_reference(dims):
+    spec = AlgebraSpec(dims)
+    rng = np.random.default_rng(len(dims))
+    frames = [random_tight_frame(spec, k, n, b, seed)
+              for seed, (k, n, b) in enumerate([(3, 2, 1.0), (6, 4, 2.5), (5, 5, 0.3)])]
+    frames += [Frame(AMatrix.random(spec, n, k, rng)) for n, k in [(2, 3), (3, 7), (1, 1)]]
+    for F in frames:
+        for tol in (1e-9, 1e-2):
+            assert check_tight(F, tol) == reference_check_tight(F, tol)
+
+
+def _canonical(labels):
+    groups = {}
+    for vertex, label in enumerate(labels):
+        groups.setdefault(int(label), []).append(vertex)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 13, 40])
+def test_components_match_scipy(k):
+    rng = np.random.default_rng(k)
+    for density in (0.0, 0.02, 0.08, 0.3, 1.0):
+        upper = np.triu(rng.random((k, k)) < density, 1)
+        adj = upper | upper.T
+        _, labels = connected_components(adj, directed=False)
+        assert _components(adj) == _canonical(labels), density
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    src = str(Path(ncframes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ncframes.cli; sys.exit('scipy.sparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
