@@ -189,12 +189,14 @@ def cmd_partitions(args) -> int:
             f"{MAX_LISTED_PARTITIONS}; use --count-only"
         )
     else:
-        parts = enumerate_partitions(args.k, args.kprime)
         doc = {
             "k": args.k,
             "kprime": args.kprime,
-            "count": len(parts),
-            "partitions": [[list(blk) for blk in p.blocks] for p in parts],
+            "count": count,
+            "partitions": [
+                [list(blk) for blk in p.blocks]
+                for p in enumerate_partitions(args.k, args.kprime)
+            ],
         }
         _emit(doc, args.output)
     return 0
@@ -210,6 +212,10 @@ def cmd_minimize(args) -> int:
         seed=args.seed,
         radius=args.radius,
     )
+    try:
+        config.radius_for(args.algebra, args.k, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     trace = run_minimize(args.algebra, args.k, args.n, config)
     io.save_frame(
         args.out,

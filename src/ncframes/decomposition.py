@@ -23,10 +23,9 @@ underlying matrices are 0-indexed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -294,12 +293,15 @@ def divisibility_check(p: Partition, k: int, n: int) -> DivisibilityReport:
     return DivisibilityReport(d, kprime, flags)
 
 
-def enumerate_partitions(k: int, kprime: int) -> list[Partition]:
-    """All partitions of {1, ..., k} with every block size a multiple of kprime.
+def enumerate_partitions(k: int, kprime: int) -> Iterator[Partition]:
+    """Iterate over the partitions of {1, ..., k} into blocks of sizes kprime * j.
 
     Canonical order: each block is listed with its elements ascending,
     blocks are ordered by smallest element, and the partitions themselves
-    come out sorted lexicographically.
+    come out sorted lexicographically.  The block holding the smallest
+    element grows depth-first, element by element in ascending order, and
+    is emitted before its extensions; that pre-order is the lexicographic
+    order of the blocks, so nothing is stored or sorted.
     """
     if kprime < 1 or k % kprime != 0:
         raise ValueError(f"kprime={kprime} does not divide k={k}")
@@ -308,21 +310,25 @@ def enumerate_partitions(k: int, kprime: int) -> list[Partition]:
         if not remaining:
             yield ()
             return
-        anchor, rest = remaining[0], remaining[1:]
-        for size in range(kprime, len(remaining) + 1, kprime):
-            for extra in itertools.combinations(rest, size - 1):
-                block = (anchor,) + extra
-                left = tuple(i for i in rest if i not in set(extra))
-                for tail in grow(left):
-                    yield (block,) + tail
 
-    parts = [Partition(k, blocks) for blocks in grow(tuple(range(1, k + 1)))]
-    parts.sort(key=lambda p: p.blocks)
-    return parts
+        def blocks(block: tuple[int, ...], start: int):
+            # blocks extending `block` by elements of remaining[start:]
+            if len(block) % kprime == 0:
+                yield block
+            for pos in range(start, len(remaining)):
+                yield from blocks(block + (remaining[pos],), pos + 1)
+
+        for block in blocks(remaining[:1], 1):
+            left = tuple(i for i in remaining if i not in block)
+            for tail in grow(left):
+                yield (block,) + tail
+
+    # a generator expression, so that a bad kprime raises at the call
+    return (Partition(k, blocks) for blocks in grow(tuple(range(1, k + 1))))
 
 
 def count_partitions(k: int, kprime: int) -> int:
-    """len(enumerate_partitions(k, kprime)), without building the partitions.
+    """How many partitions enumerate_partitions(k, kprime) yields, by recurrence.
 
     The block holding element 1 has some size s = j * kprime; choosing its
     other s - 1 elements and partitioning the remaining k - s gives

@@ -13,6 +13,12 @@ Grams, column scaling and entry norms.
 Vectors in A^n are AMatrix values with a single column; the A-valued inner
 product is conjugate-linear in the first argument, <v, w> = sum_i v_i* w_i
 (right-module convention).
+
+complete_to_unitary, behind the normal form F = sqrt(b) [I_n | 0] U, needs
+numpy only: greedy column pivoting of the projector P = I - M*M picks the
+column whose residual is longest, and because P*P = P those squared
+residuals are the diagonal of P's Schur complement, so the pivots come from
+a pivoted Cholesky of P and one unpivoted QR of the pivot columns.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraElement, AlgebraSpec, ShapeError, _complex_gaussian, _spectral_norm, _spectral_norms
@@ -309,21 +314,57 @@ def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:
     return defect <= tol * max(1.0, M.norm())
 
 
+def _greedy_pivots(proj: np.ndarray, want: int) -> np.ndarray:
+    """The first want column pivots of a greedy pivoted QR of a projector.
+
+    Greedy pivoting (Businger & Golub 1965) takes next the column whose
+    residual after the chosen ones is longest.  For a Hermitian projector
+    P = P*P the squared residual norms are the diagonal of the Schur
+    complement of the chosen columns in P, so the rule is pivoted Cholesky
+    of P (Higham 1990): argmax of the remaining diagonal, lowest index on
+    ties as LAPACK's idamax picks, one left-looking column per pivot.
+
+    Raises NotCoisometricError, instead of dividing, when the largest
+    remainder is not positive.  On a projector the remainders stay in
+    [0, 1]; an input far from one (an indefinite I - M*M at a loose tol)
+    may overflow them instead, and the inf or NaN that leaves ends in a
+    rejected pivot or in the rank guard on R.
+    """
+    rest = proj.diagonal().real.copy()
+    chol = np.zeros((proj.shape[0], want), dtype=complex)
+    piv = np.zeros(want, dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(want):
+            p = int(np.argmax(rest))  # NaN, should one appear, is taken first
+            if not rest[p] > 0:  # written so that NaN fails
+                raise NotCoisometricError(float(np.sqrt(max(rest[p], 0.0))), 1e-8)
+            col = (proj[:, p] - chol[:, :j] @ chol[p, :j].conj()) / np.sqrt(rest[p])
+            chol[:, j] = col
+            rest -= col.real**2 + col.imag**2
+            rest[p] = -np.inf
+            piv[j] = p
+    return piv
+
+
 def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
     """Extend a coisometric n x k matrix to a k x k unitary over A.
 
     The first n rows of the result equal M; the remaining rows are a
     deterministic orthonormal basis of the orthogonal complement of the row
-    space: per summand, the leading columns of a LAPACK pivoted QR of the
-    projector I - M*M (largest column first, lowest-index tie-break), with
-    each added row's leading entry made real positive.  For [I | 0] the
-    added rows are the trailing standard basis rows in ascending order.
+    space.  Per summand, the (k - n) * m greedy pivots of the projector
+    P = I - M*M (the column longest after the chosen ones, lowest index on
+    ties) are found by pivoted Cholesky of P, which on a projector is the
+    same rule as LAPACK's pivoted QR of P; the added rows are the conjugated
+    Q of a QR of the pivot columns, each row's leading entry made real
+    positive.  For [I | 0] the added rows are the trailing standard basis
+    rows in ascending order.
 
     Raises
     ------
     NotCoisometricError
         If ||MM* - I|| > tol, or if the projector's rank falls short of
-        (k - n) * m, its last pivot in R being below 1e-8.
+        (k - n) * m: the pivot search meets a remainder <= 0, or the last
+        pivot in R is below 1e-8.
     """
     if not 0 < tol < np.inf:  # written so that NaN fails
         raise ValueError("tol must be finite and positive")
@@ -341,11 +382,11 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
             out_blocks.append(flat)
             continue
         proj = np.eye(k * m, dtype=complex) - flat.conj().T @ flat
-        q, r, _ = scipy.linalg.qr(proj, mode="economic", pivoting=True)
+        q, r = np.linalg.qr(proj[:, _greedy_pivots(proj, want)])
         pivot = float(abs(r[want - 1, want - 1]))
         if pivot < 1e-8:
             raise NotCoisometricError(pivot, 1e-8)
-        extra = q[:, :want].conj().T
+        extra = q.conj().T
         # a unit row always has an entry above 1e-12; the first becomes real
         # positive, and + 0.0 clears the -0.0 a negative phase leaves on zeros
         lead = extra[np.arange(want), (np.abs(extra) > 1e-12).argmax(axis=1)]

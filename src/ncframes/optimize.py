@@ -57,6 +57,22 @@ class OptimizerConfig:
         if self.radius is not None and not 0 < self.radius < np.inf:
             raise ValueError("radius must be finite and positive")
 
+    def radius_for(self, spec: AlgebraSpec, k: int, n: int) -> float:
+        """The column radius r of a k-column descent on A^n: radius, or n/k.
+
+        Every spherical frame at radius r has potential at most
+        (k r)^2 * sum_j m_j; raises ValueError when that bound is not a
+        finite float, since the excess could then not order the iterates.
+        """
+        r = self.radius if self.radius is not None else n / k
+        try:
+            ceiling = (k * r) ** 2 * sum(spec.summand_dims)
+        except OverflowError:
+            ceiling = np.inf
+        if not ceiling < np.inf:
+            raise ValueError(f"radius {r:g} is too large: the potential of {k} columns overflows")
+        return r
+
 
 @dataclass(frozen=True)
 class OptimizerTrace:
@@ -175,13 +191,14 @@ def minimize(
     below config.tight_tol, when no step length decreases the potential,
     or when the iteration budget is exhausted.  Start columns whose Gram
     degenerates are re-randomized (at most 10 times in total) from the same
-    seeded stream.
+    seeded stream.  Raises ValueError when k < n or when the radius is so
+    large that the potential overflows (see OptimizerConfig.radius_for).
     """
     if k < n:
         raise ValueError(f"need k >= n, got k={k}, n={n}")
     if config is None:
         config = OptimizerConfig()
-    r = config.radius if config.radius is not None else n / k
+    r = config.radius_for(spec, k, n)
     dims = spec.summand_dims
     rng = np.random.default_rng(config.seed)
     degen_tol = 1e-10
@@ -216,37 +233,40 @@ def minimize(
     stalled = False
 
     it = 0
-    while res > config.tight_tol and it < config.max_iters:
-        it += 1
-        grad = potential_gradient(F)
-        trial = step * 2.0
-        if previous is not None:
-            s, y = F.matrix - previous[0], grad - previous[1]
-            sy = _real_inner(s, y)
-            if sy > 0:
-                trial = _real_inner(s, s) / sy
-        previous = (F.matrix, grad)
-        accepted = None
-        for _ in range(60):
-            candidates += 1
-            try:
-                cand = retract_spherical(Frame(F.matrix - trial * grad), r, degen_tol)
-            except DegenerateColumnError:
+    # an overflowing candidate has a non-finite excess, which is never below
+    # the current one, so it is rejected like any other non-decrease
+    with np.errstate(over="ignore", invalid="ignore"):
+        while res > config.tight_tol and it < config.max_iters:
+            it += 1
+            grad = potential_gradient(F)
+            trial = step * 2.0
+            if previous is not None:
+                s, y = F.matrix - previous[0], grad - previous[1]
+                sy = _real_inner(s, y)
+                if sy > 0:
+                    trial = _real_inner(s, s) / sy
+            previous = (F.matrix, grad)
+            accepted = None
+            for _ in range(60):
+                candidates += 1
+                try:
+                    cand = retract_spherical(Frame(F.matrix - trial * grad), r, degen_tol)
+                except DegenerateColumnError:
+                    trial *= 0.5
+                    continue
+                cand_excess, cand_defects = _defects(cand, b_target)
+                if cand_excess < excess:
+                    accepted = (cand, cand_excess, cand_defects, trial)
+                    break
                 trial *= 0.5
-                continue
-            cand_excess, cand_defects = _defects(cand, b_target)
-            if cand_excess < excess:
-                accepted = (cand, cand_excess, cand_defects, trial)
+            if accepted is None:
+                # no decrease found at any step length: stationary to roundoff
+                stalled = True
                 break
-            trial *= 0.5
-        if accepted is None:
-            # no decrease found at any step length: stationary to roundoff
-            stalled = True
-            break
-        F, excess, defects, step = accepted
-        # only accepted iterates pay for the SVD behind the stopping test
-        res = _residual(defects)
-        iterates.append((it, pot_floor + excess, res))
+            F, excess, defects, step = accepted
+            # only accepted iterates pay for the SVD behind the stopping test
+            res = _residual(defects)
+            iterates.append((it, pot_floor + excess, res))
 
     if res <= config.tight_tol:
         stop_reason = "converged"

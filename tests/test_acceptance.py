@@ -259,8 +259,8 @@ def test_criterion_5_partition_enumeration():
             if ours != oracle:
                 mismatches += 1
     spot = (
-        len(enumerate_partitions(4, 2)) == 4
-        and len(enumerate_partitions(6, 3)) == 11
+        len(list(enumerate_partitions(4, 2))) == 4
+        and len(list(enumerate_partitions(6, 3))) == 11
     )
     elapsed = time.time() - t0
     ok = mismatches == 0 and spot and elapsed < 10

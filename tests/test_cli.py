@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,32 @@ class TestArgumentContract:
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_partitions_nonpositive_k_exits_3(self, capsys, k):
         assert main(["partitions", "--k", k, "--kprime", "1"]) == 3
+
+    @pytest.mark.parametrize("radius", ["1e200", "1e155", "1.7e308"])
+    def test_overflowing_radius_exits_3_before_writing(self, tmp_path, capsys, radius):
+        # the potential of 3 columns at this radius is past the float range
+        out = tmp_path / "f.json"
+        rc = main(self.MIN + ["--radius", radius, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: radius")
+        assert not out.exists()
+
+    def test_library_minimize_rejects_overflowing_radius(self):
+        from ncframes import AlgebraSpec, OptimizerConfig, minimize
+
+        with pytest.raises(ValueError, match="radius"):
+            minimize(AlgebraSpec((1,)), 3, 2, OptimizerConfig(radius=1e200))
+
+    def test_overflowing_step_stalls_without_warning(self, tmp_path, capsys):
+        # every candidate overflows, so none decreases the potential
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(capsys, *self.MIN, "--step-size", "1e300", "--max-iters", "5",
+                          "--out", str(tmp_path / "m.json"))
+        assert rc == 1
+        assert json.loads(out)["stop_reason"] == "stalled"
 
 
 class TestMinimize:

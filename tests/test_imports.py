@@ -1,0 +1,73 @@
+"""The runtime imports numpy and the standard library only.
+
+scipy costs more than the rest of `import ncframes.cli` together, so it
+stays a test-only dependency: the CLI must run every frame command without
+loading it, and no module of the package may import anything else.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ncframes
+
+PACKAGE = Path(ncframes.__file__).resolve().parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+from ncframes.cli import main
+
+d = sys.argv[1]
+frame, unitary, minimized = d + "/f.json", d + "/u.json", d + "/m.json"
+runs = [
+    ["gen", "--algebra", "2,1", "--k", "4", "--n", "2", "--seed", "1", "--out", frame],
+    ["verify", frame],
+    ["analyze", frame],
+    ["factorize", frame, "--out", unitary],
+    ["minimize", "--algebra", "1", "--k", "3", "--n", "2", "--out", minimized],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_cli_commands_leave_scipy_unloaded(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0, 0, 0, 0, 0]
+    assert doc["scipy"] == []
+
+
+def _absolute_imports(path: Path):
+    """(line, top-level module) of every non-relative import in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_numpy_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ncframes"}
+    foreign = [
+        f"{path.name}:{line} imports {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _absolute_imports(path)
+        if name not in allowed
+    ]
+    assert foreign == []

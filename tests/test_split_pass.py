@@ -10,10 +10,6 @@ projections), so residuals are held to 1e-12 and verdicts to equality.
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,12 +181,3 @@ def test_components_match_scipy(k):
         adj = upper | upper.T
         _, labels = connected_components(adj, directed=False)
         assert _components(adj) == _canonical(labels), density
-
-
-def test_cli_import_leaves_scipy_sparse_out():
-    src = str(Path(ncframes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, ncframes.cli; sys.exit('scipy.sparse' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
