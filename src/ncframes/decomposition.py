@@ -23,6 +23,8 @@ underlying matrices are 0-indexed.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -299,9 +301,11 @@ def enumerate_partitions(k: int, kprime: int) -> Iterator[Partition]:
     Canonical order: each block is listed with its elements ascending,
     blocks are ordered by smallest element, and the partitions themselves
     come out sorted lexicographically.  The block holding the smallest
-    element grows depth-first, element by element in ascending order, and
-    is emitted before its extensions; that pre-order is the lexicographic
-    order of the blocks, so nothing is stored or sorted.
+    element is chosen from one itertools.combinations stream per admissible
+    size; each stream is lexicographic and a prefix sorts first, so
+    heapq.merge of the streams yields the blocks in lexicographic order
+    without storing or sorting them, and builds only blocks of an allowed
+    size.
     """
     if kprime < 1 or k % kprime != 0:
         raise ValueError(f"kprime={kprime} does not divide k={k}")
@@ -310,18 +314,13 @@ def enumerate_partitions(k: int, kprime: int) -> Iterator[Partition]:
         if not remaining:
             yield ()
             return
-
-        def blocks(block: tuple[int, ...], start: int):
-            # blocks extending `block` by elements of remaining[start:]
-            if len(block) % kprime == 0:
-                yield block
-            for pos in range(start, len(remaining)):
-                yield from blocks(block + (remaining[pos],), pos + 1)
-
-        for block in blocks(remaining[:1], 1):
-            left = tuple(i for i in remaining if i not in block)
+        anchor, rest = remaining[0], remaining[1:]
+        sizes = range(kprime, len(remaining) + 1, kprime)
+        for extra in heapq.merge(*(itertools.combinations(rest, s - 1) for s in sizes)):
+            taken = set(extra)
+            left = tuple(i for i in rest if i not in taken)
             for tail in grow(left):
-                yield (block,) + tail
+                yield ((anchor,) + extra,) + tail
 
     # a generator expression, so that a bad kprime raises at the call
     return (Partition(k, blocks) for blocks in grow(tuple(range(1, k + 1))))

@@ -18,7 +18,9 @@ complete_to_unitary, behind the normal form F = sqrt(b) [I_n | 0] U, needs
 numpy only: greedy column pivoting of the projector P = I - M*M picks the
 column whose residual is longest, and because P*P = P those squared
 residuals are the diagonal of P's Schur complement, so the pivots come from
-a pivoted Cholesky of P and one unpivoted QR of the pivot columns.
+a pivoted Cholesky of P and one unpivoted QR of the pivot columns.  Exact
+ties, as on symmetric frames, go to the lowest index rather than to
+whichever column roundoff favours.
 """
 
 from __future__ import annotations
@@ -321,8 +323,15 @@ def _greedy_pivots(proj: np.ndarray, want: int) -> np.ndarray:
     residual after the chosen ones is longest.  For a Hermitian projector
     P = P*P the squared residual norms are the diagonal of the Schur
     complement of the chosen columns in P, so the rule is pivoted Cholesky
-    of P (Higham 1990): argmax of the remaining diagonal, lowest index on
-    ties as LAPACK's idamax picks, one left-looking column per pivot.
+    of P (Higham 1990): the largest remaining diagonal entry, one
+    left-looking column per pivot.
+
+    Ties go to the lowest index, and remainders within 1e-12 of the largest
+    count as tied.  Symmetric frames (Mercedes, harmonic, equal-norm) tie
+    exactly, and there LAPACK's pivoted QR picks by the roundoff of its
+    column-norm downdates, so it may choose another, equally long column;
+    the two rules agree in exact arithmetic and wherever the longest
+    residual leads by more than roundoff, as on generic frames.
 
     Raises NotCoisometricError, instead of dividing, when the largest
     remainder is not positive.  On a projector the remainders stay in
@@ -335,9 +344,10 @@ def _greedy_pivots(proj: np.ndarray, want: int) -> np.ndarray:
     piv = np.zeros(want, dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(want):
-            p = int(np.argmax(rest))  # NaN, should one appear, is taken first
-            if not rest[p] > 0:  # written so that NaN fails
-                raise NotCoisometricError(float(np.sqrt(max(rest[p], 0.0))), 1e-8)
+            top = rest.max()  # NaN, should one appear
+            if not top > 0:  # written so that NaN fails
+                raise NotCoisometricError(float(np.sqrt(max(top, 0.0))), 1e-8)
+            p = int(np.argmax(rest >= top - 1e-12))
             col = (proj[:, p] - chol[:, :j] @ chol[p, :j].conj()) / np.sqrt(rest[p])
             chol[:, j] = col
             rest -= col.real**2 + col.imag**2
@@ -353,8 +363,9 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
     deterministic orthonormal basis of the orthogonal complement of the row
     space.  Per summand, the (k - n) * m greedy pivots of the projector
     P = I - M*M (the column longest after the chosen ones, lowest index on
-    ties) are found by pivoted Cholesky of P, which on a projector is the
-    same rule as LAPACK's pivoted QR of P; the added rows are the conjugated
+    ties up to 1e-12) are found by pivoted Cholesky of P, which on a
+    projector is, in exact arithmetic, the rule of LAPACK's pivoted QR of P
+    (see _greedy_pivots for ties); the added rows are the conjugated
     Q of a QR of the pivot columns, each row's leading entry made real
     positive.  For [I | 0] the added rows are the trailing standard basis
     rows in ascending order.

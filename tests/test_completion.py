@@ -14,8 +14,12 @@ import pytest
 import scipy.linalg
 from conftest import make_mercedes
 
-from ncframes import AlgebraSpec, AMatrix, factorize, random_tight_frame, random_unitary
-from ncframes.module import NotCoisometricError, _greedy_pivots, complete_to_unitary
+from ncframes import (
+    AlgebraSpec, AMatrix, direct_sum_frames, factorize, random_tight_frame, random_unitary
+)
+from ncframes.module import (
+    NotCoisometricError, _greedy_pivots, complete_to_unitary, is_unitary
+)
 
 SPECS = [(1,), (2,), (2, 1), (3, 2), (3,)]
 # the shapes of the bulk-pipeline benchmark workload
@@ -64,6 +68,66 @@ def test_factorize_matches_scipy_on_bulk_shapes(dims, k, n):
     for m, out in zip(dims, result.unitary.blocks):
         rows, _ = _scipy_rows(out[: n * m], (k - n) * m)
         np.testing.assert_allclose(out[n * m :], rows, rtol=0, atol=1e-13)
+
+
+def _scalar_coisometry(spec, rows):
+    """The coisometry with scalar entries rows[i][j] (times 1 in each summand)."""
+    return AMatrix.from_entries([[spec.from_scalar(z) for z in row] for row in rows])
+
+
+def _tied_coisometries(spec):
+    """Coisometries of symmetric frames, whose projector columns tie exactly."""
+    mercedes = make_mercedes(spec)
+    for copies in (1, 2, 3):
+        F = direct_sum_frames([mercedes] * copies, 1.5)
+        yield f"mercedes x{copies}", np.sqrt(2 / 3) * F.matrix
+    for k in range(3, 9):
+        angles = np.pi * np.arange(k) / k  # equal-norm real frame in R^2
+        yield f"real 2x{k}", _scalar_coisometry(
+            spec, np.sqrt(2 / k) * np.vstack([np.cos(angles), np.sin(angles)])
+        )
+        for n in range(1, k):
+            for shift in (0, 1):  # harmonic: n rows of the k-point DFT
+                dft = np.exp(2j * np.pi * np.outer(np.arange(shift, n + shift), np.arange(k)) / k)
+                yield f"harmonic {n}x{k}+{shift}", _scalar_coisometry(spec, dft / np.sqrt(k))
+
+
+def _residuals(proj, chosen):
+    """Squared residual norms of proj's columns after the chosen columns."""
+    rest = proj
+    if chosen:
+        q, _ = np.linalg.qr(proj[:, chosen])
+        rest = proj - q @ (q.conj().T @ proj)
+    return np.sum(np.abs(rest) ** 2, axis=0)
+
+
+@pytest.mark.parametrize("dims", SPECS)
+def test_exact_ties_go_to_the_lowest_index(dims):
+    # the rule, recomputed from scratch: each pivot is the lowest index
+    # whose residual is within 1e-12 of the longest.  Where LAPACK's pivots
+    # differ, its first different pick ties with ours, so both are greedy.
+    spec = AlgebraSpec(dims)
+    differ = 0
+    for name, M in _tied_coisometries(spec):
+        U = complete_to_unitary(M)
+        assert is_unitary(U, 1e-12), name
+        for m, flat, out in zip(dims, M.blocks, U.blocks):
+            np.testing.assert_array_equal(out[: M.rows * m], flat)
+            want = (M.cols - M.rows) * m
+            proj = np.eye(M.cols * m, dtype=complex) - flat.conj().T @ flat
+            ours = _greedy_pivots(proj, want).tolist()
+            for j in range(want):
+                res = _residuals(proj, ours[:j])
+                res[ours[:j]] = -np.inf
+                assert ours[j] == int(np.argmax(res >= res.max() - 1e-12)), (name, j)
+            theirs = _scipy_rows(flat, want)[1].tolist()
+            if ours != theirs:
+                differ += 1
+                j = next(i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b)
+                res = _residuals(proj, ours[:j])
+                assert abs(res[ours[j]] - res[theirs[j]]) <= 1e-12, (name, j)
+    # the ties are real: LAPACK breaks some of them differently
+    assert differ > 0
 
 
 def _no_warning_completion(M, tol):

@@ -317,6 +317,25 @@ class TestEnumeratePartitions:
         with pytest.raises(ValueError):
             enumerate_partitions(5, 2)
 
+    def test_yields_in_sorted_order(self):
+        for k in range(1, 9):
+            for kprime in range(1, k + 1):
+                if k % kprime == 0:
+                    blocks = [p.blocks for p in enumerate_partitions(k, kprime)]
+                    assert blocks == sorted(blocks), (k, kprime)
+
+    @pytest.mark.parametrize("k", [40, 1500])
+    def test_whole_set_only_at_large_k(self, k):
+        # only blocks of an admissible size are built, and the nesting is as
+        # deep as the number of blocks, not as long as a block
+        (only,) = enumerate_partitions(k, k)
+        assert only.blocks == (tuple(range(1, k + 1)),)
+
+    def test_first_partition_without_the_rest(self):
+        # C(59, 29) + 1 partitions: the generator must not build them all
+        first = next(enumerate_partitions(60, 30))
+        assert first.blocks == (tuple(range(1, 31)), tuple(range(31, 61)))
+
     def test_count_matches_enumeration(self):
         for k in range(1, 11):
             for kprime in range(1, k + 1):
