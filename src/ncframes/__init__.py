@@ -16,6 +16,7 @@ from .decomposition import (
     divisibility_check,
     enumerate_partitions,
     ortho_decompose,
+    range_constant,
     range_projection,
     restrict,
     split_equivalence,

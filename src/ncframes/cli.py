@@ -26,7 +26,7 @@ from .decomposition import (
     direct_sum_frames,
     enumerate_partitions,
     ortho_decompose,
-    restrict,
+    range_constant,
     split_equivalence,
 )
 from .frames import (
@@ -133,12 +133,12 @@ def cmd_analyze(args) -> int:
     spherical = is_spherical(F, args.tol)
     blocks_doc = []
     for blk, flag in zip(sigma.blocks, div.per_block):
-        sub = report if len(blk) == F.k else check_tight(restrict(F, blk), args.tol)
+        b = report.b if len(blk) == F.k else range_constant(F, blk, args.tol)
         blocks_doc.append(
             {
                 "columns": list(blk),
                 "size": len(blk),
-                "b": sub.b,
+                "b": b,
                 "commutation_residual": commutation_residual(F, blk),
                 "size_divisible": flag,
             }

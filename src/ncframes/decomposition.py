@@ -11,7 +11,11 @@ and how far the two range projections fall short of the identity, these
 last three from one batched eigvalsh per summand.  One tolerance tol means the same in every
 verdict here: a frame is tight when ||FF* - bI|| <= tol * max(1, b)
 (check_tight), a Gram entry is an edge when its norm exceeds that same
-bound (ortho_decompose), and split_equivalence allows k times it.  Block
+bound (ortho_decompose), and split_equivalence allows k times it.  An edge
+is decided per summand from the bracket ||X||_2 <= ||X||_F <= sqrt(m) ||X||_2
+on the entry's m x m block X: a Frobenius norm at most the bound, or
+above sqrt(m) times it, settles the entry, and only the entries in between
+pay for an SVD, so the graph is exactly the one the entry norms give.  Block
 sizes of a strict-spherical tight frame are forced to be multiples of
 k' = k / gcd(k, n), which picks out the admissible partitions enumerated
 here.
@@ -31,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _spectral_norm
+from .algebra import _spectral_norm, _spectral_norms
 from .frames import (
     Frame,
     NotTightError,
@@ -48,6 +52,7 @@ __all__ = [
     "ortho_decompose",
     "restrict",
     "range_projection",
+    "range_constant",
     "split_equivalence",
     "divisibility_check",
     "enumerate_partitions",
@@ -156,10 +161,35 @@ def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
     report = check_tight(F, tol)
     if not report.is_tight:
         raise NotTightError(report.residual, tol)
-    adj = gram_matrix(F).entry_norms() > tol * max(1.0, report.b)
+    adj = _edges(gram_matrix(F), tol * max(1.0, report.b))
     np.fill_diagonal(adj, False)
     blocks = [tuple(i + 1 for i in blk) for blk in _components(adj)]
     return Partition(F.k, tuple(blocks))
+
+
+# Relative slack on both ends of the Frobenius bracket in _edges: far above
+# the few ulps of roundoff in either norm, so no entry the bracket settles
+# could fall on the other side of t by its singular value.
+_BRACKET_MARGIN = 1e-12
+
+
+def _edges(G: AMatrix, t: float) -> np.ndarray:
+    """G.entry_norms() > t, with an SVD only where the bracket cannot decide.
+
+    Per summand, an m x m entry X has ||X||_2 <= ||X||_F <= sqrt(m) ||X||_2,
+    so ||X||_F <= t settles ||X||_2 <= t and ||X||_F > sqrt(m) t settles
+    ||X||_2 > t.  The entries are divided by t before squaring, so neither
+    test underflows or overflows near the bound.
+    """
+    adj = np.zeros((G.rows, G.cols), dtype=bool)
+    for m, g in zip(G.spec.summand_dims, G.grids):
+        z = g / t
+        fro = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=(2, 3)))
+        adj |= fro > math.sqrt(m) * (1.0 + _BRACKET_MARGIN)
+        undecided = ~adj & (fro > 1.0 - _BRACKET_MARGIN)
+        if undecided.any():
+            adj[undecided] = _spectral_norms(g[undecided]) > t
+    return adj
 
 
 def _components(adj: np.ndarray) -> list[list[int]]:
@@ -199,7 +229,29 @@ def _range_basis(x: np.ndarray, tol: float) -> np.ndarray:
     tol * max(1, s_max); the rest count as zero.
     """
     u, s, _ = np.linalg.svd(x, full_matrices=False)
-    return u[:, : int(np.sum(s > tol * max(1.0, s[0])))]
+    return u[:, : _rank(s, tol)]
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """How many of the descending singular values s exceed tol * max(1, s_max)."""
+    return int(np.sum(s > tol * max(1.0, s[0])))
+
+
+def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
+    """The constant b of the columns I as a tight frame on their own range.
+
+    Per summand, trace(F_I F_I*) divided by the rank of F_I (the rank rule
+    of range_projection), averaged over the summands where that rank is
+    positive; 0.0 when it is zero in all of them.  For the columns of a
+    block of a tight frame's ortho-decomposition this is the frame's b,
+    where check_tight(restrict(F, I)) would divide by the full n * m_j.
+    """
+    per_b = []
+    for y in restrict(F, I).matrix.blocks:
+        rank = _rank(np.linalg.svd(y, compute_uv=False), tol)
+        if rank:
+            per_b.append(float(np.vdot(y, y).real) / rank)
+    return float(np.mean(per_b)) if per_b else 0.0
 
 
 def range_projection(F: Frame, tol: float = 1e-9) -> AMatrix:

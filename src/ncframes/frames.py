@@ -11,7 +11,7 @@ over matrix blocks the sum can strictly dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,9 +53,16 @@ class NotTightError(ValueError):
 
 @dataclass(frozen=True)
 class Frame:
-    """k columns in A^n, stored as the n x k matrix [f_1, ..., f_k]."""
+    """k columns in A^n, stored as the n x k matrix [f_1, ..., f_k].
+
+    _tightness is check_tight's memo: per tol, a byte snapshot of the
+    summand blocks beside the report computed from them.  A new Frame, even
+    over the same matrix, starts with an empty memo; it takes no part in
+    construction, equality or repr.
+    """
 
     matrix: AMatrix
+    _tightness: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def spec(self) -> AlgebraSpec:
@@ -121,9 +128,20 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     frame is reported tight when the worst-summand residual is within
     tol * max(1, b), the per-summand estimates agree to the same tolerance,
     and b > tol.
+
+    The report is memoized on F per tol, beside a copy of the bytes of F's
+    summand blocks; it is reused only while those bytes compare equal, so a
+    write into the blocks in place (through AMatrix.grids, say) gets a fresh
+    report.  A caller that runs split_equivalence over many column subsets
+    of one frame then pays for FF* and its SVDs once, and ortho_decompose
+    reuses the check its caller already made.
     """
     if not 0 < tol < np.inf:  # written so that NaN fails
         raise ValueError("tol must be finite and positive")
+    snapshot = tuple(x.tobytes() for x in F.matrix.blocks)
+    cached = F._tightness.get(tol)
+    if cached is not None and cached[0] == snapshot:
+        return cached[1]
     n = F.n
     per_b, defects = [], []
     for m, x in zip(F.spec.summand_dims, F.matrix.blocks):
@@ -137,7 +155,9 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     scale = max(1.0, abs(b))
     spread = max(abs(bj - b) for bj in per_b)
     is_tight = residual <= tol * scale and spread <= tol * scale and b > tol
-    return TightnessReport(b, residual, is_tight, tuple(per_b))
+    report = TightnessReport(b, residual, is_tight, tuple(per_b))
+    F._tightness[tol] = (snapshot, report)
+    return report
 
 
 def scalar_definition_check(

@@ -541,3 +541,19 @@ def test_fuzzed_gen_argv_keeps_exit_codes(fuzz_files, algebra, k, n, extra):
 )
 def test_fuzzed_verify_argv_keeps_exit_codes(fuzz_files, name, extra):
     _check_contract(*_run_quietly(["verify", str(fuzz_files / name)] + extra))
+
+
+def test_analyze_reports_each_block_constant_on_its_range(tmp_path, capsys):
+    # both parts are tight with b = 1.5 on their own ranges, C^2 and C^4;
+    # over the whole C^6 their traces would read 0.5 and 1.0
+    from ncframes import AlgebraSpec, direct_sum_frames, random_tight_frame
+
+    spec = AlgebraSpec((1,))
+    parts = [random_tight_frame(spec, 3, 2, 1.5, 1), random_tight_frame(spec, 6, 4, 1.5, 2)]
+    path = tmp_path / "sum.json"
+    save_frame(path, direct_sum_frames(parts, 1.5))
+    rc, out = run(capsys, "analyze", str(path))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["partition"] == [[1, 2, 3], [4, 5, 6, 7, 8, 9]]
+    assert [blk["b"] for blk in doc["blocks"]] == [pytest.approx(1.5, abs=1e-12)] * 2

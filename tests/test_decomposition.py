@@ -392,3 +392,80 @@ class TestDirectSum:
         other = Frame(AMatrix.identity(scalar_spec, 2))  # b = 1 != 3/2
         with pytest.raises(NotTightError):
             direct_sum_frames([mercedes, other], b=1.5)
+
+
+class TestEdgeBracket:
+    """ortho_decompose's edges, settled by the Frobenius bracket where it can,
+    must be exactly the entries whose C*-norm exceeds the bound."""
+
+    SPECS = [(1,), (2,), (2, 1), (3, 2)]
+
+    @pytest.mark.parametrize("dims", SPECS)
+    def test_matches_entry_norms_on_frames(self, dims, monkeypatch):
+        from ncframes import decomposition
+
+        spec = AlgebraSpec(dims)
+        parts = [random_tight_frame(spec, k, n, seed=20 + k) for k, n in [(3, 2), (4, 3), (2, 1)]]
+        frames = [random_tight_frame(spec, 7, 4, seed=1), direct_sum_frames(parts, 1.0)]
+        svd_entries = []
+        real = decomposition._spectral_norms
+
+        def counted(stack):
+            svd_entries.append(len(stack))
+            return real(stack)
+
+        monkeypatch.setattr(decomposition, "_spectral_norms", counted)
+        for F in frames:
+            G = gram_matrix(F)
+            norms = G.entry_norms()
+            for t in np.logspace(-9, 0, 28):
+                assert np.array_equal(decomposition._edges(G, t), norms > t), t
+            # at the default bound every nonzero entry is far above it
+            svd_entries.clear()
+            decomposition._edges(G, 1e-9)
+            assert svd_entries == []
+
+    @pytest.mark.parametrize("dims", SPECS)
+    @pytest.mark.parametrize("t", [1e-9, 1e-3, 1.0])
+    def test_matches_entry_norms_at_both_ends_of_the_bracket(self, dims, t):
+        # a rank-one entry has ||X||_F = ||X||_2 and a multiple of a unitary
+        # ||X||_F = sqrt(m) ||X||_2; each is put with its Frobenius norm at
+        # t (1 +- 1e-13) or sqrt(m) t (1 +- 1e-13), inside the margins
+        from ncframes.decomposition import _edges
+
+        spec = AlgebraSpec(dims)
+        rng = np.random.default_rng(len(dims) * 10 + int(-np.log10(t)))
+        k = 8
+        grids = []
+        for m in dims:
+            grid = np.zeros((k, k, m, m), dtype=complex)
+            for i, j in itertools.product(range(k), repeat=2):
+                z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                if rng.random() < 0.5:
+                    x = np.outer(z[:, 0], z[0].conj())
+                else:
+                    x = np.linalg.qr(z)[0]
+                frob = t * (1.0 + rng.choice([-1e-13, 1e-13]))
+                frob *= math.sqrt(m) if rng.random() < 0.5 else 1.0
+                grid[i, j] = x * (frob / np.linalg.norm(x))
+            grids.append(grid)
+        G = AMatrix.from_grids(spec, grids)
+        want = G.entry_norms() > t
+        assert np.array_equal(_edges(G, t), want)
+        assert want.any() and not want.all()
+
+
+def test_block_constants_on_their_own_ranges():
+    # over C + C, f_1 lives in the first summand and f_2 in the second: each
+    # column is its own block, tight with b = 1 on its range, and the summand
+    # where a block has no range does not count
+    from ncframes import range_constant
+
+    spec = AlgebraSpec((1, 1))
+    F = Frame(AMatrix(spec, 1, 2, (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))))
+    assert ortho_decompose(F).blocks == ((1,), (2,))
+    assert range_constant(F, [1]) == range_constant(F, [2]) == 1.0
+    parts = [random_tight_frame(AlgebraSpec((2, 1)), k, n, 1.5, seed=k) for k, n in [(3, 2), (5, 3)]]
+    F = direct_sum_frames(parts, 1.5)
+    for blk in ortho_decompose(F).blocks:
+        assert range_constant(F, blk) == pytest.approx(1.5, abs=1e-12)

@@ -455,3 +455,19 @@ class TestStepRule:
                 candidates += trace.candidates
                 iterations += trace.iterates[-1][0]
         assert candidates <= 1.5 * iterations
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+@pytest.mark.parametrize("radius", [1.0, None])
+def test_stationary_start_accepts_no_roundoff_step(monkeypatch, dims, radius):
+    # from 1_A e_0, 1_A e_0, 1_A e_1 every step is undone by the retraction,
+    # so candidates differ from the start by a few ulps at most; none of
+    # them may pass for a decrease
+    spec = AlgebraSpec(dims)
+    one, zero = spec.identity(), spec.zero()
+    start = AMatrix.from_entries([[one, one, zero], [zero, zero, one]])
+    monkeypatch.setattr(AMatrix, "random", classmethod(lambda cls, spec, rows, cols, rng: start))
+    trace = minimize(spec, 3, 2, OptimizerConfig(radius=radius))
+    assert trace.stop_reason == "stalled"
+    assert len(trace.iterates) == 1
+    assert trace.candidates == trace.backtracks == 60
