@@ -68,11 +68,6 @@ class AlgebraSpec:
     def num_summands(self) -> int:
         return len(self.summand_dims)
 
-    @property
-    def total_dim(self) -> int:
-        """Complex dimension sum m_j**2."""
-        return sum(m * m for m in self.summand_dims)
-
     def identity(self) -> "AlgebraElement":
         return AlgebraElement(
             self, tuple(np.eye(m, dtype=complex) for m in self.summand_dims)

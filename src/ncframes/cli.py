@@ -163,9 +163,7 @@ def cmd_factorize(args) -> int:
     except NotTightError as exc:
         _emit({"error": str(exc), "residual": exc.residual}, args.output)
         return 1
-    doc = io.encode_amatrix(result.unitary)
-    doc["b"] = result.b
-    io.write_json(args.out, doc)
+    io.save_amatrix(args.out, result.unitary, b=result.b)
     _emit(
         {
             "b": result.b,

@@ -84,19 +84,6 @@ class Partition:
             raise ValueError(f"blocks do not cover 1..{self.k}")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(blk) for blk in self.blocks)
-
-    def relabeled(self, perm: Sequence[int]) -> "Partition":
-        """Apply a relabeling i -> perm[i-1] (perm is a 1-based image list)."""
-        return Partition(
-            self.k, tuple(tuple(perm[i - 1] for i in blk) for blk in self.blocks)
-        )
-
 
 @dataclass(frozen=True)
 class DivisibilityReport:

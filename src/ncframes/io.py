@@ -4,21 +4,30 @@ Complex numbers are written as [re, im] pairs and matrix blocks row-major,
 so files are language-neutral and diff-able; Python's shortest-repr float
 serialization makes read/write round trips bit-identical on the numeric
 payload.  Frame files carry the algebra, the shape, the k columns (each a
-list of n element encodings) and optional metadata.  Each summand is
-encoded and decoded as one array; decoding rejects with FormatError a
-payload of the wrong shape, with a shape or block size that is not a
-JSON integer, with a non-finite entry, or with entries so large that the
-trace of M M* overflows (so M M* cannot be formed finitely).
+list of n element encodings) and optional metadata; matrix files carry the
+algebra, the shape and the row-major entries.
+
+A file is rendered in one pass: a "%r" template of the payload's nesting,
+built from the algebra and the shape, is filled with every float in file
+order by a single string formatting, and spliced into the json.dumps text
+of the rest of the document.  "%r" calls float.__repr__, as json.dumps
+does, so the bytes equal json.dumps of the nested lists plus a newline.
+A non-finite entry raises ValueError before the file is opened.
+
+Decoding takes one array per summand over the nested lists; it rejects
+with FormatError a payload of the wrong shape, with a shape or block size
+that is not a JSON integer, with a non-finite entry, or with entries so
+large that the trace of M M* overflows (so M M* cannot be formed finitely).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraSpec
+from .algebra import AlgebraSpec
 from .frames import Frame, TightnessReport
 from .module import AMatrix
 
@@ -26,8 +35,6 @@ __all__ = [
     "FormatError",
     "encode_spec",
     "decode_spec",
-    "encode_element",
-    "decode_element",
     "encode_amatrix",
     "decode_amatrix",
     "encode_frame_file",
@@ -35,7 +42,7 @@ __all__ = [
     "encode_tightness_report",
     "load_frame",
     "save_frame",
-    "load_amatrix",
+    "save_amatrix",
     "write_json",
 ]
 
@@ -62,32 +69,127 @@ def decode_spec(data: Any) -> AlgebraSpec:
         raise FormatError(f"bad algebra spec: {exc}") from exc
 
 
-def _pairs(blocks: np.ndarray) -> list:
-    """[re, im] pair lists of (..., m, m) blocks, each block row-major."""
-    pairs = np.stack([blocks.real, blocks.imag], axis=-1)
-    return pairs.reshape(blocks.shape[:-2] + (-1, 2)).tolist()
+# -- writing ---------------------------------------------------------------
+
+# stands in for the payload in the json.dumps text of the rest of a document
+_PAYLOAD = "payload"
 
 
-def _encode_entries(M: AMatrix) -> list:
-    """Row-major list of the entry encodings, one array pass per summand."""
-    per_summand = [_pairs(grid) for grid in M.grids]
-    return [list(entry) for row in zip(*per_summand) for entry in zip(*row)]
+def _list(items) -> str:
+    return "[" + ", ".join(items) + "]"
 
 
-def _decode_entries(entries: list, spec: AlgebraSpec, rows: int, cols: int) -> AMatrix:
-    """Inverse of _encode_entries; rejects wrong shapes and non-finite values."""
-    if len(entries) != rows * cols:
-        raise FormatError("entry count does not match shape")
-    if any(len(e) != spec.num_summands for e in entries):
+def _template(dims: tuple[int, ...], shape: tuple[int, ...]) -> str:
+    """The "%r" text of nested lists of the given shape of entries over A.
+
+    An entry is one list per summand of its m*m [re, im] pairs, row-major.
+    """
+    text = _list(_list(["[%r, %r]"] * (m * m)) for m in dims)
+    for count in reversed(shape):
+        text = _list([text] * count)
+    return text
+
+
+def _render(doc: dict, spec: AlgebraSpec, shape: tuple, grids: Sequence[np.ndarray]) -> str:
+    """json.dumps(doc), with the entries of grids as nested lists of shape at _PAYLOAD.
+
+    grids holds, per summand, an array of m x m entries in file order.
+    """
+    values = np.concatenate(
+        [g.reshape(-1, m * m) for m, g in zip(spec.summand_dims, grids)], axis=1
+    ).view(float).ravel()
+    if not np.isfinite(values).all():
+        raise ValueError("cannot write a non-finite matrix entry")
+    # every key before the payload holds integers, so the first match is the payload
+    text = json.dumps(doc).replace("%", "%%")
+    text = text.replace(json.dumps(_PAYLOAD), _template(spec.summand_dims, shape), 1)
+    return text % tuple(values.tolist())
+
+
+def _frame_text(F: Frame, metadata: dict | None) -> str:
+    doc = {
+        "algebra": encode_spec(F.spec),
+        "n": F.n,
+        "k": F.k,
+        "columns": _PAYLOAD,
+        "kind": "frame",
+    }
+    if metadata:
+        doc["metadata"] = metadata
+    return _render(doc, F.spec, (F.k, F.n), [g.swapaxes(0, 1) for g in F.matrix.grids])
+
+
+def _amatrix_text(M: AMatrix, extra: dict) -> str:
+    doc = {
+        "algebra": encode_spec(M.spec),
+        "rows": M.rows,
+        "cols": M.cols,
+        "entries": _PAYLOAD,
+    }
+    if doc.keys() & extra.keys():
+        raise ValueError(f"extra keys {sorted(doc.keys() & extra.keys())} are reserved")
+    doc.update(extra)
+    return _render(doc, M.spec, (M.rows * M.cols,), M.grids)
+
+
+def encode_amatrix(M: AMatrix) -> dict:
+    return json.loads(_amatrix_text(M, {}))
+
+
+def encode_frame_file(F: Frame, metadata: dict | None = None) -> dict:
+    return json.loads(_frame_text(F, metadata))
+
+
+def _write(path, text: str):
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def save_frame(path, F: Frame, metadata: dict | None = None):
+    _write(path, _frame_text(F, metadata))
+
+
+def save_amatrix(path, M: AMatrix, **extra):
+    """Write M as a matrix file; the keys of extra follow the entries."""
+    _write(path, _amatrix_text(M, extra))
+
+
+def write_json(path, doc):
+    """Write doc as one line of JSON.
+
+    json.dumps runs the C encoder; json.dump into a file does not.
+    """
+    _write(path, json.dumps(doc))
+
+
+# -- reading ---------------------------------------------------------------
+
+
+def _decode_grids(
+    data: Any, spec: AlgebraSpec, outer: int, inner: int, transpose: bool = False
+) -> list[np.ndarray]:
+    """Per summand, the (outer, inner, m, m) array of nested entry lists.
+
+    With transpose, the arrays are (inner, outer, m, m), laid out in that
+    order, so that from_grids gives the same blocks as for a row-major file.
+
+    Rejects wrong shapes, non-numeric or non-finite values, and entries so
+    large that the trace of the summand's M M* overflows.
+    """
+    if len(data) != outer or any(len(row) != inner for row in data):
+        raise FormatError("payload shape does not match the header")
+    if any(len(e) != spec.num_summands for row in data for e in row):
         raise FormatError("wrong number of blocks")
     grids = []
     for j, m in enumerate(spec.summand_dims):
-        arr = np.asarray([e[j] for e in entries])
+        arr = np.asarray([[e[j] for e in row] for row in data])
         if arr.dtype.kind not in "biuf":
             raise FormatError("block entries must be numbers")
-        if arr.shape != (rows * cols, m * m, 2):
+        if arr.shape != (outer, inner, m * m, 2):
             raise FormatError(f"summand {j} data has shape {arr.shape}")
-        arr = arr.astype(float)
+        if transpose:
+            arr = arr.swapaxes(0, 1)
+        arr = arr.astype(float, order="C")
         if not np.isfinite(arr).all():
             raise FormatError("non-finite matrix entry")
         flat = arr.ravel()
@@ -95,62 +197,28 @@ def _decode_entries(entries: list, spec: AlgebraSpec, rows: int, cols: int) -> A
             power = flat @ flat  # trace of the summand's M M*
         if not np.isfinite(power):
             raise FormatError(f"summand {j} entries too large: trace of M M* overflows")
-        grids.append(arr.view(complex).reshape(rows, cols, m, m))
-    return AMatrix.from_grids(spec, grids)
-
-
-def encode_element(elem: AlgebraElement) -> list:
-    return [_pairs(b) for b in elem.blocks]
-
-
-def decode_element(data: Any, spec: AlgebraSpec) -> AlgebraElement:
-    try:
-        return _decode_entries([data], spec, 1, 1).entry(0, 0)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise FormatError(f"bad element encoding: {exc}") from exc
-
-
-def encode_amatrix(M: AMatrix) -> dict:
-    return {
-        "algebra": encode_spec(M.spec),
-        "rows": M.rows,
-        "cols": M.cols,
-        "entries": _encode_entries(M),
-    }
+        grids.append(arr.view(complex).reshape(arr.shape[:2] + (m, m)))
+    return grids
 
 
 def decode_amatrix(data: Any) -> AMatrix:
     try:
         spec = decode_spec(data["algebra"])
         rows, cols = _json_int(data["rows"]), _json_int(data["cols"])
-        return _decode_entries(data["entries"], spec, rows, cols)
+        entries = data["entries"]
+        if len(entries) != rows * cols:
+            raise FormatError("entry count does not match shape")
+        nested = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+        return AMatrix.from_grids(spec, _decode_grids(nested, spec, rows, cols))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad matrix encoding: {exc}") from exc
-
-
-def encode_frame_file(F: Frame, metadata: dict | None = None) -> dict:
-    entries = _encode_entries(F.matrix)
-    doc = {
-        "algebra": encode_spec(F.spec),
-        "n": F.n,
-        "k": F.k,
-        "columns": [entries[j :: F.k] for j in range(F.k)],
-        "kind": "frame",
-    }
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
 
 
 def decode_frame_file(data: Any) -> Frame:
     try:
         spec = decode_spec(data["algebra"])
         n, k = _json_int(data["n"]), _json_int(data["k"])
-        columns = data["columns"]
-        if len(columns) != k or any(len(col) != n for col in columns):
-            raise FormatError("column shape does not match n, k")
-        entries = [col[i] for i in range(n) for col in columns]
-        return Frame(_decode_entries(entries, spec, n, k))
+        return Frame(AMatrix.from_grids(spec, _decode_grids(data["columns"], spec, k, n, True)))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad frame file: {exc}") from exc
 
@@ -164,15 +232,6 @@ def encode_tightness_report(report: TightnessReport) -> dict:
     }
 
 
-def write_json(path, doc):
-    """Write doc as one line of JSON.
-
-    json.dumps runs the C encoder; json.dump into a file does not.
-    """
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
-
-
 def _read_json(path) -> Any:
     try:
         with open(path) as fh:
@@ -181,13 +240,5 @@ def _read_json(path) -> Any:
         raise FormatError(f"not valid JSON: {exc}") from exc
 
 
-def save_frame(path, F: Frame, metadata: dict | None = None):
-    write_json(path, encode_frame_file(F, metadata))
-
-
 def load_frame(path) -> Frame:
     return decode_frame_file(_read_json(path))
-
-
-def load_amatrix(path) -> AMatrix:
-    return decode_amatrix(_read_json(path))

@@ -10,7 +10,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         AlgebraSpec((2, 0))
     spec = AlgebraSpec((2, 1))
-    assert spec.total_dim == 5
+    assert spec.summand_dims == (2, 1)
     assert spec.num_summands == 2
 
 

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -10,17 +12,62 @@ from ncframes.cli import main
 from ncframes.io import (
     FormatError,
     decode_amatrix,
-    decode_element,
     decode_frame_file,
     decode_spec,
     encode_amatrix,
-    encode_element,
     encode_frame_file,
     encode_spec,
-    load_amatrix,
     load_frame,
+    save_amatrix,
     save_frame,
 )
+
+
+# -- the nested-list encoder, kept as the reference for the writer ------------
+
+
+def _pairs(blocks):
+    """[re, im] pair lists of (..., m, m) blocks, each block row-major."""
+    pairs = np.stack([blocks.real, blocks.imag], axis=-1)
+    return pairs.reshape(blocks.shape[:-2] + (-1, 2)).tolist()
+
+
+def encode_element(elem):
+    return [_pairs(b) for b in elem.blocks]
+
+
+def reference_entries(M):
+    """Row-major list of the entry encodings, one array pass per summand."""
+    per_summand = [_pairs(grid) for grid in M.grids]
+    return [list(entry) for row in zip(*per_summand) for entry in zip(*row)]
+
+
+def reference_amatrix_doc(M, **extra):
+    return {
+        "algebra": list(M.spec.summand_dims),
+        "rows": M.rows,
+        "cols": M.cols,
+        "entries": reference_entries(M),
+        **extra,
+    }
+
+
+def reference_frame_doc(F, metadata=None):
+    entries = reference_entries(F.matrix)
+    doc = {
+        "algebra": list(F.spec.summand_dims),
+        "n": F.n,
+        "k": F.k,
+        "columns": [entries[j :: F.k] for j in range(F.k)],
+        "kind": "frame",
+    }
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
+
+
+def load_amatrix(path):
+    return decode_amatrix(json.loads(path.read_text()))
 
 
 def test_spec_round_trip():
@@ -72,8 +119,6 @@ def test_truncated_json(tmp_path):
 
 
 def test_whole_array_encoding_matches_per_entry(mixed_spec):
-    from ncframes.io import encode_element
-
     rng = np.random.default_rng(1)
     M = AMatrix.random(mixed_spec, 2, 3, rng)
     entries = [encode_element(M.entry(i, j)) for i in range(2) for j in range(3)]
@@ -115,7 +160,8 @@ def test_wrong_block_size_rejected(m2_spec):
 @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 1, 2)])
 def test_element_round_trip_bit_identical(dims):
     x = AlgebraSpec(dims).random_element(np.random.default_rng(2))
-    back = decode_element(json.loads(json.dumps(encode_element(x))), x.spec)
+    doc = json.loads(json.dumps(encode_amatrix(AMatrix.from_entries([[x]]))))
+    back = decode_amatrix(doc).entry(0, 0)
     for a, b in zip(x.blocks, back.blocks):
         assert a.tobytes() == b.tobytes()
 
@@ -131,6 +177,121 @@ def test_load_amatrix_rebuilds_frame_from_factorize_output(tmp_path, capsys):
     b = json.loads(unitary.read_text())["b"]
     W = canonical_coisometry(F.spec, F.k, F.n)
     assert (F.matrix - np.sqrt(b) * (W @ U)).norm() <= 1e-9
+
+
+# sha256 of the factorize unitary file, recorded with the nested-list
+# encoder and json.dumps; pins matrix-file bytes across implementations
+FACTORIZE_GOLDEN = [
+    ("2,1", 5, 3, 4, "1.7",
+     "ffe3bec845aa477b1419a8d505f5809e7fe0df1783e1be9ddd58e51cd2ff2a8d"),
+    ("3,2", 48, 24, 1, "1.0",
+     "0407af622237dcae054ff1ef77a779c0a7cdfa12d070123ef22e9bab52754639"),
+]
+
+
+@pytest.mark.parametrize("algebra,k,n,seed,b,digest", FACTORIZE_GOLDEN)
+def test_factorize_golden_bytes(tmp_path, capsys, algebra, k, n, seed, b, digest):
+    frame, unitary = tmp_path / "f.json", tmp_path / "u.json"
+    assert main(["gen", "--algebra", algebra, "--k", str(k), "--n", str(n), "--b", b,
+                 "--seed", str(seed), "--out", str(frame)]) == 0
+    assert main(["factorize", str(frame), "--out", str(unitary)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(unitary.read_bytes()).hexdigest() == digest
+
+
+# -- the one-pass writer against the reference encoder ------------------------
+
+WRITER_SPECS = [(1,), (2,), (2, 1), (3, 1, 2)]
+SHAPES = list(itertools.product(range(1, 8), range(1, 5)))  # 1x1 to 7x4
+AWKWARD_TEXT = {"note": "100% %r %%s %(x)s", "nul": "\u0000", "text": "ü ∑ 😀", "%r": ["%"]}
+SPECIAL_VALUES = [-0.0, 5e-324, 9.99e-05, 1e16, 1.7976931348623157e308]
+
+
+def _random_matrix(dims, rows, cols, seed=0):
+    return AMatrix.random(AlgebraSpec(dims), rows, cols, np.random.default_rng(seed))
+
+
+def _with_values(M, values):
+    """M with the first numbers of its first block set to values (re and -im), as many as fit."""
+    blocks = [blk.copy() for blk in M.blocks]
+    flat = blocks[0].reshape(-1)
+    flat[: len(values)] = [complex(v, -v) for v in values[: flat.size]]
+    return AMatrix(M.spec, M.rows, M.cols, tuple(blocks))
+
+
+@pytest.mark.parametrize("dims", WRITER_SPECS)
+def test_writer_bytes_equal_reference(tmp_path, dims):
+    path = tmp_path / "out.json"
+    for rows, cols in SHAPES:
+        M = _random_matrix(dims, rows, cols)
+        save_frame(path, Frame(M), metadata={"seed": 3})
+        assert path.read_text() == json.dumps(reference_frame_doc(Frame(M), {"seed": 3})) + "\n"
+        save_amatrix(path, M, b=1.5)
+        assert path.read_text() == json.dumps(reference_amatrix_doc(M, b=1.5)) + "\n"
+        assert encode_frame_file(Frame(M)) == reference_frame_doc(Frame(M))
+        assert encode_amatrix(M) == reference_amatrix_doc(M)
+
+
+@pytest.mark.parametrize("dims", WRITER_SPECS)
+def test_writer_escapes_metadata(tmp_path, dims):
+    M = _random_matrix(dims, 3, 2)
+    path = tmp_path / "out.json"
+    save_frame(path, Frame(M), metadata=AWKWARD_TEXT)
+    expected = json.dumps(reference_frame_doc(Frame(M), AWKWARD_TEXT)) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert json.loads(path.read_text())["metadata"] == AWKWARD_TEXT
+    save_amatrix(path, M, **AWKWARD_TEXT)
+    expected = json.dumps(reference_amatrix_doc(M, **AWKWARD_TEXT)) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("dims", WRITER_SPECS)
+def test_writer_special_values(tmp_path, dims):
+    M = _with_values(_random_matrix(dims, 2, 3), SPECIAL_VALUES)
+    path = tmp_path / "out.json"
+    save_frame(path, Frame(M))
+    text = path.read_text()
+    assert text == json.dumps(reference_frame_doc(Frame(M))) + "\n"
+    assert "-0.0" in text and "5e-324" in text and "9.99e-05" in text and "1e+16" in text
+    save_amatrix(path, M)
+    assert path.read_text() == json.dumps(reference_amatrix_doc(M)) + "\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("dims", WRITER_SPECS)
+def test_writer_refuses_non_finite_before_opening(tmp_path, dims, bad):
+    M = _with_values(_random_matrix(dims, 2, 3), [1.0, bad])
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        save_frame(path, Frame(M))
+    assert not path.exists()
+    with pytest.raises(ValueError):
+        save_amatrix(path, M, b=1.0)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key", ["algebra", "rows", "cols", "entries"])
+def test_save_amatrix_refuses_reserved_keys(tmp_path, key):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        save_amatrix(path, _random_matrix((2, 1), 2, 2), **{key: "payload"})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("dims", WRITER_SPECS)
+def test_writer_reload_bit_identical(tmp_path, dims):
+    path = tmp_path / "out.json"
+    # the largest double is left out: its M M* overflows, which the decoder refuses
+    for rows, cols in SHAPES:
+        M = _with_values(_random_matrix(dims, rows, cols, seed=rows * cols), SPECIAL_VALUES[:4])
+        save_frame(path, Frame(M))
+        back = load_frame(path).matrix
+        assert [b.tobytes() for b in back.blocks] == [b.tobytes() for b in M.blocks]
+        # products of a transposed layout round differently in the last bits
+        assert all(b.flags.c_contiguous for b in back.blocks)
+        save_amatrix(path, M)
+        back = load_amatrix(path)
+        assert [b.tobytes() for b in back.blocks] == [b.tobytes() for b in M.blocks]
 
 
 @pytest.mark.parametrize("field", ["n", "k"])

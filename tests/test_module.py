@@ -213,6 +213,40 @@ class TestUnitaryPredicates:
         with pytest.raises(ShapeError):
             is_unitary(AMatrix.zeros(m2_spec, 2, 3))
 
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 1, 2)])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_frobenius_bracket_matches_svd_verdict(self, dims, side):
+        # M = Q diag(sqrt(1 + eps), 1, ...) has rank-one defects MM* - I and
+        # M*M - I of norm eps, where the Frobenius and spectral norms agree;
+        # eps sits a relative 1e-12 on either side of tol
+        spec = AlgebraSpec(dims)
+        rng = np.random.default_rng(3)
+        tol = 0.1
+        eps = tol * (1 + side * 1e-12)
+        blocks = []
+        for m in dims:
+            z = rng.standard_normal((3 * m, 3 * m)) + 1j * rng.standard_normal((3 * m, 3 * m))
+            q, _ = np.linalg.qr(z)
+            blocks.append(q * np.sqrt(np.r_[1 + eps, np.ones(3 * m - 1)]))
+        M = AMatrix(spec, 3, 3, tuple(blocks))
+        eye = np.eye(3 * max(dims))
+        svd_verdict = all(
+            np.linalg.norm(d - eye[: len(d), : len(d)], 2) <= tol
+            for b in blocks
+            for d in (b @ b.conj().T, b.conj().T @ b)
+        )
+        assert svd_verdict == (side < 0)
+        assert is_unitary(M, tol) == svd_verdict
+
+    def test_frobenius_bracket_skips_the_svd(self, mixed_spec, monkeypatch):
+        U = complete_to_unitary(canonical_coisometry(mixed_spec, 4, 2))
+
+        def no_svd(self):
+            raise AssertionError("spectral norm taken")
+
+        monkeypatch.setattr(AMatrix, "norm", no_svd)
+        assert is_unitary(U)
+
     def test_partial_isometries(self, mixed_spec):
         W = canonical_coisometry(mixed_spec, 4, 2)
         assert is_partial_isometry(W)
