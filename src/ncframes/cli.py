@@ -238,9 +238,7 @@ def cmd_minimize(args) -> int:
     if trace.failure:
         doc["failure"] = trace.failure
     if args.trace_out:
-        full = dict(doc)
-        full["frame"] = io.encode_frame_file(trace.frame)
-        io.write_json(args.trace_out, full)
+        io.save_with_frame(args.trace_out, doc, trace.frame)
     _emit(doc, args.output)
     return 0 if trace.converged else 1
 

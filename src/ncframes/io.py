@@ -12,7 +12,8 @@ built from the algebra and the shape, is filled with every float in file
 order by a single string formatting, and spliced into the json.dumps text
 of the rest of the document.  "%r" calls float.__repr__, as json.dumps
 does, so the bytes equal json.dumps of the nested lists plus a newline.
-A non-finite entry raises ValueError before the file is opened.
+save_with_frame splices the same frame text into another document as its
+last key.  A non-finite entry raises ValueError before the file is opened.
 
 Decoding takes one array per summand over the nested lists; it rejects
 with FormatError a payload of the wrong shape, with a shape or block size
@@ -35,7 +36,6 @@ __all__ = [
     "FormatError",
     "encode_spec",
     "decode_spec",
-    "encode_amatrix",
     "decode_amatrix",
     "encode_frame_file",
     "decode_frame_file",
@@ -43,6 +43,7 @@ __all__ = [
     "load_frame",
     "save_frame",
     "save_amatrix",
+    "save_with_frame",
     "write_json",
 ]
 
@@ -100,10 +101,9 @@ def _render(doc: dict, spec: AlgebraSpec, shape: tuple, grids: Sequence[np.ndarr
     ).view(float).ravel()
     if not np.isfinite(values).all():
         raise ValueError("cannot write a non-finite matrix entry")
+    payload = _template(spec.summand_dims, shape) % tuple(values.tolist())
     # every key before the payload holds integers, so the first match is the payload
-    text = json.dumps(doc).replace("%", "%%")
-    text = text.replace(json.dumps(_PAYLOAD), _template(spec.summand_dims, shape), 1)
-    return text % tuple(values.tolist())
+    return json.dumps(doc).replace(json.dumps(_PAYLOAD), payload, 1)
 
 
 def _frame_text(F: Frame, metadata: dict | None) -> str:
@@ -132,10 +132,6 @@ def _amatrix_text(M: AMatrix, extra: dict) -> str:
     return _render(doc, M.spec, (M.rows * M.cols,), M.grids)
 
 
-def encode_amatrix(M: AMatrix) -> dict:
-    return json.loads(_amatrix_text(M, {}))
-
-
 def encode_frame_file(F: Frame, metadata: dict | None = None) -> dict:
     return json.loads(_frame_text(F, metadata))
 
@@ -152,6 +148,14 @@ def save_frame(path, F: Frame, metadata: dict | None = None):
 def save_amatrix(path, M: AMatrix, **extra):
     """Write M as a matrix file; the keys of extra follow the entries."""
     _write(path, _amatrix_text(M, extra))
+
+
+def save_with_frame(path, doc: dict, F: Frame):
+    """Write doc with F's frame file document as a last "frame" key."""
+    if "frame" in doc:
+        raise ValueError('doc already has a "frame" key')
+    text = json.dumps({**doc, "frame": 0})
+    _write(path, text[: -len("0}")] + _frame_text(F, None) + "}")
 
 
 def write_json(path, doc):

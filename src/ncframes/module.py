@@ -305,19 +305,7 @@ def is_unitary(M: AMatrix, tol: float = 1e-9) -> bool:
     if not 0 < tol < np.inf:  # written so that NaN fails
         raise ValueError("tol must be finite and positive")
     eye = AMatrix.identity(M.spec, M.rows)
-    return _norm_at_most(M @ M.H - eye, tol) and _norm_at_most(M.H @ M - eye, tol)
-
-
-def _norm_at_most(D: AMatrix, tol: float) -> bool:
-    """||D|| <= tol, with the SVD taken only when the Frobenius bound cannot tell.
-
-    ||X||_2 <= ||X||_F, so a Frobenius norm below tol settles the verdict;
-    the relative margin of 1e-12 keeps roundoff in either norm from
-    deciding a case the SVD would decide the other way.
-    """
-    if max(np.linalg.norm(blk) for blk in D.blocks) <= tol * (1 - 1e-12):
-        return True
-    return D.norm() <= tol
+    return (M @ M.H - eye).norm() <= tol and (M.H @ M - eye).norm() <= tol
 
 
 def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:

@@ -14,12 +14,12 @@ from ncframes.io import (
     decode_amatrix,
     decode_frame_file,
     decode_spec,
-    encode_amatrix,
     encode_frame_file,
     encode_spec,
     load_frame,
     save_amatrix,
     save_frame,
+    save_with_frame,
 )
 
 
@@ -70,6 +70,13 @@ def load_amatrix(path):
     return decode_amatrix(json.loads(path.read_text()))
 
 
+def amatrix_doc(tmp_path, M):
+    """The document save_amatrix writes for M."""
+    path = tmp_path / "matrix.json"
+    save_amatrix(path, M)
+    return json.loads(path.read_text())
+
+
 def test_spec_round_trip():
     spec = AlgebraSpec((2, 1))
     assert decode_spec(encode_spec(spec)) == spec
@@ -80,10 +87,10 @@ def test_bad_spec():
         decode_spec([2, 0])
 
 
-def test_amatrix_round_trip(mixed_spec):
+def test_amatrix_round_trip(tmp_path, mixed_spec):
     rng = np.random.default_rng(0)
     M = AMatrix.random(mixed_spec, 2, 3, rng)
-    back = decode_amatrix(json.loads(json.dumps(encode_amatrix(M))))
+    back = decode_amatrix(amatrix_doc(tmp_path, M))
     for a, b in zip(M.blocks, back.blocks):
         np.testing.assert_array_equal(a, b)
 
@@ -118,24 +125,24 @@ def test_truncated_json(tmp_path):
         load_frame(path)
 
 
-def test_whole_array_encoding_matches_per_entry(mixed_spec):
+def test_whole_array_encoding_matches_per_entry(tmp_path, mixed_spec):
     rng = np.random.default_rng(1)
     M = AMatrix.random(mixed_spec, 2, 3, rng)
     entries = [encode_element(M.entry(i, j)) for i in range(2) for j in range(3)]
-    assert encode_amatrix(M)["entries"] == entries
+    assert amatrix_doc(tmp_path, M)["entries"] == entries
     F = Frame(M)
     columns = [[encode_element(M.entry(i, j)) for i in range(2)] for j in range(3)]
     assert encode_frame_file(F)["columns"] == columns
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.0", None])
-def test_bad_entry_rejected(mixed_spec, bad):
+def test_bad_entry_rejected(tmp_path, mixed_spec, bad):
     F = random_tight_frame(mixed_spec, 3, 2, seed=0)
     doc = json.loads(json.dumps(encode_frame_file(F)))
     doc["columns"][2][1][1][0][0] = bad
     with pytest.raises(FormatError):
         decode_frame_file(doc)
-    mdoc = json.loads(json.dumps(encode_amatrix(F.matrix)))
+    mdoc = amatrix_doc(tmp_path, F.matrix)
     mdoc["entries"][4][0][3][1] = bad
     with pytest.raises(FormatError):
         decode_amatrix(mdoc)
@@ -158,10 +165,9 @@ def test_wrong_block_size_rejected(m2_spec):
 
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 1, 2)])
-def test_element_round_trip_bit_identical(dims):
+def test_element_round_trip_bit_identical(tmp_path, dims):
     x = AlgebraSpec(dims).random_element(np.random.default_rng(2))
-    doc = json.loads(json.dumps(encode_amatrix(AMatrix.from_entries([[x]]))))
-    back = decode_amatrix(doc).entry(0, 0)
+    back = decode_amatrix(amatrix_doc(tmp_path, AMatrix.from_entries([[x]]))).entry(0, 0)
     for a, b in zip(x.blocks, back.blocks):
         assert a.tobytes() == b.tobytes()
 
@@ -229,7 +235,6 @@ def test_writer_bytes_equal_reference(tmp_path, dims):
         save_amatrix(path, M, b=1.5)
         assert path.read_text() == json.dumps(reference_amatrix_doc(M, b=1.5)) + "\n"
         assert encode_frame_file(Frame(M)) == reference_frame_doc(Frame(M))
-        assert encode_amatrix(M) == reference_amatrix_doc(M)
 
 
 @pytest.mark.parametrize("dims", WRITER_SPECS)
@@ -279,6 +284,24 @@ def test_save_amatrix_refuses_reserved_keys(tmp_path, key):
 
 
 @pytest.mark.parametrize("dims", WRITER_SPECS)
+def test_save_with_frame_bytes_equal_reference(tmp_path, dims):
+    path = tmp_path / "out.json"
+    for rows, cols in [(1, 1), (3, 2), (7, 4)]:
+        F = Frame(_random_matrix(dims, rows, cols))
+        doc = {"frame_count": 0, "log": [[0, 1.5]], **AWKWARD_TEXT, "end": "0}"}
+        save_with_frame(path, doc, F)
+        expected = json.dumps({**doc, "frame": reference_frame_doc(F)}) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+
+def test_save_with_frame_refuses_a_frame_key(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        save_with_frame(path, {"frame": 1, "x": 2}, Frame(_random_matrix((2, 1), 2, 2)))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("dims", WRITER_SPECS)
 def test_writer_reload_bit_identical(tmp_path, dims):
     path = tmp_path / "out.json"
     # the largest double is left out: its M M* overflows, which the decoder refuses
@@ -307,9 +330,9 @@ def test_non_integer_shape_rejected(mixed_spec, field, value):
 
 @pytest.mark.parametrize("field", ["rows", "cols"])
 @pytest.mark.parametrize("delta", [0.5, 0.0])
-def test_amatrix_non_integer_shape_rejected(mixed_spec, field, delta):
+def test_amatrix_non_integer_shape_rejected(tmp_path, mixed_spec, field, delta):
     rng = np.random.default_rng(0)
-    doc = json.loads(json.dumps(encode_amatrix(AMatrix.random(mixed_spec, 2, 3, rng))))
+    doc = amatrix_doc(tmp_path, AMatrix.random(mixed_spec, 2, 3, rng))
     doc[field] += delta  # 2.5 or 2.0, 3.5 or 3.0: floats, not JSON integers
     with pytest.raises(FormatError):
         decode_amatrix(doc)
