@@ -220,16 +220,13 @@ def cmd_minimize(args) -> int:
         trace.frame,
         metadata={"generator": "minimize", "seed": args.seed},
     )
-    log = [list(entry) for entry in trace.iterates[::50]]
-    if list(trace.iterates[-1]) not in log:
-        log.append(list(trace.iterates[-1]))
     doc = {
         "config": dataclasses.asdict(config),
         "converged": trace.converged,
-        "iterations": trace.iterates[-1][0],
+        "iterations": trace.iterations,
         "final_potential": trace.final_potential,
         "final_residual": trace.final_residual,
-        "iterate_log": log,
+        "iterate_log": [list(entry) for entry in trace.iterates],
         "stop_reason": trace.stop_reason,
         "candidates": trace.candidates,
         "backtracks": trace.backtracks,

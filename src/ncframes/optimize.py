@@ -37,6 +37,10 @@ __all__ = [
 # and is rejected; minimize's docstring gives the reason for the value.
 _ROUNDOFF_MARGIN = 1e-10
 
+# The iterate log keeps the start, every _LOG_STRIDE-th accepted iterate and
+# the last one.
+_LOG_STRIDE = 50
+
 
 class DegenerateColumnError(ValueError):
     """A column Gram is numerically singular, so it cannot be renormalized."""
@@ -66,11 +70,18 @@ class OptimizerConfig:
     def radius_for(self, spec: AlgebraSpec, k: int, n: int) -> float:
         """The column radius r of a k-column descent on A^n: radius, or n/k.
 
-        Every spherical frame at radius r has potential at most
-        (k r)^2 * sum_j m_j; raises ValueError when that bound is not a
-        finite float, since the excess could then not order the iterates.
+        Raises ValueError when the frame constant b = k r / n is at or below
+        tight_tol, since check_tight reports no such frame tight, and when
+        the bound (k r)^2 * sum_j m_j on the potential of every spherical
+        frame at radius r is not a finite float, since the excess could then
+        not order the iterates.
         """
         r = self.radius if self.radius is not None else n / k
+        if not k * r / n > self.tight_tol:
+            raise ValueError(
+                f"radius {r:g} is too small: the frame constant k*r/n = {k * r / n:g} "
+                f"is not above tight_tol {self.tight_tol:g}"
+            )
         try:
             ceiling = (k * r) ** 2 * sum(spec.summand_dims)
         except OverflowError:
@@ -82,9 +93,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerTrace:
-    """A finished descent: its iterates, final frame, and why it stopped.
+    """A finished descent: its iterate log, final frame, and why it stopped.
 
-    stop_reason is "converged" (the residual reached tight_tol), "stalled"
+    iterates is the log of (iteration, potential, residual) triples: the
+    start (iteration 0), every 50th accepted iterate and the last one, each
+    with its exact tightness residual max_j ||S_j - b I||_2.  iterations
+    counts the accepted iterates.
+    stop_reason is "converged" (the residual reached the stop threshold
+    tight_tol * max(1, b), which check_tight uses), "stalled"
     (no step length decreased the potential by more than roundoff),
     "max_iters" (the iteration budget ran out) or "degenerate" (the start
     kept a degenerate column after every re-randomization).
@@ -98,6 +114,10 @@ class OptimizerTrace:
     candidates: int = 0
     backtracks: int = 0
     rerandomizations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return self.iterates[-1][0]
 
     @property
     def converged(self) -> bool:
@@ -118,22 +138,29 @@ class OptimizerTrace:
         return self.iterates[-1][2]
 
 
-def _defects(F: Frame, b_target: float) -> tuple[float, list[np.ndarray]]:
-    """(sum_j ||S_j - b I||_F^2, [S_j - b I]) against the target b.
+def _defects(F: Frame, b_target: float) -> tuple[float, list[np.ndarray], float]:
+    """(sum_j ||S_j - b I||_F^2, [S_j - b I], floor) against the target b.
 
     Under the spherical constraint trace(S_j) is pinned at k*m_j*r, so the
     excess orders iterates exactly like the raw potential while staying
     accurate near zero, where the raw potential difference drowns in
-    roundoff.
+    roundoff.  floor is max_j ||S_j - b I||_F / sqrt(n m_j), a lower bound
+    on the residual _residual(defects), since S_j - b I has rank at most
+    n m_j.
     """
+    # summed one term at a time: sum() of floats is compensated on newer
+    # Pythons and would change the bits of the excess
     excess = 0.0
+    floor = 0.0
     defects = []
     for x in F.matrix.blocks:
         d = x @ x.conj().T
         d.flat[:: d.shape[0] + 1] -= b_target
-        excess += float(np.sum(np.abs(d) ** 2))
+        sq = float(np.sum(np.abs(d) ** 2))
+        excess += sq
+        floor = max(floor, sq / d.shape[0])
         defects.append(d)
-    return excess, defects
+    return excess, defects, floor**0.5
 
 
 def _residual(defects: list[np.ndarray]) -> float:
@@ -201,12 +228,18 @@ def minimize(
     iterates, in the real inner product Re sum_j vdot over summands; on the
     first iteration, and when <s, y> <= 0, it is twice the last accepted
     step, which starts at config.step_size.  The run stops once the
-    tightness residual drops below config.tight_tol, when no step length
-    decreases the potential by more than roundoff, or when the iteration
-    budget is exhausted.  Start columns whose Gram degenerates are
-    re-randomized (at most 10 times in total) from the same seeded stream.
-    Raises ValueError when k < n or when the radius is so large that the
-    potential overflows (see OptimizerConfig.radius_for).
+    tightness residual max_j ||S_j - b I||_2 is at most
+    config.tight_tol * max(1, b), the threshold check_tight holds a tight
+    frame to, when no step length decreases the potential by more than
+    roundoff, or when the iteration budget is exhausted.  The residual takes
+    one SVD per summand, so it is computed only on the iterates the log
+    keeps (see OptimizerTrace) and where the Frobenius floor from _defects
+    does not already exceed the threshold; the frames and the log are those
+    of a run that computes it on every accepted iterate.  Start columns
+    whose Gram degenerates are re-randomized (at most 10 times in total)
+    from the same seeded stream.  Raises ValueError when k < n, or when the
+    radius makes b at most tight_tol or the potential overflow (see
+    OptimizerConfig.radius_for).
     """
     if k < n:
         raise ValueError(f"need k >= n, got k={k}, n={n}")
@@ -236,22 +269,25 @@ def minimize(
                 grid[:, exc.column] = _complex_gaussian(rng, (n, m, m))
 
     b_target = k * r / n
+    threshold = config.tight_tol * max(1.0, b_target)
+    # res_floor <= res holds in exact arithmetic; the margin keeps a floor
+    # rounded up past the threshold from skipping a residual at it
+    skip_above = threshold * (1.0 + 1e-12)
     # potential at the constraint is this constant plus the excess
     pot_floor = sum((k * r) ** 2 * m / n for m in dims)
-    excess, defects = _defects(F, b_target)
+    excess, defects, _ = _defects(F, b_target)
     res = _residual(defects)
-    iterates = [(0, pot_floor + excess, res)]
+    log = [(0, pot_floor + excess, res)]
     step = config.step_size
     previous = None  # (iterate, gradient) at the last accepted iterate
     candidates = 0
     stalled = False
 
-    it = 0
+    it = 0  # accepted iterates
     # an overflowing candidate has a non-finite excess, which is never below
     # the current one, so it is rejected like any other non-decrease
     with np.errstate(over="ignore", invalid="ignore"):
-        while res > config.tight_tol and it < config.max_iters:
-            it += 1
+        while res > threshold and it < config.max_iters:
             grad = potential_gradient(F)
             trial = step * 2.0
             if previous is not None:
@@ -268,30 +304,40 @@ def minimize(
                 except DegenerateColumnError:
                     trial *= 0.5
                     continue
-                cand_excess, cand_defects = _defects(cand, b_target)
+                cand_excess, cand_defects, cand_floor = _defects(cand, b_target)
                 if cand_excess < excess * (1.0 - _ROUNDOFF_MARGIN):
-                    accepted = (cand, cand_excess, cand_defects, trial)
+                    accepted = (cand, cand_excess, cand_defects, cand_floor, trial)
                     break
                 trial *= 0.5
             if accepted is None:
                 # no decrease beyond roundoff at any step length
                 stalled = True
                 break
-            F, excess, defects, step = accepted
-            # only accepted iterates pay for the SVD behind the stopping test
-            res = _residual(defects)
-            iterates.append((it, pot_floor + excess, res))
+            F, excess, defects, res_floor, step = accepted
+            it += 1
+            logged = it % _LOG_STRIDE == 0
+            if logged or res_floor <= skip_above:
+                res = _residual(defects)
+            else:
+                res = np.inf  # res >= res_floor > threshold: go on
+            if logged:
+                log.append((it, pot_floor + excess, res))
 
-    if res <= config.tight_tol:
+    if res == np.inf:
+        # the last iterate's residual was skipped
+        res = _residual(defects)
+    if log[-1][0] != it:
+        log.append((it, pot_floor + excess, res))
+    if res <= threshold:
         stop_reason = "converged"
     else:
         stop_reason = "stalled" if stalled else "max_iters"
     return OptimizerTrace(
-        iterates=tuple(iterates),
+        iterates=tuple(log),
         frame=F,
         stop_reason=stop_reason,
         candidates=candidates,
         # every candidate but the accepted ones was followed by a halving
-        backtracks=candidates - (len(iterates) - 1),
+        backtracks=candidates - it,
         rerandomizations=rerandomizations,
     )

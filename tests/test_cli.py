@@ -333,9 +333,11 @@ class TestArgumentContract:
     def test_partitions_nonpositive_k_exits_3(self, capsys, k):
         assert main(["partitions", "--k", k, "--kprime", "1"]) == 3
 
-    @pytest.mark.parametrize("radius", ["1e200", "1e155", "1.7e308"])
+    @pytest.mark.parametrize("radius", ["1e200", "1e155", "1.7e308", "1e-300", "1e-320"])
     def test_overflowing_radius_exits_3_before_writing(self, tmp_path, capsys, radius):
-        # the potential of 3 columns at this radius is past the float range
+        # the potential of 3 columns at the large radii is past the float
+        # range; at the small ones b = 3r/2 is below --tight-tol, so no
+        # output could ever verify
         out = tmp_path / "f.json"
         rc = main(self.MIN + ["--radius", radius, "--out", str(out)])
         captured = capsys.readouterr()
@@ -344,11 +346,13 @@ class TestArgumentContract:
         assert captured.err.startswith("error: radius")
         assert not out.exists()
 
-    def test_library_minimize_rejects_overflowing_radius(self):
+    # b = 3r/2 is 9e-10 at 6e-10, just below the default tight_tol 1e-9
+    @pytest.mark.parametrize("radius", [1e200, 1e-300, 1e-320, 6e-10])
+    def test_library_minimize_rejects_overflowing_radius(self, radius):
         from ncframes import AlgebraSpec, OptimizerConfig, minimize
 
-        with pytest.raises(ValueError, match="radius"):
-            minimize(AlgebraSpec((1,)), 3, 2, OptimizerConfig(radius=1e200))
+        with pytest.raises(ValueError, match="^radius"):
+            minimize(AlgebraSpec((1,)), 3, 2, OptimizerConfig(radius=radius))
 
     def test_overflowing_step_stalls_without_warning(self, tmp_path, capsys):
         # every candidate overflows, so none decreases the potential
@@ -396,6 +400,10 @@ class TestMinimize:
         ("2,1", 12, 8, 3,
          "2efc3bb1fc31b8f8a3b98af71ba406e0682a7b1ffc24066c1b83b1f89d358e0f",
          "a174f7fc4467fd3411ac494f7a4a4ec42c621b9790eb3f59139a067670cb694e"),
+        # 113 iterations: log entries 0, 50, 100 and 113
+        ("2", 6, 4, 14,
+         "8e3c82cbd621bcdb128cccb3723adadd78178acfe95ce9c0ebadc0d191fe288c",
+         "8f00fb763c39dcf0d3de453e871da62da1c190a8eff1fe77b92b9a76e4494be1"),
     ]
 
     @pytest.mark.parametrize("algebra,k,n,seed,digest,trace_digest", GOLDEN)
@@ -411,6 +419,22 @@ class TestMinimize:
         assert rc == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+
+    def test_budget_golden_bytes(self, tmp_path, capsys):
+        # stops by max_iters at iteration 7, whose residual is not logged
+        # by the stride: the log is iterations 0 and 7
+        import hashlib
+
+        path, trace = tmp_path / "m.json", tmp_path / "t.json"
+        rc, out = run(capsys, "minimize", "--algebra", "2", "--k", "6", "--n", "4",
+                      "--seed", "14", "--max-iters", "7", "--out", str(path),
+                      "--trace-out", str(trace))
+        assert rc == 1
+        assert [entry[0] for entry in json.loads(out)["iterate_log"]] == [0, 7]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ddfa0b648cda4d8303abe9a8737e43979a46ccc825cbf7c4e30fb53ac67c1e84")
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+            "ed04ac629d01867224cedcae17eb774ddca64f4141ce57c39427b277ab760de9")
 
     def test_default_round_trip(self, tmp_path, capsys):
         # minimize stops at the 1e-9 that verify and analyze check by default

@@ -210,7 +210,7 @@ class TestRerandomization:
             np.testing.assert_array_equal(second, want)
             assert not np.array_equal(second, first)
         assert trace.failure is None
-        assert len(trace.iterates) == 4
+        assert trace.iterations == 3
 
     def test_persistent_degenerate_columns(self, monkeypatch, mixed_spec):
         seen = self._patch(monkeypatch, range(1, 100), 0)
@@ -282,8 +282,15 @@ class TestMinimize:
             np.testing.assert_array_equal(a, b)
 
     def test_monotone_potential(self, mixed_spec):
-        trace = minimize(mixed_spec, 5, 3, OptimizerConfig(seed=4))
-        pots = [p for _, p, _ in trace.iterates]
+        config = OptimizerConfig(seed=4)
+        trace = minimize(mixed_spec, 5, 3, config)
+        # the log keeps a few iterates; the reference keeps every one
+        iterates, F, _, _ = _minimize_per_candidate_residual(mixed_spec, 5, 3, config)
+        assert trace.iterates == _log_positions(iterates)
+        assert len(trace.iterates) > 3  # some middle entries
+        for a, b in zip(trace.frame.matrix.blocks, F.matrix.blocks):
+            assert a.tobytes() == b.tobytes()
+        pots = [p for _, p, _ in iterates]
         assert all(b <= a for a, b in zip(pots, pots[1:]))
 
     def test_spherical_radius_b_relation(self, m2_spec):
@@ -321,30 +328,50 @@ class TestStopReason:
         assert trace.stop_reason == "stalled"
         assert not trace.converged and trace.failure is None
         # the last line search tried and halved all 60 of its candidates
-        accepted = len(trace.iterates) - 1
+        accepted = trace.iterations
         assert trace.backtracks >= 60
         assert trace.candidates == trace.backtracks + accepted
         assert trace.final_residual == pytest.approx(0.5, abs=1e-12)
 
 
+class TestStopThreshold:
+    @pytest.mark.parametrize("dims,k,n", [((1,), 3, 2), ((2,), 4, 2)])
+    def test_converged_outputs_are_tight_at_every_radius(self, dims, k, n):
+        # the stop threshold is check_tight's tol * max(1, b), b = k r / n
+        spec = AlgebraSpec(dims)
+        for radius in [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12]:
+            for seed in range(3):
+                config = OptimizerConfig(seed=seed, radius=radius)
+                trace = minimize(spec, k, n, config)
+                if radius >= 1e9:
+                    assert trace.converged, (radius, seed)
+                if trace.converged:
+                    rep = check_tight(trace.frame, config.tight_tol)
+                    assert rep.is_tight, (radius, seed)
+                    assert rep.b == pytest.approx(k * radius / n, rel=1e-9)
+
+
 def _minimize_per_candidate_residual(spec, k, n, config):
     """The descent loop with one spectral-norm residual per backtracking
     candidate, each line search started at the Barzilai-Borwein step.
-    Kept as the reference for bit-identical iterates and frames; also
-    returns the number of candidates tried.
+    Kept as the reference for bit-identical iterates and frames; returns
+    every iterate, the final frame, the number of candidates tried, and per
+    iterate the Frobenius floor max_j ||S_j - b I||_F / sqrt(n m_j).
     """
     r = config.radius if config.radius is not None else n / k
     rng = np.random.default_rng(config.seed)
     rerandomizations = 0
 
     def stats(F, b):
-        excess, res = 0.0, 0.0
+        excess, res, floor = 0.0, 0.0, 0.0
         for x in F.matrix.blocks:
             s = x @ x.conj().T
             d = s - b * np.eye(s.shape[0])
-            excess += float(np.sum(np.abs(d) ** 2))
+            frob2 = float(np.sum(np.abs(d) ** 2))
+            excess += frob2
             res = max(res, float(np.linalg.norm(d, 2)))
-        return excess, res
+            floor = max(floor, float(np.sqrt(frob2 / s.shape[0])))
+        return excess, res, floor
 
     X = AMatrix.random(spec, n, k, rng)
     while True:
@@ -359,14 +386,16 @@ def _minimize_per_candidate_residual(spec, k, n, config):
                 im = rng.standard_normal((n * m, m))
                 x[:, exc.column * m : (exc.column + 1) * m] = (re + 1j * im) / np.sqrt(2.0)
     b = k * r / n
-    floor = sum((k * r) ** 2 * m / n for m in spec.summand_dims)
-    excess, res = stats(F, b)
-    iterates = [(0, floor + excess, res)]
+    threshold = config.tight_tol * max(1.0, b)
+    pot_floor = sum((k * r) ** 2 * m / n for m in spec.summand_dims)
+    excess, res, floor = stats(F, b)
+    iterates = [(0, pot_floor + excess, res)]
+    floors = [floor]
     step = config.step_size
     last = None  # blocks of the previous accepted iterate and its gradient
     candidates = 0
     it = 0
-    while res > config.tight_tol and it < config.max_iters:
+    while res > threshold and it < config.max_iters:
         it += 1
         grad = potential_gradient(F)
         trial = step * 2.0
@@ -387,16 +416,36 @@ def _minimize_per_candidate_residual(spec, k, n, config):
             except optimize.DegenerateColumnError:
                 trial *= 0.5
                 continue
-            cand_excess, cand_res = stats(cand, b)
+            cand_excess, cand_res, cand_floor = stats(cand, b)
             if cand_excess < excess:
-                accepted = (cand, cand_excess, cand_res, trial)
+                accepted = (cand, cand_excess, cand_res, cand_floor, trial)
                 break
             trial *= 0.5
         if accepted is None:
             break
-        F, excess, res, step = accepted
-        iterates.append((it, floor + excess, res))
-    return tuple(iterates), F, candidates
+        F, excess, res, floor, step = accepted
+        iterates.append((it, pot_floor + excess, res))
+        floors.append(floor)
+    return tuple(iterates), F, candidates, floors
+
+
+def _log_positions(iterates):
+    """The entries of a full iterate path that minimize's log keeps: the
+    start, every _LOG_STRIDE-th iterate and the last one."""
+    log = [entry for entry in iterates if entry[0] % optimize._LOG_STRIDE == 0]
+    if log[-1] != iterates[-1]:
+        log.append(iterates[-1])
+    return tuple(log)
+
+
+def _predicted_residuals(floors, threshold, stride):
+    """How many tightness residuals minimize computes along a path with
+    these Frobenius floors: the start, each logged iterate, each iterate
+    whose floor does not already exceed the threshold, and the last."""
+    last = len(floors) - 1
+    taken = {0, last}
+    taken.update(i for i in range(1, last) if i % stride == 0 or floors[i] <= threshold * (1 + 1e-12))
+    return len(taken)
 
 
 DESCENT_SHAPES = [((1,), 5, 3), ((2,), 6, 4), ((2,), 8, 6), ((2, 1), 12, 8), ((3, 2), 24, 16)]
@@ -409,13 +458,16 @@ class TestAcceptedResidual:
         for seed in range(4):
             config = OptimizerConfig(seed=seed, tight_tol=1e-8)
             trace = minimize(spec, k, n, config)
-            iterates, F, _ = _minimize_per_candidate_residual(spec, k, n, config)
-            assert trace.iterates == iterates
+            iterates, F, _, _ = _minimize_per_candidate_residual(spec, k, n, config)
+            assert trace.iterates == _log_positions(iterates)
+            assert trace.iterations == iterates[-1][0]
             for a, b in zip(trace.frame.matrix.blocks, F.matrix.blocks):
                 assert a.tobytes() == b.tobytes()
+            pots = [p for _, p, _ in iterates]
+            assert all(b <= a for a, b in zip(pots, pots[1:]))
 
-    @pytest.mark.parametrize("dims,k,n", [((1,), 5, 3), ((2, 1), 12, 8)])
-    def test_one_svd_per_summand_per_accepted_iterate(self, monkeypatch, dims, k, n):
+    @staticmethod
+    def _count_svds(monkeypatch):
         calls = []
         real = optimize._spectral_norm
 
@@ -424,11 +476,51 @@ class TestAcceptedResidual:
             return real(a)
 
         monkeypatch.setattr(optimize, "_spectral_norm", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "dims,k,n,seed,max_iters",
+        [
+            ((1,), 5, 3, 1, 20000),
+            ((2,), 6, 4, 1, 20000),  # 61 iterations: one middle log entry
+            ((2, 1), 12, 8, 1, 20000),
+            ((2, 1), 5, 3, 4, 20000),  # 116 iterations: two middle log entries
+            ((2,), 6, 4, 14, 7),  # ends by max_iters on a skipped iterate
+        ],
+    )
+    def test_svds_only_where_logged_or_near_the_threshold(
+        self, monkeypatch, dims, k, n, seed, max_iters
+    ):
         spec = AlgebraSpec(dims)
-        trace = minimize(spec, k, n, OptimizerConfig(seed=1, tight_tol=1e-8))
-        # iterates holds the start point plus every accepted iterate
-        assert len(trace.iterates) > 2
-        assert len(calls) == len(trace.iterates) * spec.num_summands
+        config = OptimizerConfig(seed=seed, tight_tol=1e-8, max_iters=max_iters)
+        iterates, _, _, floors = _minimize_per_candidate_residual(spec, k, n, config)
+        calls = self._count_svds(monkeypatch)
+        trace = minimize(spec, k, n, config)
+        assert trace.iterations == len(floors) - 1
+        predicted = _predicted_residuals(floors, config.tight_tol, optimize._LOG_STRIDE)
+        assert predicted < len(iterates)
+        assert len(calls) == predicted * spec.num_summands
+        assert trace.final_residual == iterates[-1][2]
+
+    @pytest.mark.parametrize("rel", [1 + 1e-13, 1 - 1e-13])
+    def test_svd_at_a_floor_on_the_threshold(self, monkeypatch, rel):
+        # tight_tol on one iterate's floor, to within 1e-13: the 1e-12
+        # margin makes that iterate take its residual either way
+        spec = AlgebraSpec((2,))
+        _, _, _, floors = _minimize_per_candidate_residual(
+            spec, 6, 4, OptimizerConfig(seed=1, tight_tol=1e-8)
+        )
+        edge = 23
+        assert floors[edge] < floors[edge - 1] and edge % optimize._LOG_STRIDE
+        config = OptimizerConfig(seed=1, tight_tol=floors[edge] * rel)
+        iterates, _, _, floors = _minimize_per_candidate_residual(spec, 6, 4, config)
+        assert len(iterates) > edge + 1
+        calls = self._count_svds(monkeypatch)
+        minimize(spec, 6, 4, config)
+        predicted = _predicted_residuals(floors, config.tight_tol, optimize._LOG_STRIDE)
+        assert len(calls) == predicted * spec.num_summands
+        # the edge iterate is the first past the start whose floor is taken
+        assert all(f > config.tight_tol * (1 + 1e-12) for f in floors[1:edge])
 
 
 class TestStepRule:
@@ -438,9 +530,9 @@ class TestStepRule:
         for seed in range(2):
             config = OptimizerConfig(seed=seed, tight_tol=1e-8)
             trace = minimize(spec, k, n, config)
-            _, _, candidates = _minimize_per_candidate_residual(spec, k, n, config)
+            _, _, candidates, _ = _minimize_per_candidate_residual(spec, k, n, config)
             assert trace.candidates == candidates
-            assert trace.backtracks == candidates - (len(trace.iterates) - 1)
+            assert trace.backtracks == candidates - trace.iterations
 
     def test_few_rejected_candidates(self):
         # a line search that starts at a well-scaled step rarely backtracks:
@@ -469,5 +561,5 @@ def test_stationary_start_accepts_no_roundoff_step(monkeypatch, dims, radius):
     monkeypatch.setattr(AMatrix, "random", classmethod(lambda cls, spec, rows, cols, rng: start))
     trace = minimize(spec, 3, 2, OptimizerConfig(radius=radius))
     assert trace.stop_reason == "stalled"
-    assert len(trace.iterates) == 1
+    assert trace.iterations == 0
     assert trace.candidates == trace.backtracks == 60
