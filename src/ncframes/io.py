@@ -15,15 +15,18 @@ does, so the bytes equal json.dumps of the nested lists plus a newline.
 save_with_frame splices the same frame text into another document as its
 last key.  A non-finite entry raises ValueError before the file is opened.
 
-Decoding takes one array per summand over the nested lists; it rejects
-with FormatError a payload of the wrong shape, with a shape or block size
-that is not a JSON integer, with a non-finite entry, or with entries so
-large that the trace of M M* overflows (so M M* cannot be formed finitely).
+Decoding takes one array per summand over the flat list of entries; it
+rejects with FormatError a payload of the wrong shape, with a shape or
+block size that is not a JSON integer, with a non-finite entry, or with
+entries so large that the trace of M M* overflows (so M M* cannot be
+formed finitely).
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Sequence
 
 import numpy as np
@@ -180,17 +183,19 @@ def _decode_grids(
     Rejects wrong shapes, non-numeric or non-finite values, and entries so
     large that the trace of the summand's M M* overflows.
     """
-    if len(data) != outer or any(len(row) != inner for row in data):
+    if len(data) != outer or set(map(len, data)) != {inner}:
         raise FormatError("payload shape does not match the header")
-    if any(len(e) != spec.num_summands for row in data for e in row):
+    entries = list(chain.from_iterable(data))
+    if set(map(len, entries)) != {spec.num_summands}:
         raise FormatError("wrong number of blocks")
     grids = []
     for j, m in enumerate(spec.summand_dims):
-        arr = np.asarray([[e[j] for e in row] for row in data])
+        arr = np.asarray(list(map(itemgetter(j), entries)))
         if arr.dtype.kind not in "biuf":
             raise FormatError("block entries must be numbers")
-        if arr.shape != (outer, inner, m * m, 2):
+        if arr.shape != (outer * inner, m * m, 2):
             raise FormatError(f"summand {j} data has shape {arr.shape}")
+        arr = arr.reshape(outer, inner, m * m, 2)
         if transpose:
             arr = arr.swapaxes(0, 1)
         arr = arr.astype(float, order="C")

@@ -8,7 +8,9 @@ the conjugate transpose, the operator norm is the largest summand spectral
 norm, entries are slices and a column selection is one gather per summand.
 This module is the only code that indexes inside a summand block: the
 others reach entries through the (rows, cols, m, m) grids view, column
-Grams, column scaling and entry norms.
+Grams, column scaling and entry norms.  Column Grams and column scaling
+also exist per bare summand block (_column_grams, _scale_columns), which
+the AMatrix methods and the descent loop in optimize both call.
 
 Vectors in A^n are AMatrix values with a single column; the A-valued inner
 product is conjugate-linear in the first argument, <v, w> = sum_i v_i* w_i
@@ -59,6 +61,24 @@ def _spread(indices: Sequence[int], m: int) -> np.ndarray:
     """Flat row/column positions of the entry indices for block size m."""
     idx = np.asarray(indices, dtype=np.intp).reshape(-1, 1)
     return (idx * m + np.arange(m)).ravel()
+
+
+def _column_stack(block: np.ndarray, m: int) -> np.ndarray:
+    """The (cols, rows*m, m) view stacking the column blocks of a summand block."""
+    return block.reshape(-1, block.shape[1] // m, m).transpose(1, 0, 2)
+
+
+def _column_grams(block: np.ndarray, m: int) -> np.ndarray:
+    """The (cols, m, m) stack of the column pairings <M_i, M_i> of a summand block."""
+    c = _column_stack(block, m)
+    return c.conj().transpose(0, 2, 1) @ c
+
+
+def _scale_columns(block: np.ndarray, m: int, w: np.ndarray) -> np.ndarray:
+    """The summand block of M diag(w_1, ..., w_cols), w a (cols, m, m) stack."""
+    # a product in another layout rounds differently, and minimize's
+    # outputs are pinned to these bits
+    return (_column_stack(block, m) @ w).transpose(1, 0, 2).reshape(block.shape)
 
 
 @dataclass(frozen=True)
@@ -175,16 +195,9 @@ class AMatrix:
     def column(self, j: int) -> "AMatrix":
         return self.select_columns([j])
 
-    def _column_stacks(self) -> list[np.ndarray]:
-        """Per summand, a (cols, rows*m, m) view stacking the column blocks."""
-        return [
-            blk.reshape(-1, self.cols, m).transpose(1, 0, 2)
-            for m, blk in zip(self.spec.summand_dims, self.blocks)
-        ]
-
     def column_grams(self) -> tuple[np.ndarray, ...]:
         """Per summand, the (cols, m, m) stack of the pairings <M_i, M_i>."""
-        return tuple(c.conj().transpose(0, 2, 1) @ c for c in self._column_stacks())
+        return tuple(_column_grams(blk, m) for m, blk in zip(self.spec.summand_dims, self.blocks))
 
     def scale_columns(self, w: Sequence[np.ndarray]) -> "AMatrix":
         """M diag(w_1, ..., w_cols), with w one (cols, m, m) stack per summand."""
@@ -193,8 +206,8 @@ class AMatrix:
             self.rows,
             self.cols,
             tuple(
-                (c @ wj).transpose(1, 0, 2).reshape(self.rows * m, self.cols * m)
-                for m, c, wj in zip(self.spec.summand_dims, self._column_stacks(), w)
+                _scale_columns(blk, m, wj)
+                for m, blk, wj in zip(self.spec.summand_dims, self.blocks, w)
             ),
         )
 

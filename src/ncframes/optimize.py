@@ -3,24 +3,28 @@
 Projected gradient descent on the frame potential sum_ij ||<f_i, f_j>||_HS^2
 with a retraction that renormalizes every column to <f_i, f_i> = r * 1_A
 after each step.  At the default radius r = n/k the minimizers are tight
-with constant b = 1; any r > 0 gives b = k r / n.  Each line search starts
-at the Barzilai-Borwein step <s, s> / <s, y> (Barzilai & Borwein, IMA J.
-Numer. Anal. 8, 1988), where s and y are the changes in iterate and gradient
-between the last two accepted iterates, and backtracks by halving until the
-potential decreases by more than roundoff.  Runs are bit-reproducible for a
-fixed seed, and the trace says why the run stopped and how many candidates
-it tried.
+with constant b = 1; any r > 0 gives b = k r / n, and minimize descends at
+b = 1 and scales the result once.  The loop works on bare summand blocks
+through one block-level gradient, retraction and defect routine each; the
+public potential_gradient and retract_spherical wrap the same routines.
+Each line search starts at the Barzilai-Borwein step <s, s> / <s, y>
+(Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988), where s and y are the
+changes in iterate and gradient between the last two accepted iterates,
+and backtracks by halving until the potential decreases by more than
+roundoff.  Runs are bit-reproducible for a fixed seed, and the trace says
+why the run stopped and how many candidates it tried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import AlgebraSpec, _complex_gaussian, _spectral_norm
 from .frames import Frame
-from .module import AMatrix
+from .module import AMatrix, _column_grams, _scale_columns
 
 __all__ = [
     "OptimizerConfig",
@@ -36,6 +40,9 @@ __all__ = [
 # Relative decrease of the excess below which a candidate counts as roundoff
 # and is rejected; minimize's docstring gives the reason for the value.
 _ROUNDOFF_MARGIN = 1e-10
+
+# The summand blocks of an n x k matrix over A, in the AMatrix.blocks layout.
+Blocks = Sequence[np.ndarray]
 
 # The iterate log keeps the start, every _LOG_STRIDE-th accepted iterate and
 # the last one.
@@ -138,7 +145,7 @@ class OptimizerTrace:
         return self.iterates[-1][2]
 
 
-def _defects(F: Frame, b_target: float) -> tuple[float, list[np.ndarray], float]:
+def _defects(blocks: Blocks, b_target: float) -> tuple[float, list[np.ndarray], float]:
     """(sum_j ||S_j - b I||_F^2, [S_j - b I], floor) against the target b.
 
     Under the spherical constraint trace(S_j) is pinned at k*m_j*r, so the
@@ -153,7 +160,7 @@ def _defects(F: Frame, b_target: float) -> tuple[float, list[np.ndarray], float]
     excess = 0.0
     floor = 0.0
     defects = []
-    for x in F.matrix.blocks:
+    for x in blocks:
         d = x @ x.conj().T
         d.flat[:: d.shape[0] + 1] -= b_target
         sq = float(np.sum(np.abs(d) ** 2))
@@ -168,9 +175,29 @@ def _residual(defects: list[np.ndarray]) -> float:
     return max(_spectral_norm(d) for d in defects)
 
 
-def _real_inner(a: AMatrix, b: AMatrix) -> float:
+def _real_inner(a: Blocks, b: Blocks) -> float:
     """Real inner product Re sum_j vdot(a_j, b_j) over the summand blocks."""
-    return sum(float(np.vdot(x, y).real) for x, y in zip(a.blocks, b.blocks))
+    return sum(float(np.vdot(x, y).real) for x, y in zip(a, b))
+
+
+def _gradient(blocks: Blocks) -> Blocks:
+    """Per summand block X, the frame potential's gradient 4 * X * (X^H X)."""
+    return tuple(4.0 * x @ (x.conj().T @ x) for x in blocks)
+
+
+def _retract(blocks: Blocks, dims: tuple[int, ...], r: float, tol: float) -> Blocks:
+    """The summand blocks of retract_spherical at radius r."""
+    out = []
+    for m, x in zip(dims, blocks):
+        g = _column_grams(x, m)
+        vals, vecs = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
+        bad = np.nonzero(vals[:, 0] <= tol)[0]
+        if bad.size:
+            raise DegenerateColumnError(int(bad[0]))
+        scale = (vals / r) ** -0.5
+        w = (vecs * scale[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        out.append(_scale_columns(x, m, w))
+    return tuple(out)
 
 
 def frame_potential(F: Frame) -> float:
@@ -184,35 +211,35 @@ def frame_potential(F: Frame) -> float:
 
 def potential_gradient(F: Frame) -> AMatrix:
     """Gradient of the frame potential: per summand 4 * X * (X^H X)."""
-    return AMatrix(
-        F.spec, F.n, F.k, tuple(4.0 * x @ (x.conj().T @ x) for x in F.matrix.blocks)
-    )
+    return AMatrix(F.spec, F.n, F.k, _gradient(F.matrix.blocks))
 
 
 def retract_spherical(F: Frame, r: float, tol: float = 1e-12) -> Frame:
     """Rescale each column to <f_i, f_i> = r * 1_A via inverse square roots.
 
-    Per summand, one eigh over the stacked column Grams.  Raises
-    DegenerateColumnError if some column Gram block has an eigenvalue at or
-    below tol.
+    Per summand, one eigh over the stacked column Grams; minimize's loop
+    runs the same block-level retraction.  Raises DegenerateColumnError if
+    some column Gram block has an eigenvalue at or below tol, naming the
+    first such column of the first summand that has one.
     """
     if not 0 < r < np.inf:  # written so that NaN fails
         raise ValueError("radius must be finite and positive")
-    weights = []
-    for g in F.matrix.column_grams():
-        vals, vecs = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
-        bad = np.nonzero(vals[:, 0] <= tol)[0]
-        if bad.size:
-            raise DegenerateColumnError(int(bad[0]))
-        scale = (vals / r) ** -0.5
-        weights.append((vecs * scale[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
-    return Frame(F.matrix.scale_columns(weights))
+    blocks = _retract(F.matrix.blocks, F.spec.summand_dims, r, tol)
+    return Frame(AMatrix(F.spec, F.n, F.k, blocks))
 
 
 def minimize(
     spec: AlgebraSpec, k: int, n: int, config: OptimizerConfig | None = None
 ) -> OptimizerTrace:
     """Descend the frame potential to a strict-spherical tight frame.
+
+    The descent runs at unit scale, the radius r0 = n/k where b = 1, and the
+    result is scaled once: F = sqrt(c) F0 with c = r / r0 for the requested
+    radius r.  The potential is homogeneous, so F0 minimizes at r0 exactly
+    when F does at r, F's potential is c^2 times F0's and its residual c
+    times F0's; at the default radius c = 1 and the scaling is skipped.
+    Step lengths, config.step_size among them, are thus those of the unit
+    scale descent, whatever the radius.
 
     Each iteration takes a gradient step, retracts back to the spherical
     constraint, and halves the step (at most 60 times) until the potential
@@ -228,24 +255,28 @@ def minimize(
     iterates, in the real inner product Re sum_j vdot over summands; on the
     first iteration, and when <s, y> <= 0, it is twice the last accepted
     step, which starts at config.step_size.  The run stops once the
-    tightness residual max_j ||S_j - b I||_2 is at most
+    tightness residual max_j ||S_j - b I||_2 of F is at most
     config.tight_tol * max(1, b), the threshold check_tight holds a tight
-    frame to, when no step length decreases the potential by more than
-    roundoff, or when the iteration budget is exhausted.  The residual takes
-    one SVD per summand, so it is computed only on the iterates the log
-    keeps (see OptimizerTrace) and where the Frobenius floor from _defects
-    does not already exceed the threshold; the frames and the log are those
-    of a run that computes it on every accepted iterate.  Start columns
-    whose Gram degenerates are re-randomized (at most 10 times in total)
-    from the same seeded stream.  Raises ValueError when k < n, or when the
-    radius makes b at most tight_tol or the potential overflow (see
+    frame to (F0's residual is held to that threshold divided by c), when
+    no step length decreases the potential by more than roundoff, or when
+    the iteration budget is exhausted.  The residual takes one SVD per
+    summand, so it is computed only on the iterates the log keeps (see
+    OptimizerTrace) and where the Frobenius floor from _defects does not
+    already exceed the threshold; the frames and the log are those of a
+    run that computes it on every accepted iterate.  The iterate, its
+    gradient and the trial points are bare summand blocks; the output frame
+    is the one validated AMatrix built.  Start columns whose Gram
+    degenerates are re-randomized (at most 10 times in total) from the same
+    seeded stream.  Raises ValueError when k < n, or when the radius makes
+    b at most tight_tol or the potential overflow (see
     OptimizerConfig.radius_for).
     """
     if k < n:
         raise ValueError(f"need k >= n, got k={k}, n={n}")
     if config is None:
         config = OptimizerConfig()
-    r = config.radius_for(spec, k, n)
+    r0 = n / k
+    c = config.radius_for(spec, k, n) / r0
     dims = spec.summand_dims
     rng = np.random.default_rng(config.seed)
     degen_tol = 1e-10
@@ -254,7 +285,7 @@ def minimize(
     X = AMatrix.random(spec, n, k, rng)
     while True:
         try:
-            F = retract_spherical(Frame(X), r, degen_tol)
+            x = retract_spherical(Frame(X), r0, degen_tol).matrix.blocks
             break
         except DegenerateColumnError as exc:
             if rerandomizations == 10:
@@ -268,14 +299,15 @@ def minimize(
             for m, grid in zip(dims, X.grids):
                 grid[:, exc.column] = _complex_gaussian(rng, (n, m, m))
 
-    b_target = k * r / n
-    threshold = config.tight_tol * max(1.0, b_target)
+    b_target = k * r0 / n
+    # check_tight's tol * max(1, b) at radius r, held by the unit-scale residual
+    threshold = config.tight_tol * max(1.0, c * b_target) / c
     # res_floor <= res holds in exact arithmetic; the margin keeps a floor
     # rounded up past the threshold from skipping a residual at it
     skip_above = threshold * (1.0 + 1e-12)
     # potential at the constraint is this constant plus the excess
-    pot_floor = sum((k * r) ** 2 * m / n for m in dims)
-    excess, defects, _ = _defects(F, b_target)
+    pot_floor = sum((k * r0) ** 2 * m / n for m in dims)
+    excess, defects, _ = _defects(x, b_target)
     res = _residual(defects)
     log = [(0, pot_floor + excess, res)]
     step = config.step_size
@@ -288,19 +320,23 @@ def minimize(
     # the current one, so it is rejected like any other non-decrease
     with np.errstate(over="ignore", invalid="ignore"):
         while res > threshold and it < config.max_iters:
-            grad = potential_gradient(F)
+            grad = _gradient(x)
             trial = step * 2.0
             if previous is not None:
-                s, y = F.matrix - previous[0], grad - previous[1]
+                s = [a - b for a, b in zip(x, previous[0])]
+                y = [a - b for a, b in zip(grad, previous[1])]
                 sy = _real_inner(s, y)
                 if sy > 0:
                     trial = _real_inner(s, s) / sy
-            previous = (F.matrix, grad)
+            previous = (x, grad)
             accepted = None
             for _ in range(60):
                 candidates += 1
+                t = complex(trial)  # as AMatrix's trial * grad multiplies
                 try:
-                    cand = retract_spherical(Frame(F.matrix - trial * grad), r, degen_tol)
+                    cand = _retract(
+                        [a - t * g for a, g in zip(x, grad)], dims, r0, degen_tol
+                    )
                 except DegenerateColumnError:
                     trial *= 0.5
                     continue
@@ -313,7 +349,7 @@ def minimize(
                 # no decrease beyond roundoff at any step length
                 stalled = True
                 break
-            F, excess, defects, res_floor, step = accepted
+            x, excess, defects, res_floor, step = accepted
             it += 1
             logged = it % _LOG_STRIDE == 0
             if logged or res_floor <= skip_above:
@@ -332,9 +368,11 @@ def minimize(
         stop_reason = "converged"
     else:
         stop_reason = "stalled" if stalled else "max_iters"
+    if c != 1.0:  # a complex product by 1.0 could flip the signs of zeros
+        x = tuple(np.sqrt(c) * a for a in x)
     return OptimizerTrace(
-        iterates=tuple(log),
-        frame=F,
+        iterates=tuple((i, c * c * p, c * e) for i, p, e in log),
+        frame=Frame(AMatrix(spec, n, k, x)),
         stop_reason=stop_reason,
         candidates=candidates,
         # every candidate but the accepted ones was followed by a halving

@@ -404,6 +404,10 @@ class TestMinimize:
         ("2", 6, 4, 14,
          "8e3c82cbd621bcdb128cccb3723adadd78178acfe95ce9c0ebadc0d191fe288c",
          "8f00fb763c39dcf0d3de453e871da62da1c190a8eff1fe77b92b9a76e4494be1"),
+        # 3 x 3 summand blocks; 33 iterations
+        ("3,2", 24, 16, 0,
+         "ae3342b677c832a17c90d0de450e3ed00a0a24aa4de9537e36d4f402f446a5ee",
+         "45269b58b2cb1c1a09e8a6870176414d61e3d2f3d3e26bf988c63e4b23774419"),
     ]
 
     @pytest.mark.parametrize("algebra,k,n,seed,digest,trace_digest", GOLDEN)
@@ -446,6 +450,19 @@ class TestMinimize:
         ):
             rc, _ = run(capsys, *argv)
             assert rc == 0, argv
+
+    @pytest.mark.parametrize("radius", ["1e20", "1e100"])
+    def test_huge_radius_round_trip(self, tmp_path, capsys, radius):
+        # the descent runs at b = 1, so its first step does not depend on
+        # the radius, and the scaled output verifies at the default --tol
+        path = str(tmp_path / "m.json")
+        rc, out = run(capsys, "minimize", "--algebra", "1", "--k", "3", "--n", "2",
+                      "--seed", "0", "--radius", radius, "--out", path)
+        assert rc == 0
+        assert json.loads(out)["stop_reason"] == "converged"
+        rc, out = run(capsys, "verify", path)
+        assert rc == 0
+        assert json.loads(out)["b"] == pytest.approx(1.5 * float(radius), rel=1e-9)
 
     def test_iteration_budget_exhausted(self, tmp_path, capsys):
         rc, _ = run(capsys, "minimize", "--algebra", "1", "--k", "3", "--n", "2",
