@@ -17,7 +17,6 @@ from .decomposition import (
     enumerate_partitions,
     ortho_decompose,
     range_constant,
-    range_projection,
     restrict,
     split_equivalence,
 )

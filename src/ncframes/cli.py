@@ -93,8 +93,9 @@ def _emit(doc: dict, mode: str):
             print(f"{key}: {value}")
 
 
-def _add_common(parser: ArgumentParser):
-    parser.add_argument("--tol", type=_positive_float, default=1e-9)
+def _add_common(parser: ArgumentParser, tol: bool = True):
+    if tol:
+        parser.add_argument("--tol", type=_positive_float, default=1e-9)
     parser.add_argument("--output", choices=("json", "text"), default="json")
 
 
@@ -104,6 +105,15 @@ def _add_common(parser: ArgumentParser):
 def cmd_gen(args) -> int:
     if args.k < args.n:
         raise UsageError(f"need k >= n, got k={args.k}, n={args.n}")
+    if not args.b > args.tol:
+        raise UsageError(
+            f"b {args.b:g} is too small: it is not above --tol {args.tol:g}, "
+            "so check_tight reports no such frame tight"
+        )
+    # the trace of FF* in summand j is n * m_j * b, and the reader refuses a
+    # file where it overflows; the margin covers the rounding of that sum
+    if not args.n * max(args.algebra.summand_dims) * args.b < (1 - 1e-6) * sys.float_info.max:
+        raise UsageError(f"b {args.b:g} is too large: the trace n*m*b of FF* overflows")
     F = random_tight_frame(args.algebra, args.k, args.n, args.b, args.seed)
     io.save_frame(
         args.out,
@@ -385,7 +395,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--kprime", type=_positive_int, required=True)
     p.add_argument("--count-only", action="store_true")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("minimize", help="build a spherical tight frame by descent")
@@ -404,7 +414,7 @@ def build_parser() -> ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
     p.add_argument("--full", action="store_true")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_selftest)
 
     return parser

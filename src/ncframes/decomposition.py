@@ -51,7 +51,6 @@ __all__ = [
     "commutation_residual",
     "ortho_decompose",
     "restrict",
-    "range_projection",
     "range_constant",
     "split_equivalence",
     "divisibility_check",
@@ -227,11 +226,12 @@ def _rank(s: np.ndarray, tol: float) -> int:
 def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
     """The constant b of the columns I as a tight frame on their own range.
 
-    Per summand, trace(F_I F_I*) divided by the rank of F_I (the rank rule
-    of range_projection), averaged over the summands where that rank is
-    positive; 0.0 when it is zero in all of them.  For the columns of a
-    block of a tight frame's ortho-decomposition this is the frame's b,
-    where check_tight(restrict(F, I)) would divide by the full n * m_j.
+    Per summand, trace(F_I F_I*) divided by the rank of F_I (the rule of
+    _rank, which _range_basis cuts at), averaged over the summands where
+    that rank is positive; 0.0 when it is zero in all of them.  For the
+    columns of a block of a tight frame's ortho-decomposition this is the
+    frame's b, where check_tight(restrict(F, I)) would divide by the full
+    n * m_j.
     """
     per_b = []
     for y in restrict(F, I).matrix.blocks:
@@ -239,19 +239,6 @@ def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
         if rank:
             per_b.append(float(np.vdot(y, y).real) / rank)
     return float(np.mean(per_b)) if per_b else 0.0
-
-
-def range_projection(F: Frame, tol: float = 1e-9) -> AMatrix:
-    """Orthogonal projection onto the column space of F, per summand.
-
-    Computed from the SVD of each summand block of the frame matrix with
-    singular values below tol * max(1, s_max) treated as zero.
-    """
-    blocks = []
-    for blk in F.matrix.blocks:
-        ur = _range_basis(blk, tol)
-        blocks.append(ur @ ur.conj().T)
-    return AMatrix(F.spec, F.n, F.n, tuple(blocks))
 
 
 def split_equivalence(
@@ -268,7 +255,8 @@ def split_equivalence(
 
     The residuals come from one pass over the summand blocks, with F_I, F_Ic
     the blocks of the two column sides, U, Uc orthonormal bases of their
-    ranges (the rank rule of range_projection) and P = U U*, Pc = Uc Uc*:
+    ranges (from _range_basis, by the rank rule of _rank) and P = U U*,
+    Pc = Uc Uc*:
 
     - commutation_residual: ||F_I* F_Ic||, the norm of Q_I G - G Q_I;
     - range_overlap: ||U* Uc||, which equals ||P Pc||;
@@ -402,8 +390,10 @@ def direct_sum_frames(
         if part.spec != spec:
             raise ValueError("parts live over different algebras")
         report = check_tight(part, tol)
-        if not report.is_tight or abs(report.b - b) > tol * max(1.0, b):
+        if not report.is_tight:
             raise NotTightError(report.residual, tol)
+        if abs(report.b - b) > tol * max(1.0, b):
+            raise NotTightError(abs(report.b - b), tol * max(1.0, b))
     n_total = sum(p.n for p in parts)
     k_total = sum(p.k for p in parts)
     out = AMatrix.zeros(spec, n_total, k_total)

@@ -47,7 +47,6 @@ __all__ = [
     "save_frame",
     "save_amatrix",
     "save_with_frame",
-    "write_json",
 ]
 
 
@@ -159,14 +158,6 @@ def save_with_frame(path, doc: dict, F: Frame):
         raise ValueError('doc already has a "frame" key')
     text = json.dumps({**doc, "frame": 0})
     _write(path, text[: -len("0}")] + _frame_text(F, None) + "}")
-
-
-def write_json(path, doc):
-    """Write doc as one line of JSON.
-
-    json.dumps runs the C encoder; json.dump into a file does not.
-    """
-    _write(path, json.dumps(doc))
 
 
 # -- reading ---------------------------------------------------------------

@@ -8,9 +8,9 @@ the conjugate transpose, the operator norm is the largest summand spectral
 norm, entries are slices and a column selection is one gather per summand.
 This module is the only code that indexes inside a summand block: the
 others reach entries through the (rows, cols, m, m) grids view, column
-Grams, column scaling and entry norms.  Column Grams and column scaling
-also exist per bare summand block (_column_grams, _scale_columns), which
-the AMatrix methods and the descent loop in optimize both call.
+Grams and entry norms.  The descent loop in optimize works on bare summand
+blocks through _column_grams, which column_grams also calls, and
+_scale_columns, the block of M diag(w_1, ..., w_cols).
 
 Vectors in A^n are AMatrix values with a single column; the A-valued inner
 product is conjugate-linear in the first argument, <v, w> = sum_i v_i* w_i
@@ -198,18 +198,6 @@ class AMatrix:
     def column_grams(self) -> tuple[np.ndarray, ...]:
         """Per summand, the (cols, m, m) stack of the pairings <M_i, M_i>."""
         return tuple(_column_grams(blk, m) for m, blk in zip(self.spec.summand_dims, self.blocks))
-
-    def scale_columns(self, w: Sequence[np.ndarray]) -> "AMatrix":
-        """M diag(w_1, ..., w_cols), with w one (cols, m, m) stack per summand."""
-        return AMatrix(
-            self.spec,
-            self.rows,
-            self.cols,
-            tuple(
-                _scale_columns(blk, m, wj)
-                for m, blk, wj in zip(self.spec.summand_dims, self.blocks, w)
-            ),
-        )
 
     def entry_norms(self) -> np.ndarray:
         """The (rows, cols) array of entry C*-norms ||M_ij||."""

@@ -267,12 +267,12 @@ def minimize(
     gradient and the trial points are bare summand blocks; the output frame
     is the one validated AMatrix built.  Start columns whose Gram
     degenerates are re-randomized (at most 10 times in total) from the same
-    seeded stream.  Raises ValueError when k < n, or when the radius makes
-    b at most tight_tol or the potential overflow (see
+    seeded stream.  Raises ValueError unless 1 <= n <= k, or when the radius
+    makes b at most tight_tol or the potential overflow (see
     OptimizerConfig.radius_for).
     """
-    if k < n:
-        raise ValueError(f"need k >= n, got k={k}, n={n}")
+    if not 1 <= n <= k:
+        raise ValueError(f"need 1 <= n <= k, got k={k}, n={n}")
     if config is None:
         config = OptimizerConfig()
     r0 = n / k

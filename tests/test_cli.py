@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -332,6 +334,61 @@ class TestArgumentContract:
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_partitions_nonpositive_k_exits_3(self, capsys, k):
         assert main(["partitions", "--k", k, "--kprime", "1"]) == 3
+
+    # no frame of these constants could load or verify: n*m*b overflows the
+    # trace of FF* that the reader checks, or b is at most --tol
+    @pytest.mark.parametrize(
+        "algebra,k,n,b,tol",
+        [
+            ("2", "4", "2", "1.7e308", None),
+            ("1", "3", "2", "1e308", None),
+            ("3,2", "6", "4", "1.5e307", None),
+            ("1", "2", "1", "1e-300", None),
+            ("1", "3", "2", "1e-9", None),
+            ("2,1", "4", "2", "1e-4", "1e-4"),
+        ],
+    )
+    def test_gen_unloadable_b_exits_3_before_writing(
+        self, tmp_path, capsys, algebra, k, n, b, tol
+    ):
+        out = tmp_path / "f.json"
+        extra = ["--tol", tol] if tol else []
+        rc = main(["gen", "--algebra", algebra, "--k", k, "--n", n, "--b", b,
+                   "--out", str(out)] + extra)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: b")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algebra,k,n", [("1", 3, 2), ("2,1", 4, 2), ("3,2", 6, 4)])
+    def test_gen_largest_b_round_trips(self, tmp_path, capsys, algebra, k, n):
+        # gen accepts b exactly while n * max m_j * b < (1 - 1e-6) * max float
+        nm = n * max(int(m) for m in algebra.split(","))
+        bound = (1 - 1e-6) * sys.float_info.max
+        b = bound / nm
+        while not nm * b < bound:
+            b = math.nextafter(b, 0.0)
+        gen = ["gen", "--algebra", algebra, "--k", str(k), "--n", str(n)]
+        path, refused = tmp_path / "f.json", tmp_path / "g.json"
+        rc, _ = run(capsys, *gen, "--b", repr(math.nextafter(b, math.inf)),
+                    "--out", str(refused))
+        assert rc == 3 and not refused.exists()
+        rc, out = run(capsys, *gen, "--b", repr(b), "--out", str(path))
+        assert rc == 0 and json.loads(out)["is_tight"]
+        rc, out = run(capsys, "verify", str(path))
+        assert rc == 0
+        assert json.loads(out)["b"] == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv", [["partitions", "--k", "4", "--kprime", "2"], ["selftest"]], ids=" ".join
+    )
+    def test_tol_is_not_an_option_where_nothing_reads_it(self, capsys, argv):
+        rc = main(argv + ["--tol", "1e-9"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized arguments: --tol")
 
     @pytest.mark.parametrize("radius", ["1e200", "1e155", "1.7e308", "1e-300", "1e-320"])
     def test_overflowing_radius_exits_3_before_writing(self, tmp_path, capsys, radius):

@@ -22,7 +22,6 @@ from ncframes import (
     minimize,
     ortho_decompose,
     random_tight_frame,
-    range_projection,
     restrict,
     split_equivalence,
 )
@@ -189,27 +188,6 @@ class TestRestrictAndRange:
     def test_restrict_empty_raises(self, mercedes):
         with pytest.raises(ValueError):
             restrict(mercedes, [])
-
-    def test_range_projection_full_span(self, m2_spec):
-        F = random_tight_frame(m2_spec, 4, 2, seed=5)
-        P = range_projection(F)
-        assert P.allclose(AMatrix.identity(m2_spec, 2), tol=1e-10)
-
-    def test_range_projection_single_column(self, scalar_spec):
-        one, zero = scalar_spec.identity(), scalar_spec.zero()
-        F = Frame(AMatrix.from_entries([[one], [zero], [zero]]))  # e1 in C^3
-        P = range_projection(F)
-        expected = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(P.blocks[0], expected, atol=1e-12)
-
-    def test_projection_fixes_frame(self, mixed_spec):
-        rng = np.random.default_rng(6)
-        F = Frame(AMatrix.random(mixed_spec, 4, 2, rng))
-        P = range_projection(F)
-        assert (P @ F.matrix - F.matrix).norm() <= 1e-9
-        # SVD oracle: P is idempotent and self-adjoint
-        assert (P @ P - P).norm() <= 1e-10
-        assert (P.H - P).norm() <= 1e-12
 
 
 class TestSplitEquivalence:
@@ -391,8 +369,11 @@ class TestDirectSum:
 
     def test_mismatched_constant_rejected(self, mercedes, scalar_spec):
         other = Frame(AMatrix.identity(scalar_spec, 2))  # b = 1 != 3/2
-        with pytest.raises(NotTightError):
+        with pytest.raises(NotTightError) as exc:
             direct_sum_frames([mercedes, other], b=1.5)
+        # the mismatch of the constants, not the residual of the tight part
+        assert exc.value.residual == pytest.approx(0.5)
+        assert exc.value.tol == pytest.approx(1.5e-9)
 
 
 class TestEdgeBracket:

@@ -1,4 +1,5 @@
-"""The runtime imports numpy and the standard library only.
+"""The runtime imports numpy and the standard library only, and the public
+surface is what the modules' __all__ lists say.
 
 scipy costs more than the rest of `import ncframes.cli` together, so it
 stays a test-only dependency: the CLI must run every frame command without
@@ -6,11 +7,15 @@ loading it, and no module of the package may import anything else.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ncframes
 
@@ -71,3 +76,28 @@ def test_package_imports_only_stdlib_numpy_and_itself():
         if name not in allowed
     ]
     assert foreign == []
+
+
+# the modules whose __all__ the package namespace re-exports
+LIBRARY = ("algebra", "module", "frames", "decomposition", "optimize")
+
+
+@pytest.mark.parametrize("name", LIBRARY + ("io", "cli"))
+def test_every_listed_name_resolves(name):
+    mod = importlib.import_module(f"ncframes.{name}")
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    assert [attr for attr in mod.__all__ if not hasattr(mod, attr)] == []
+
+
+def test_package_reexports_exactly_the_library_lists():
+    listed = {}
+    for name in LIBRARY:
+        mod = importlib.import_module(f"ncframes.{name}")
+        listed.update((attr, getattr(mod, attr)) for attr in mod.__all__)
+    public = {
+        attr: value
+        for attr, value in vars(ncframes).items()
+        if not attr.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(public) == sorted(listed)
+    assert all(public[attr] is listed[attr] for attr in listed)

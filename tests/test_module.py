@@ -13,6 +13,7 @@ from ncframes import (
     is_partial_isometry,
     is_unitary,
 )
+from ncframes.module import _scale_columns
 
 
 def _std_basis(spec, n, i):
@@ -401,8 +402,8 @@ def _views(M):
 
 
 class TestBlockAccessors:
-    """grids, from_grids, column_grams, scale_columns and entry_norms
-    against entrywise AlgebraElement arithmetic."""
+    """grids, from_grids, column_grams, entry_norms and the block function
+    _scale_columns against entrywise AlgebraElement arithmetic."""
 
     @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
     def test_entry_norms_match_element_norms(self, dims):
@@ -434,8 +435,9 @@ class TestBlockAccessors:
         D = AMatrix.from_entries(
             [[w[i] if i == j else spec.zero() for j in range(4)] for i in range(4)]
         )
-        stacks = [np.stack([x.blocks[s] for x in w]) for s in range(len(dims))]
-        assert M.scale_columns(stacks).allclose(M @ D, tol=1e-13)
+        for s, (m, blk, want) in enumerate(zip(dims, M.blocks, (M @ D).blocks)):
+            stack = np.stack([x.blocks[s] for x in w])
+            np.testing.assert_allclose(_scale_columns(blk, m, stack), want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
     def test_grids_round_trip_and_write_through(self, dims):

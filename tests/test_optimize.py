@@ -258,6 +258,11 @@ class TestConfig:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("k,n", [(0, 0), (3, 0), (2, 3)])
+    def test_rejects_shapes_outside_one_to_k(self, k, n):
+        with pytest.raises(ValueError, match="^need 1 <= n <= k"):
+            minimize(AlgebraSpec((1,)), k, n)
+
     def test_scalar_case_reaches_bound(self, scalar_spec):
         trace = minimize(scalar_spec, 3, 2, OptimizerConfig(seed=1, tight_tol=1e-10))
         assert trace.converged
