@@ -8,6 +8,7 @@ computed blockwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,31 +120,25 @@ class AlgebraElement:
         if self.spec != other.spec:
             raise ShapeError("elements belong to different algebras")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def _blockwise(self, op, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same_spec(other)
-        return AlgebraElement(
-            self.spec, tuple(a + b for a, b in zip(self.blocks, other.blocks))
-        )
+        return AlgebraElement(self.spec, tuple(map(op, self.blocks, other.blocks)))
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self._blockwise(operator.add, other)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same_spec(other)
-        return AlgebraElement(
-            self.spec, tuple(a - b for a, b in zip(self.blocks, other.blocks))
-        )
+        return self._blockwise(operator.sub, other)
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.spec, tuple(-a for a in self.blocks))
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
-            self._check_same_spec(other)
-            return AlgebraElement(
-                self.spec, tuple(a @ b for a, b in zip(self.blocks, other.blocks))
-            )
+            return self._blockwise(operator.matmul, other)
         return AlgebraElement(self.spec, tuple(complex(other) * a for a in self.blocks))
 
-    def __rmul__(self, other) -> "AlgebraElement":
-        return AlgebraElement(self.spec, tuple(complex(other) * a for a in self.blocks))
+    __rmul__ = __mul__
 
     def adjoint(self) -> "AlgebraElement":
         """Blockwise conjugate transpose."""

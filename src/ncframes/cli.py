@@ -409,7 +409,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--radius", type=_positive_float, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--trace-out", default=None)
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")

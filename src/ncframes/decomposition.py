@@ -15,10 +15,13 @@ bound (ortho_decompose), and split_equivalence allows k times it.  An edge
 is decided per summand from the bracket ||X||_2 <= ||X||_F <= sqrt(m) ||X||_2
 on the entry's m x m block X: a Frobenius norm at most the bound, or
 above sqrt(m) times it, settles the entry, and only the entries in between
-pay for an SVD, so the graph is exactly the one the entry norms give.  Block
-sizes of a strict-spherical tight frame are forced to be multiples of
-k' = k / gcd(k, n), which picks out the admissible partitions enumerated
-here.
+pay for an SVD, so the graph is exactly the one the entry norms give.  That
+the block sizes of a strict-spherical tight frame are multiples of
+k' = k / gcd(k, n), the rule that picks out the admissible partitions
+enumerated here, is proved when some summand of A is 1 x 1.  Without one it
+can fail (a two-block frame over M_2 with k = 8, n = 3 has blocks of 4); the
+necessary condition is then that k'' = lcm_j k / gcd(k, n m_j) divides each
+block size, see item 1 of ROADMAP.md.
 
 Index sets and partition blocks use 1-based column labels {1, ..., k}
 throughout this module, matching the usual f_1, ..., f_k numbering; the
@@ -120,18 +123,26 @@ def _to_zero_based(I: Iterable[int], k: int) -> list[int]:
     return [i - 1 for i in idx]
 
 
+def _sides(F: Frame, I: Iterable[int]) -> tuple:
+    """The summand blocks of the columns I and of their complement, or None
+    for a side without columns."""
+    idx = _to_zero_based(I, F.k)
+    comp = sorted(set(range(F.k)) - set(idx))
+    return tuple(F.matrix.select_columns(cols).blocks if cols else None for cols in (idx, comp))
+
+
 def commutation_residual(F: Frame, I: Iterable[int]) -> float:
     """||Q_I (F*F) - (F*F) Q_I|| for the coordinate projection onto I.
 
     The commutator has the Gram block F_I* F_{I^c} and minus its adjoint as
-    its only nonzero blocks, so its norm is ||F_I* F_{I^c}||, which is what
-    is computed; it is 0 when I or its complement is empty.
+    its only nonzero blocks, so its norm is ||F_I* F_{I^c}||, the largest
+    over the summands of the spectral norm of y* yc; it is 0 when I or its
+    complement is empty.
     """
-    idx = _to_zero_based(I, F.k)
-    comp = sorted(set(range(F.k)) - set(idx))
-    if not idx or not comp:
+    sub, comp = _sides(F, I)
+    if sub is None or comp is None:
         return 0.0
-    return (F.matrix.select_columns(idx).H @ F.matrix.select_columns(comp)).norm()
+    return max(_spectral_norm(y.conj().T @ yc) for y, yc in zip(sub, comp))
 
 
 def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
@@ -212,22 +223,18 @@ def _range_basis(x: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the column space of one summand block.
 
     The leading left singular vectors whose singular values exceed
-    tol * max(1, s_max); the rest count as zero.
+    tol * max(1, s_max); the rest count as zero, so the column count is the
+    block's rank.
     """
     u, s, _ = np.linalg.svd(x, full_matrices=False)
-    return u[:, : _rank(s, tol)]
-
-
-def _rank(s: np.ndarray, tol: float) -> int:
-    """How many of the descending singular values s exceed tol * max(1, s_max)."""
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return u[:, : int(np.sum(s > tol * max(1.0, s[0])))]
 
 
 def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
     """The constant b of the columns I as a tight frame on their own range.
 
-    Per summand, trace(F_I F_I*) divided by the rank of F_I (the rule of
-    _rank, which _range_basis cuts at), averaged over the summands where
+    Per summand, trace(F_I F_I*) divided by the rank of F_I (the column
+    count of its _range_basis), averaged over the summands where
     that rank is positive; 0.0 when it is zero in all of them.  For the
     columns of a block of a tight frame's ortho-decomposition this is the
     frame's b, where check_tight(restrict(F, I)) would divide by the full
@@ -235,7 +242,7 @@ def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
     """
     per_b = []
     for y in restrict(F, I).matrix.blocks:
-        rank = _rank(np.linalg.svd(y, compute_uv=False), tol)
+        rank = _range_basis(y, tol).shape[1]
         if rank:
             per_b.append(float(np.vdot(y, y).real) / rank)
     return float(np.mean(per_b)) if per_b else 0.0
@@ -255,7 +262,7 @@ def split_equivalence(
 
     The residuals come from one pass over the summand blocks, with F_I, F_Ic
     the blocks of the two column sides, U, Uc orthonormal bases of their
-    ranges (from _range_basis, by the rank rule of _rank) and P = U U*,
+    ranges (from _range_basis) and P = U U*,
     Pc = Uc Uc*:
 
     - commutation_residual: ||F_I* F_Ic||, the norm of Q_I G - G Q_I;
@@ -271,10 +278,8 @@ def split_equivalence(
     if not report.is_tight:
         raise NotTightError(report.residual, tol)
     b = report.b
-    idx = _to_zero_based(I, F.k)
-    comp = sorted(set(range(F.k)) - set(idx))
     threshold = tol * (max(1.0, b) * max(1.0, float(F.k)))
-    sides = [F.matrix.select_columns(cols).blocks if cols else None for cols in (idx, comp)]
+    sides = _sides(F, I)
 
     comm = overlap = 0.0
     hermitian = np.zeros(3)  # sub-tight, comp-tight and closure residuals
@@ -313,7 +318,12 @@ def split_equivalence(
 
 
 def divisibility_check(p: Partition, k: int, n: int) -> DivisibilityReport:
-    """Flag each block whose size is a multiple of k' = k / gcd(k, n)."""
+    """Flag each block whose size is a multiple of k' = k / gcd(k, n).
+
+    For a strict-spherical tight frame every flag holds when some summand of
+    A is 1 x 1.  Over summands that are all larger the rule is not proved and
+    can fail; item 1 of ROADMAP.md gives k'' = lcm_j k / gcd(k, n m_j).
+    """
     if p.k != k:
         raise ValueError(f"partition is over {p.k} elements, expected {k}")
     d = math.gcd(k, n)

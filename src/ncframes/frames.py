@@ -208,11 +208,10 @@ def is_spherical(
         deviation = max(
             float(np.max(_spectral_norms(g - r * np.eye(g.shape[1])))) for g in grams
         )
-        ok = deviation <= tol * max(1.0, abs(r)) and r > tol
-        return SphericalReport(ok, r, deviation, mode)
-    norms = np.max([_spectral_norms(g) for g in grams], axis=0)
-    r = float(np.mean(norms))
-    deviation = float(np.max(np.abs(norms - r)))
+    else:
+        norms = np.max([_spectral_norms(g) for g in grams], axis=0)
+        r = float(np.mean(norms))
+        deviation = float(np.max(np.abs(norms - r)))
     ok = deviation <= tol * max(1.0, abs(r)) and r > tol
     return SphericalReport(ok, r, deviation, mode)
 

@@ -40,7 +40,6 @@ __all__ = [
     "encode_spec",
     "decode_spec",
     "decode_amatrix",
-    "encode_frame_file",
     "decode_frame_file",
     "encode_tightness_report",
     "load_frame",
@@ -132,10 +131,6 @@ def _amatrix_text(M: AMatrix, extra: dict) -> str:
         raise ValueError(f"extra keys {sorted(doc.keys() & extra.keys())} are reserved")
     doc.update(extra)
     return _render(doc, M.spec, (M.rows * M.cols,), M.grids)
-
-
-def encode_frame_file(F: Frame, metadata: dict | None = None) -> dict:
-    return json.loads(_frame_text(F, metadata))
 
 
 def _write(path, text: str):

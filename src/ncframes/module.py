@@ -27,6 +27,7 @@ whichever column roundoff favours.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -221,27 +222,17 @@ class AMatrix:
         if self.spec != other.spec:
             raise ShapeError("matrices over different algebras")
 
-    def __add__(self, other: "AMatrix") -> "AMatrix":
+    def _entrywise(self, op, other: "AMatrix", what: str) -> "AMatrix":
         self._check_same_spec(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
-        return AMatrix(
-            self.spec,
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.blocks, other.blocks)),
-        )
+            raise ShapeError(f"shape mismatch in {what}")
+        return AMatrix(self.spec, self.rows, self.cols, tuple(map(op, self.blocks, other.blocks)))
+
+    def __add__(self, other: "AMatrix") -> "AMatrix":
+        return self._entrywise(operator.add, other, "addition")
 
     def __sub__(self, other: "AMatrix") -> "AMatrix":
-        self._check_same_spec(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in subtraction")
-        return AMatrix(
-            self.spec,
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.blocks, other.blocks)),
-        )
+        return self._entrywise(operator.sub, other, "subtraction")
 
     def __mul__(self, scalar) -> "AMatrix":
         return AMatrix(
