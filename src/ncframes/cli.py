@@ -83,6 +83,16 @@ _algebra = _checked(
 # the most partitions `partitions` lists; the count grows like Bell(k), and
 # listing k = 11 (678570) took 46 s and 1.9 GB, so larger counts need --count-only
 MAX_LISTED_PARTITIONS = 200_000
+# the most labels (count * k) it lists; 1936950 (k = 15, k' = 5) is the most under
+# the partition cap, and the 1804188 of k = 12, k' = 2 took 7 s and 342 MB
+MAX_LISTED_LABELS = 2_000_000
+# the most blocks k / k' whose count it computes: the recurrence adds up to
+# k / k' terms at each of k / k' steps, 0.9 s at 256 blocks of 6 (3013 digits)
+MAX_COUNTED_BLOCKS = 256
+# gen and minimize refuse k * sqrt(sum_j m_j^2) above this, k * m_j for one
+# summand; gen at the bound (n = k = 2000 over C, 1414 over C + C, 1000 over
+# M_2 or C^4) peaked at 857 MB RSS
+MAX_SIDE = 2000
 
 
 def _emit(doc: dict, mode: str):
@@ -91,6 +101,14 @@ def _emit(doc: dict, mode: str):
     else:
         for key, value in doc.items():
             print(f"{key}: {value}")
+
+
+def _check_shape(args):
+    """Refuse k < n, and a k x k unitary over A with over MAX_SIDE**2 entries."""
+    if args.k < args.n:
+        raise UsageError(f"need k >= n, got k={args.k}, n={args.n}")
+    if args.k**2 * sum(m * m for m in args.algebra.summand_dims) > MAX_SIDE**2:
+        raise UsageError(f"frame too large: k * sqrt(sum of m_j^2) exceeds {MAX_SIDE}")
 
 
 def _add_common(parser: ArgumentParser, tol: bool = True):
@@ -103,8 +121,7 @@ def _add_common(parser: ArgumentParser, tol: bool = True):
 
 
 def cmd_gen(args) -> int:
-    if args.k < args.n:
-        raise UsageError(f"need k >= n, got k={args.k}, n={args.n}")
+    _check_shape(args)
     if not args.b > args.tol:
         raise UsageError(
             f"b {args.b:g} is too small: it is not above --tol {args.tol:g}, "
@@ -188,13 +205,21 @@ def cmd_factorize(args) -> int:
 def cmd_partitions(args) -> int:
     if args.k % args.kprime != 0:
         raise UsageError(f"kprime={args.kprime} does not divide k={args.k}")
+    blocks = args.k // args.kprime
+    if blocks > MAX_COUNTED_BLOCKS:
+        raise UsageError(f"k / kprime = {blocks} exceeds the limit of {MAX_COUNTED_BLOCKS}")
+    # the count is at most blocks**k: a partition puts each of the k labels
+    # in one of its at most k / kprime blocks
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if args.k * math.log10(blocks) >= digits:
+        raise UsageError(f"the count may have more than the {digits} digits Python prints")
     count = count_partitions(args.k, args.kprime)
     if args.count_only:
         _emit({"k": args.k, "kprime": args.kprime, "count": count}, args.output)
-    elif count > MAX_LISTED_PARTITIONS:
+    elif count > MAX_LISTED_PARTITIONS or count * args.k > MAX_LISTED_LABELS:
         raise UsageError(
-            f"{count} partitions exceed the listing limit of "
-            f"{MAX_LISTED_PARTITIONS}; use --count-only"
+            f"{count} partitions of {args.k} labels exceed the listing limit of "
+            f"{MAX_LISTED_PARTITIONS} partitions or {MAX_LISTED_LABELS} labels; use --count-only"
         )
     else:
         doc = {
@@ -211,8 +236,7 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    if args.k < args.n:
-        raise UsageError(f"need k >= n, got k={args.k}, n={args.n}")
+    _check_shape(args)
     config = OptimizerConfig(
         step_size=args.step_size,
         max_iters=args.max_iters,

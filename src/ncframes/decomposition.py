@@ -15,13 +15,12 @@ bound (ortho_decompose), and split_equivalence allows k times it.  An edge
 is decided per summand from the bracket ||X||_2 <= ||X||_F <= sqrt(m) ||X||_2
 on the entry's m x m block X: a Frobenius norm at most the bound, or
 above sqrt(m) times it, settles the entry, and only the entries in between
-pay for an SVD, so the graph is exactly the one the entry norms give.  That
-the block sizes of a strict-spherical tight frame are multiples of
-k' = k / gcd(k, n), the rule that picks out the admissible partitions
-enumerated here, is proved when some summand of A is 1 x 1.  Without one it
-can fail (a two-block frame over M_2 with k = 8, n = 3 has blocks of 4); the
-necessary condition is then that k'' = lcm_j k / gcd(k, n m_j) divides each
-block size, see item 1 of ROADMAP.md.
+pay for an SVD, so the graph is exactly the one the entry norms give.  The
+block sizes of a strict-spherical tight frame are proved to be multiples of
+k' = k / gcd(k, n), which picks out the admissible partitions enumerated
+here, when some summand of A is 1 x 1; over M_2 a frame with k = 8, n = 3
+has blocks of 4, and k'' = lcm_j k / gcd(k, n m_j) is the general divisor
+(ROADMAP.md, item 1).
 
 Index sets and partition blocks use 1-based column labels {1, ..., k}
 throughout this module, matching the usual f_1, ..., f_k numbering; the
@@ -124,8 +123,7 @@ def _to_zero_based(I: Iterable[int], k: int) -> list[int]:
 
 
 def _sides(F: Frame, I: Iterable[int]) -> tuple:
-    """The summand blocks of the columns I and of their complement, or None
-    for a side without columns."""
+    """The summand blocks of the columns I and of the rest; None for no columns."""
     idx = _to_zero_based(I, F.k)
     comp = sorted(set(range(F.k)) - set(idx))
     return tuple(F.matrix.select_columns(cols).blocks if cols else None for cols in (idx, comp))

@@ -1,15 +1,17 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncframes import cli
+from ncframes import cli, count_partitions
 from ncframes.cli import main
 from ncframes.io import load_frame, save_frame
 from conftest import make_mercedes, perturbed_direct_sum
@@ -281,6 +283,52 @@ class TestPartitions:
         rc, out = run(capsys, "partitions", "--k", "6", "--kprime", "2")
         assert (rc, out) == (3, "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "2000", "--kprime", "1", "--count-only"],  # the count took 11.5 s at 1000
+            ["--k", "20000", "--kprime", "10000", "--count-only"],  # 6019 digits
+            ["--k", "100000000", "--kprime", "100000000"],  # one partition of 1e8 labels
+            ["--k", "100000000000000000000", "--kprime", "100000000000000000000"],
+        ],
+        ids=" ".join,
+    )
+    def test_unbounded_work_exits_3_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        rc = main(["partitions"] + argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, "")
+        assert captured.err.startswith("error:")
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "k,kprime,count,refused",
+        [
+            (256, 1, None, ["--k", "257", "--kprime", "1"]),  # the most blocks counted
+            # one block or two; the bound (k / kprime)^k = 2^2000 has 603 digits
+            (2000, 1000, math.comb(1999, 999) + 1, ["--k", "20000", "--kprime", "10000"]),
+            (10**20, 10**20, 1, ["--k", "100000000000000000000", "--kprime", "1"]),
+        ],
+    )
+    def test_count_limits_are_tight(self, capsys, k, kprime, count, refused):
+        start = time.perf_counter()
+        rc, out = run(capsys, "partitions", "--k", str(k), "--kprime", str(kprime),
+                      "--count-only")
+        assert rc == 0
+        assert json.loads(out)["count"] == (count or count_partitions(k, kprime))
+        assert run(capsys, "partitions", *refused, "--count-only") == (3, "")
+        assert time.perf_counter() - start < 1.0
+
+    def test_label_cap_is_inclusive(self, capsys, monkeypatch):
+        # 4 partitions of 4 labels
+        monkeypatch.setattr(cli, "MAX_LISTED_LABELS", 16)
+        rc, out = run(capsys, "partitions", "--k", "4", "--kprime", "2")
+        assert rc == 0 and len(json.loads(out)["partitions"]) == 4
+        monkeypatch.setattr(cli, "MAX_LISTED_LABELS", 15)
+        rc, out = run(capsys, "partitions", "--k", "4", "--kprime", "2")
+        assert (rc, out) == (3, "")
+
 
 class TestArgumentContract:
     GEN = ["gen", "--algebra", "1", "--k", "3", "--n", "2"]
@@ -389,6 +437,42 @@ class TestArgumentContract:
         assert rc == 3
         assert captured.out == ""
         assert captured.err.startswith("error: unrecognized arguments: --tol")
+
+    def test_minimize_has_no_tol(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        rc = main(["minimize", "--algebra", "1", "--k", "5", "--n", "3", "--tol", "1e-3",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, "")
+        assert captured.err.startswith("error: unrecognized arguments: --tol")
+        assert not out.exists()
+
+    # unchecked, these reach numpy's allocator (2.84 PiB, or "array is too big")
+    @pytest.mark.parametrize("command", ["gen", "minimize"])
+    @pytest.mark.parametrize(
+        "algebra,k",
+        [("10000000", "2"), ("1", "3000000000"), ("1", "2001"), ("1,1", "1415"),
+         ("100000000000000000000", "1"), (",".join(["1"] * 100), "201")],
+        ids=["m-1e7", "k-3e9", "k-2001", "two-summands", "m-1e20", "100-summands"],
+    )
+    def test_oversized_shape_exits_3_before_writing(
+        self, tmp_path, capsys, command, algebra, k
+    ):
+        out = tmp_path / "f.json"
+        rc = main([command, "--algebra", algebra, "--k", k, "--n", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, "")
+        assert captured.err.startswith("error: frame too large")
+        assert not out.exists()
+
+    def test_shape_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SIDE", 6)
+        out = str(tmp_path / "f.json")
+        assert main(["gen", "--algebra", "2", "--k", "3", "--n", "1", "--out", out]) == 0
+        assert main(["gen", "--algebra", "1,1", "--k", "4", "--n", "1", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["gen", "--algebra", "2,1", "--k", "3", "--n", "1", "--out", out]) == 3
+        assert main(["minimize", "--algebra", "1", "--k", "7", "--n", "1", "--out", out]) == 3
 
     @pytest.mark.parametrize("radius", ["1e200", "1e155", "1.7e308", "1e-300", "1e-320"])
     def test_overflowing_radius_exits_3_before_writing(self, tmp_path, capsys, radius):
@@ -578,8 +662,9 @@ class TestSelftest:
 
 # -- fuzzing the argument contract -------------------------------------------
 
-_NUMBERS = st.sampled_from(["1", "2", "3", "4", "0", "-1", "nan", "inf", "1e-9", "x", ""])
-_ALGEBRAS = st.sampled_from(["1", "2", "2,1", "x", "0", "2,,1", "", "-1"])
+_HUGE = ["10000000", "100000000000000000000"]
+_NUMBERS = st.sampled_from(["1", "2", "3", "4", "0", "-1", "nan", "inf", "1e-9", "x", ""] + _HUGE)
+_ALGEBRAS = st.sampled_from(["1", "2", "2,1", "x", "0", "2,,1", "", "-1"] + _HUGE)
 _EXTRA = st.lists(
     st.sampled_from(
         ["--tol", "--b", "--seed", "--output", "json", "text", "--bogus", "--help"]
@@ -655,3 +740,40 @@ def test_analyze_reports_each_block_constant_on_its_range(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["partition"] == [[1, 2, 3], [4, 5, 6, 7, 8, 9]]
     assert [blk["b"] for blk in doc["blocks"]] == [pytest.approx(1.5, abs=1e-12)] * 2
+
+
+class _RecordingNamespace(argparse.Namespace):
+    """A Namespace that adds each attribute read to `reads` once that is set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--algebra", "1", "--k", "3", "--n", "2", "--out", "f.json"],
+        ["verify", "f.json"],
+        ["analyze", "f.json"],
+        ["factorize", "f.json", "--out", "u.json"],
+        ["partitions", "--k", "4", "--kprime", "2"],
+        ["minimize", "--algebra", "1", "--k", "3", "--n", "2", "--out", "m.json",
+         "--trace-out", "t.json"],
+        ["selftest"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_parsed_option_is_read(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--algebra", "1", "--k", "3", "--n", "2", "--out", "f.json"]) == 0
+    args = cli.build_parser().parse_args(argv, namespace=_RecordingNamespace())
+    parsed = set(vars(args)) - {"func", "command"}
+    args.reads = set()
+    assert args.func(args) == 0
+    capsys.readouterr()
+    assert parsed - args.reads == set()
