@@ -222,17 +222,17 @@ class AMatrix:
         if self.spec != other.spec:
             raise ShapeError("matrices over different algebras")
 
-    def _entrywise(self, op, other: "AMatrix", what: str) -> "AMatrix":
+    def _blockwise(self, op, other: "AMatrix", what: str) -> "AMatrix":
         self._check_same_spec(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"shape mismatch in {what}")
         return AMatrix(self.spec, self.rows, self.cols, tuple(map(op, self.blocks, other.blocks)))
 
     def __add__(self, other: "AMatrix") -> "AMatrix":
-        return self._entrywise(operator.add, other, "addition")
+        return self._blockwise(operator.add, other, "addition")
 
     def __sub__(self, other: "AMatrix") -> "AMatrix":
-        return self._entrywise(operator.sub, other, "subtraction")
+        return self._blockwise(operator.sub, other, "subtraction")
 
     def __mul__(self, scalar) -> "AMatrix":
         return AMatrix(

@@ -306,8 +306,9 @@ class TestPartitions:
         "k,kprime,count,refused",
         [
             (256, 1, None, ["--k", "257", "--kprime", "1"]),  # the most blocks counted
-            # one block or two; the bound (k / kprime)^k = 2^2000 has 603 digits
-            (2000, 1000, math.comb(1999, 999) + 1, ["--k", "20000", "--kprime", "10000"]),
+            # one block or two; the bound 2^k has 4300 digits at k = 14284 and
+            # 4301 at 14286, so the first count prints and the second is refused
+            (14284, 7142, math.comb(14283, 7141) + 1, ["--k", "14286", "--kprime", "7143"]),
             (10**20, 10**20, 1, ["--k", "100000000000000000000", "--kprime", "1"]),
         ],
     )
@@ -429,23 +430,24 @@ class TestArgumentContract:
         assert json.loads(out)["b"] == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "argv", [["partitions", "--k", "4", "--kprime", "2"], ["selftest"]], ids=" ".join
+        "argv",
+        [
+            ["partitions", "--k", "4", "--kprime", "2"],
+            ["selftest"],
+            ["minimize", "--algebra", "1", "--k", "5", "--n", "3", "--out", "m.json"],
+        ],
+        ids=" ".join,
     )
-    def test_tol_is_not_an_option_where_nothing_reads_it(self, capsys, argv):
+    def test_tol_is_not_an_option_where_nothing_reads_it(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
         rc = main(argv + ["--tol", "1e-9"])
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
         assert captured.err.startswith("error: unrecognized arguments: --tol")
-
-    def test_minimize_has_no_tol(self, tmp_path, capsys):
-        out = tmp_path / "m.json"
-        rc = main(["minimize", "--algebra", "1", "--k", "5", "--n", "3", "--tol", "1e-3",
-                   "--out", str(out)])
-        captured = capsys.readouterr()
-        assert (rc, captured.out) == (3, "")
-        assert captured.err.startswith("error: unrecognized arguments: --tol")
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     # unchecked, these reach numpy's allocator (2.84 PiB, or "array is too big")
     @pytest.mark.parametrize("command", ["gen", "minimize"])
