@@ -6,10 +6,11 @@ is read off as the connected components (a breadth-first search) of the
 support graph of the Gram off-diagonal.  split_equivalence measures both
 sides of that equivalence for one subset in a single pass over the summand
 blocks: the commutator norm ||F_I* F_Ic|| on one side; on the other, the
-overlap of the two column ranges, each side's tightness on its own range
-and how far the two range projections fall short of the identity, these
-last three from one batched eigvalsh per summand.  One tolerance tol means the same in every
-verdict here: a frame is tight when ||FF* - bI|| <= tol * max(1, b)
+overlap of the two column ranges, each side's tightness on its own range,
+read off the singular values of the SVD that gives that range, and how far
+the two range projections fall short of the identity, from one eigvalsh
+per summand.  One tolerance tol means the same in every verdict here: a
+frame is tight when ||FF* - bI|| <= tol * max(1, b)
 (check_tight), a Gram entry is an edge when its norm exceeds that same
 bound (ortho_decompose), and split_equivalence allows k times it.  An edge
 is decided per summand from the bracket ||X||_2 <= ||X||_F <= sqrt(m) ||X||_2
@@ -24,7 +25,8 @@ has blocks of 4, and k'' = lcm_j k / gcd(k, n m_j) is the general divisor
 
 Index sets and partition blocks use 1-based column labels {1, ..., k}
 throughout this module, matching the usual f_1, ..., f_k numbering; the
-underlying matrices are 0-indexed.
+underlying matrices are 0-indexed.  A label is an int or a numpy integer: a
+bool, float or str raises TypeError instead of naming a column.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -44,7 +47,7 @@ from .frames import (
     check_tight,
     gram_matrix,
 )
-from .module import AMatrix
+from .module import AMatrix, _spread
 
 __all__ = [
     "Partition",
@@ -116,17 +119,25 @@ class SplitEquivalenceReport:
 
 
 def _to_zero_based(I: Iterable[int], k: int) -> list[int]:
-    idx = sorted(set(int(i) for i in I))
+    labels = list(I)
+    # operator.index refuses floats and strings, but bool is an int subclass
+    if any(isinstance(i, bool) for i in labels):
+        raise TypeError(f"column labels {labels} include a bool")
+    idx = sorted(set(map(operator.index, labels)))
     if idx and (idx[0] < 1 or idx[-1] > k):
         raise IndexError(f"index set {idx} out of range for k={k}")
     return [i - 1 for i in idx]
 
 
 def _sides(F: Frame, I: Iterable[int]) -> tuple:
-    """The summand blocks of the columns I and of the rest; None for no columns."""
+    """Per summand, the blocks of the columns I and of the rest; None for no columns."""
     idx = _to_zero_based(I, F.k)
     comp = sorted(set(range(F.k)) - set(idx))
-    return tuple(F.matrix.select_columns(cols).blocks if cols else None for cols in (idx, comp))
+    dims = F.spec.summand_dims
+    return tuple(
+        tuple(x[:, _spread(cols, m)] for m, x in zip(dims, F.matrix.blocks)) if cols else None
+        for cols in (idx, comp)
+    )
 
 
 def commutation_residual(F: Frame, I: Iterable[int]) -> float:
@@ -217,30 +228,27 @@ def restrict(F: Frame, I: Iterable[int]) -> Frame:
     return Frame(F.matrix.select_columns(idx))
 
 
-def _range_basis(x: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the column space of one summand block.
+def _rank(s: np.ndarray, tol: float) -> int:
+    """How many of the descending singular values s exceed tol * max(1, s_max).
 
-    The leading left singular vectors whose singular values exceed
-    tol * max(1, s_max); the rest count as zero, so the column count is the
-    block's rank.
+    The rest count as zero: this is the rank of a summand block, and its
+    leading left singular vectors that many span the block's range.
     """
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    return u[:, : int(np.sum(s > tol * max(1.0, s[0])))]
+    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
 def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
     """The constant b of the columns I as a tight frame on their own range.
 
-    Per summand, trace(F_I F_I*) divided by the rank of F_I (the column
-    count of its _range_basis), averaged over the summands where
-    that rank is positive; 0.0 when it is zero in all of them.  For the
-    columns of a block of a tight frame's ortho-decomposition this is the
-    frame's b, where check_tight(restrict(F, I)) would divide by the full
-    n * m_j.
+    Per summand, trace(F_I F_I*) divided by the rank of F_I (by _rank, from
+    its singular values), averaged over the summands where that rank is
+    positive; 0.0 when it is zero in all of them.  For the columns of a
+    block of a tight frame's ortho-decomposition this is the frame's b,
+    where check_tight(restrict(F, I)) would divide by the full n * m_j.
     """
     per_b = []
     for y in restrict(F, I).matrix.blocks:
-        rank = _range_basis(y, tol).shape[1]
+        rank = _rank(np.linalg.svd(y, compute_uv=False), tol)
         if rank:
             per_b.append(float(np.vdot(y, y).real) / rank)
     return float(np.mean(per_b)) if per_b else 0.0
@@ -258,16 +266,21 @@ def split_equivalence(
     range projections sum to the identity.  Every residual is compared
     against threshold = tol * max(1, b) * max(1, k).
 
-    The residuals come from one pass over the summand blocks, with F_I, F_Ic
-    the blocks of the two column sides, U, Uc orthonormal bases of their
-    ranges (from _range_basis) and P = U U*,
-    Pc = Uc Uc*:
+    The residuals come from one pass over the summand blocks.  Per summand,
+    F_I = U S V* and F_Ic = Uc Sc Vc* are SVDs of the two column sides, r
+    and rc their ranks (singular values above tol * max(1, s_max)), and
+    P = U_r U_r*, Pc = Uc_rc Uc_rc* the projections onto their ranges:
 
     - commutation_residual: ||F_I* F_Ic||, the norm of Q_I G - G Q_I;
-    - range_overlap: ||U* Uc||, which equals ||P Pc||;
-    - sub_tight_residual, comp_tight_residual and closure_residual: the
-      largest |eigenvalue| of the Hermitian F_I F_I* - b P,
-      F_Ic F_Ic* - b Pc and P + Pc - I, from one batched eigvalsh.
+    - range_overlap: ||U_r* Uc_rc||, which equals ||P Pc||;
+    - sub_tight_residual and comp_tight_residual: the largest |eigenvalue|
+      of F_I F_I* - b P and of F_Ic F_Ic* - b Pc.  F_I F_I* = U S^2 U* and
+      P = U_r U_r* share eigenvectors, so the eigenvalues are
+      {s_i^2 - b}_{i<r} together with {s_i^2}_{i>=r} (and zeros), read off
+      the singular values without forming either matrix;
+    - closure_residual: the largest |eigenvalue| of P + Pc - I, from one
+      eigvalsh.  It is measured, not derived from the ranks and the
+      overlap, since it is the check that the two ranges fill A^n.
 
     All are maximized over the summands.  An empty side has no columns and
     a zero projection, so it contributes 0 to every residual but closure.
@@ -279,29 +292,30 @@ def split_equivalence(
     threshold = tol * (max(1.0, b) * max(1.0, float(F.k)))
     sides = _sides(F, I)
 
-    comm = overlap = 0.0
-    hermitian = np.zeros(3)  # sub-tight, comp-tight and closure residuals
+    comm = overlap = closure = 0.0
+    tight = [0.0, 0.0]  # sub-tight and comp-tight residuals
     for j, x in enumerate(F.matrix.blocks):
-        nm = x.shape[0]
-        stack = np.zeros((3, nm, nm), dtype=complex)
         bases = []
         for side, blocks in enumerate(sides):
             if blocks is None:
                 continue
             y = blocks[j]
-            u = _range_basis(y, tol)
-            proj = u @ u.conj().T
-            stack[side] = y @ y.conj().T - b * proj
-            stack[2] += proj
-            bases.append((y, u))
-        stack[2].flat[:: nm + 1] -= 1.0
-        hermitian = np.maximum(hermitian, np.abs(np.linalg.eigvalsh(stack)).max(axis=1))
+            u, s, _ = np.linalg.svd(y, full_matrices=False)
+            r = _rank(s, tol)
+            eig = s * s
+            eig[:r] -= b
+            tight[side] = max(tight[side], float(np.abs(eig).max()))
+            bases.append((y, u[:, :r]))
+        w = np.hstack([u for _, u in bases])
+        gap = w @ w.conj().T  # P + Pc, as [U_r Uc_rc][U_r Uc_rc]*
+        gap.flat[:: x.shape[0] + 1] -= 1.0
+        closure = max(closure, float(np.abs(np.linalg.eigvalsh(gap)).max()))
         if len(bases) == 2:
             (y, u), (yc, uc) = bases
             comm = max(comm, _spectral_norm(y.conj().T @ yc))
             if u.shape[1] and uc.shape[1]:
                 overlap = max(overlap, _spectral_norm(u.conj().T @ uc))
-    sub_res, comp_res, closure = (float(v) for v in hermitian)
+    sub_res, comp_res = tight
 
     return SplitEquivalenceReport(
         commutes=comm <= threshold,

@@ -8,7 +8,8 @@ the conjugate transpose, the operator norm is the largest summand spectral
 norm, entries are slices and a column selection is one gather per summand.
 This module is the only code that indexes inside a summand block: the
 others reach entries through the (rows, cols, m, m) grids view, column
-Grams and entry norms.  The descent loop in optimize works on bare summand
+Grams and entry norms, and decomposition's split pass gathers column sides
+at the positions _spread gives.  The descent loop in optimize works on bare summand
 blocks through _column_grams, which column_grams also calls, and
 _scale_columns, the block of M diag(w_1, ..., w_cols).
 

@@ -22,6 +22,7 @@ from ncframes import (
     minimize,
     ortho_decompose,
     random_tight_frame,
+    range_constant,
     restrict,
     split_equivalence,
 )
@@ -188,6 +189,21 @@ class TestRestrictAndRange:
     def test_restrict_empty_raises(self, mercedes):
         with pytest.raises(ValueError):
             restrict(mercedes, [])
+
+
+@pytest.mark.parametrize("call", [split_equivalence, restrict, commutation_residual, range_constant])
+def test_column_labels_must_be_integers(call, mercedes):
+    # a truncating int() would read 1.5 and True as column 1 and '2' as column 2
+    for label in (1.5, np.float64(2.0), True, np.True_, "2"):
+        with pytest.raises(TypeError):
+            call(mercedes, [label])
+
+    def result(labels):
+        out = call(mercedes, labels)
+        return [blk.tolist() for blk in out.matrix.blocks] if isinstance(out, Frame) else out
+
+    for labels in ([np.int64(1), np.uint8(3)], np.array([1, 3])):
+        assert result(labels) == result([1, 3])
 
 
 class TestSplitEquivalence:
@@ -441,8 +457,6 @@ def test_block_constants_on_their_own_ranges():
     # over C + C, f_1 lives in the first summand and f_2 in the second: each
     # column is its own block, tight with b = 1 on its range, and the summand
     # where a block has no range does not count
-    from ncframes import range_constant
-
     spec = AlgebraSpec((1, 1))
     F = Frame(AMatrix(spec, 1, 2, (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))))
     assert ortho_decompose(F).blocks == ((1,), (2,))

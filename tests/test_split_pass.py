@@ -2,10 +2,13 @@
 reference implementations kept here.
 
 reference_split_equivalence is the AMatrix formulation split_equivalence
-had before it became one pass over the summand blocks: it builds the range
-projections P and Pc and takes every residual as a spectral norm.  The
-arithmetic differs (eigvalsh and ||U* Uc|| in place of SVDs of the
-projections), so residuals are held to 1e-12 and verdicts to equality.
+had before it became one pass over the summand blocks, and it shares no
+code with that pass beyond check_tight's b: it builds the range
+projections P and Pc, forms Q_I G - G Q_I from the Gram matrix and a
+coordinate projection, and takes every residual as a spectral norm.  The
+arithmetic differs (tightness read off singular values, one eigvalsh and
+||U* Uc|| in place of products and SVDs of the projections), so residuals
+are held to 1e-12 and verdicts to equality.
 """
 
 import itertools
@@ -21,9 +24,9 @@ from ncframes import (
     AMatrix,
     Frame,
     check_tight,
-    commutation_residual,
     direct_sum_frames,
     frame_operator,
+    gram_matrix,
     random_tight_frame,
     restrict,
     split_equivalence,
@@ -66,8 +69,10 @@ def reference_split_equivalence(F, I, tol=1e-9):
 
     P, sub_res = side(idx)
     Pc, comp_res = side(comp)
+    G = gram_matrix(F)
+    Q = AMatrix.diagonal(F.spec, F.k, F.k, [i - 1 for i in idx])
     residuals = {
-        "commutation_residual": commutation_residual(F, idx),
+        "commutation_residual": (Q @ G - G @ Q).norm(),
         "sub_tight_residual": sub_res,
         "comp_tight_residual": comp_res,
         "range_overlap": (P @ Pc).norm(),
@@ -113,6 +118,12 @@ def corpus():
             cases.append(pytest.param(F, tol, id=f"{dims}-perturbed-{eps:g}-tol-{tol:g}"))
     for theta in (1e-9, 2e-9, 3e-9, 5e-9, 1e-8, 3e-8):
         cases.append(pytest.param(rotated_mercedes_sum(theta), 1e-9, id=f"mercedes-theta-{theta:g}"))
+    # exactly tight, and on I = {1, 3} F_I F_I* = diag(1, lam): the singular
+    # value sqrt(lam) falls under the rank cut at tol 1e-2, so that side's
+    # tightness residual is the cut s^2 = lam, not a kept |s^2 - b|
+    lam = 1e-5
+    cut = np.array([[1.0, 0.0, 0.0], [0.0, math.sqrt(1 - lam), math.sqrt(lam)]])
+    cases.append(pytest.param(Frame(AMatrix(AlgebraSpec((1,)), 2, 3, (cut,))), 1e-2, id="cut-singular-value"))
     return cases
 
 
