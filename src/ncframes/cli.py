@@ -37,6 +37,7 @@ from .frames import (
     is_spherical,
     random_tight_frame,
 )
+from .module import AMatrix
 from .optimize import OptimizerConfig, minimize as run_minimize
 
 __all__ = ["main"]
@@ -283,22 +284,22 @@ def _selftest_cstar(num: int) -> dict:
     specs = [AlgebraSpec((1,)), AlgebraSpec((2,)), AlgebraSpec((2, 1))]
     for i in range(num):
         spec = specs[i % len(specs)]
-        a = spec.random_element(rng)
-        b = spec.random_element(rng)
+        a = AMatrix.random(spec, 1, 1, rng)
+        b = AMatrix.random(spec, 1, 1, rng)
         na = a.norm()
         worst["cstar_identity"] = max(
             worst["cstar_identity"],
-            abs((a.adjoint() * a).norm() - na**2) / max(1.0, na**2),
+            abs((a.H @ a).norm() - na**2) / max(1.0, na**2),
         )
         worst["submult"] = max(
-            worst["submult"], (a * b).norm() - na * b.norm()
+            worst["submult"], (a @ b).norm() - na * b.norm()
         )
         worst["adjoint_norm"] = max(
-            worst["adjoint_norm"], abs(a.adjoint().norm() - na)
+            worst["adjoint_norm"], abs(a.H.norm() - na)
         )
         worst["trace_cyc"] = max(
             worst["trace_cyc"],
-            abs((a * b).normalized_trace() - (b * a).normalized_trace()),
+            abs((a @ b).normalized_trace() - (b @ a).normalized_trace()),
         )
     passed = all(v <= 1e-10 for v in worst.values())
     return {"passed": passed, "worst": worst, "elements": num}

@@ -65,6 +65,14 @@ __all__ = [
 ]
 
 
+def _column_label(i) -> int:
+    """A 1-based column label as an int; floats, strings and bools raise TypeError."""
+    # operator.index refuses floats and strings, but bool is an int subclass
+    if isinstance(i, bool):
+        raise TypeError(f"column label {i!r} is a bool")
+    return operator.index(i)
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of {1, ..., k} into disjoint blocks, canonically ordered."""
@@ -74,7 +82,7 @@ class Partition:
 
     def __post_init__(self):
         blocks = tuple(
-            tuple(sorted(int(i) for i in blk)) for blk in self.blocks
+            tuple(sorted(map(_column_label, blk))) for blk in self.blocks
         )
         blocks = tuple(sorted(blocks, key=lambda blk: blk[0]))
         seen: set[int] = set()
@@ -119,11 +127,7 @@ class SplitEquivalenceReport:
 
 
 def _to_zero_based(I: Iterable[int], k: int) -> list[int]:
-    labels = list(I)
-    # operator.index refuses floats and strings, but bool is an int subclass
-    if any(isinstance(i, bool) for i in labels):
-        raise TypeError(f"column labels {labels} include a bool")
-    idx = sorted(set(map(operator.index, labels)))
+    idx = sorted(set(map(_column_label, I)))
     if idx and (idx[0] < 1 or idx[-1] > k):
         raise IndexError(f"index set {idx} out of range for k={k}")
     return [i - 1 for i in idx]

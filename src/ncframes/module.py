@@ -13,9 +13,12 @@ at the positions _spread gives.  The descent loop in optimize works on bare summ
 blocks through _column_grams, which column_grams also calls, and
 _scale_columns, the block of M diag(w_1, ..., w_cols).
 
-Vectors in A^n are AMatrix values with a single column; the A-valued inner
-product is conjugate-linear in the first argument, <v, w> = sum_i v_i* w_i
-(right-module convention).
+An element of A is the 1 x 1 AMatrix, since M_1(A) = A: entry(i, j) returns
+one, from_entries assembles a grid of them, and the C*-algebra operations
+(product @, adjoint, norm, is_positive, normalized_trace) are those of
+M_n(A) at n = 1.  Vectors in A^n are AMatrix values with a single column;
+the A-valued inner product is conjugate-linear in the first argument,
+<v, w> = sum_i v_i* w_i (right-module convention).
 
 complete_to_unitary, behind the normal form F = sqrt(b) [I_n | 0] U, needs
 numpy only: greedy column pivoting of the projector P = I - M*M picks the
@@ -34,9 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement, AlgebraSpec, ShapeError, _complex_gaussian, _spectral_norm, _spectral_norms
-)
+from .algebra import AlgebraSpec, ShapeError, _complex_gaussian, _spectral_norm, _spectral_norms
 
 __all__ = [
     "AMatrix",
@@ -134,18 +135,22 @@ class AMatrix:
         return cls.diagonal(spec, n, n, range(n))
 
     @classmethod
-    def from_entries(
-        cls, entries: Sequence[Sequence[AlgebraElement]]
-    ) -> "AMatrix":
-        """Build from a row-major grid of algebra elements sharing one spec."""
+    def from_entries(cls, entries: Sequence[Sequence["AMatrix"]]) -> "AMatrix":
+        """Build from a non-empty row-major grid of elements of A, each a 1 x 1
+        AMatrix, sharing one spec."""
         rows = len(entries)
-        cols = len(entries[0])
+        cols = len(entries[0]) if rows else 0
+        if cols == 0:
+            raise ShapeError("entry grid is empty")
         spec = entries[0][0].spec
-        for row in entries:
+        for i, row in enumerate(entries):
             if len(row) != cols:
                 raise ShapeError("ragged entry grid")
-            if any(elem.spec != spec for elem in row):
-                raise ShapeError("entries belong to different algebras")
+            for j, elem in enumerate(row):
+                if elem.spec != spec:
+                    raise ShapeError("entries belong to different algebras")
+                if (elem.rows, elem.cols) != (1, 1):
+                    raise ShapeError(f"entry ({i}, {j}) is {elem.rows}x{elem.cols}, not 1x1")
         blocks = tuple(
             np.block([[elem.blocks[j] for elem in row] for row in entries])
             for j in range(spec.num_summands)
@@ -191,8 +196,10 @@ class AMatrix:
             for m, blk in zip(self.spec.summand_dims, self.blocks)
         )
 
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        return AlgebraElement(self.spec, tuple(g[i, j] for g in self.grids))
+    def entry(self, i: int, j: int) -> "AMatrix":
+        """Entry (i, j), an element of A: the 1 x 1 AMatrix on the grids views,
+        so writes to its blocks land in this matrix."""
+        return AMatrix(self.spec, 1, 1, tuple(g[i, j] for g in self.grids))
 
     def column(self, j: int) -> "AMatrix":
         return self.select_columns([j])
@@ -223,6 +230,10 @@ class AMatrix:
         if self.spec != other.spec:
             raise ShapeError("matrices over different algebras")
 
+    def _check_square(self, what: str):
+        if self.rows != self.cols:
+            raise ShapeError(f"{what} expects a square matrix")
+
     def _blockwise(self, op, other: "AMatrix", what: str) -> "AMatrix":
         self._check_same_spec(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -234,6 +245,9 @@ class AMatrix:
 
     def __sub__(self, other: "AMatrix") -> "AMatrix":
         return self._blockwise(operator.sub, other, "subtraction")
+
+    def __neg__(self) -> "AMatrix":
+        return AMatrix(self.spec, self.rows, self.cols, tuple(-a for a in self.blocks))
 
     def __mul__(self, scalar) -> "AMatrix":
         return AMatrix(
@@ -272,6 +286,27 @@ class AMatrix:
         """Operator norm: the largest summand spectral norm."""
         return max(_spectral_norm(a) for a in self.blocks)
 
+    def is_positive(self, tol: float = 1e-9) -> bool:
+        """Positivity in the C*-algebra M_n(A), for square M only: per summand
+        block, Hermitian within tol and smallest eigenvalue >= -tol."""
+        self._check_square("is_positive")
+        if not 0 < tol < np.inf:  # written so that NaN fails
+            raise ValueError("tol must be finite and positive")
+        for a in self.blocks:
+            if _spectral_norm(a - a.conj().T) > tol:
+                return False
+            herm = (a + a.conj().T) / 2
+            if float(np.linalg.eigvalsh(herm)[0]) < -tol:
+                return False
+        return True
+
+    def normalized_trace(self) -> complex:
+        """Sum of the summand-block traces divided by rows * sum_j m_j, so 1 at
+        the identity; square M only."""
+        self._check_square("normalized_trace")
+        tr = sum(complex(np.trace(a)) for a in self.blocks)
+        return tr / (self.rows * sum(self.spec.summand_dims))
+
     def allclose(self, other: "AMatrix", tol: float = 1e-12) -> bool:
         self._check_same_spec(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -282,19 +317,17 @@ class AMatrix:
         )
 
 
-def inner_product(v: AMatrix, w: AMatrix) -> AlgebraElement:
-    """A-valued pairing <v, w> = sum_i v_i* w_i for column vectors in A^n."""
+def inner_product(v: AMatrix, w: AMatrix) -> AMatrix:
+    """A-valued pairing <v, w> = sum_i v_i* w_i for column vectors in A^n,
+    an element of A: the 1 x 1 AMatrix v* w."""
     if v.cols != 1 or w.cols != 1:
         raise ShapeError("inner_product expects column vectors")
-    if v.spec != w.spec or v.rows != w.rows:
-        raise ShapeError("vectors must share algebra and length")
-    return (v.H @ w).entry(0, 0)
+    return v.H @ w  # @ refuses vectors of another algebra or length
 
 
 def is_unitary(M: AMatrix, tol: float = 1e-9) -> bool:
     """True iff both ||MM* - I|| and ||M*M - I|| are at most tol."""
-    if M.rows != M.cols:
-        raise ShapeError("is_unitary expects a square matrix")
+    M._check_square("is_unitary")
     if not 0 < tol < np.inf:  # written so that NaN fails
         raise ValueError("tol must be finite and positive")
     eye = AMatrix.identity(M.spec, M.rows)

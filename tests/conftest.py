@@ -27,8 +27,8 @@ def make_mercedes(spec=None):
         spec = AlgebraSpec((1,))
     angles = [math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6]
     grid = [
-        [spec.from_scalar(math.cos(a)) for a in angles],
-        [spec.from_scalar(math.sin(a)) for a in angles],
+        [math.cos(a) * AMatrix.identity(spec, 1) for a in angles],
+        [math.sin(a) * AMatrix.identity(spec, 1) for a in angles],
     ]
     return Frame(AMatrix.from_entries(grid))
 
@@ -62,7 +62,7 @@ def scalar_frame(columns):
     spec = AlgebraSpec((1,))
     n = len(columns[0])
     grid = [
-        [spec.from_scalar(columns[j][i]) for j in range(len(columns))]
+        [columns[j][i] * AMatrix.identity(spec, 1) for j in range(len(columns))]
         for i in range(n)
     ]
     return Frame(AMatrix.from_entries(grid))

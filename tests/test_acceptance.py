@@ -334,15 +334,15 @@ def test_criterion_8_cstar_layer():
     worst = {"identity": 0.0, "submult": 0.0, "involution": 0.0, "trace": 0.0}
     for i in range(1000):
         spec = specs[i % 3]
-        a = spec.random_element(rng)
-        b = spec.random_element(rng)
+        a = AMatrix.random(spec, 1, 1, rng)
+        b = AMatrix.random(spec, 1, 1, rng)
         na, nb = a.norm(), b.norm()
         worst["identity"] = max(
             worst["identity"],
-            abs((a.adjoint() * a).norm() - na**2) / max(1.0, na**2),
+            abs((a.adjoint() @ a).norm() - na**2) / max(1.0, na**2),
         )
         worst["submult"] = max(
-            worst["submult"], ((a * b).norm() - na * nb) / max(1.0, na * nb)
+            worst["submult"], ((a @ b).norm() - na * nb) / max(1.0, na * nb)
         )
         assert a.adjoint().adjoint().allclose(a, tol=0.0)
         worst["involution"] = max(
@@ -350,7 +350,7 @@ def test_criterion_8_cstar_layer():
         )
         worst["trace"] = max(
             worst["trace"],
-            abs((a * b).normalized_trace() - (b * a).normalized_trace())
+            abs((a @ b).normalized_trace() - (b @ a).normalized_trace())
             / max(1.0, na * nb),
         )
     elapsed = time.time() - t0

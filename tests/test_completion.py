@@ -72,7 +72,7 @@ def test_factorize_matches_scipy_on_bulk_shapes(dims, k, n):
 
 def _scalar_coisometry(spec, rows):
     """The coisometry with scalar entries rows[i][j] (times 1 in each summand)."""
-    return AMatrix.from_entries([[spec.from_scalar(z) for z in row] for row in rows])
+    return AMatrix.from_entries([[z * AMatrix.identity(spec, 1) for z in row] for row in rows])
 
 
 def _tied_coisometries(spec):

@@ -44,6 +44,15 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition(3, ((1, 2), (2, 3)))  # overlapping
 
+    def test_labels_must_be_integers(self):
+        # a truncating int() would read 1.5 and True as 1 and '3' as 3
+        for blocks in (((1.5, 2), (3,)), ((True, 2), (3,)), ((1, 2), ("3",)), ((np.True_, 2), (3,))):
+            with pytest.raises(TypeError):
+                Partition(3, blocks)
+        p = Partition(3, ((np.int64(2), np.uint8(1)), (np.int32(3),)))
+        assert p.blocks == ((1, 2), (3,))
+        assert all(type(i) is int for blk in p.blocks for i in blk)
+
 
 class TestCommutationResidual:
     def test_trivial_subsets(self, mercedes):

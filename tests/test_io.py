@@ -175,7 +175,7 @@ def test_wrong_block_size_rejected(m2_spec):
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 1, 2)])
 def test_element_round_trip_bit_identical(tmp_path, dims):
-    x = AlgebraSpec(dims).random_element(np.random.default_rng(2))
+    x = AMatrix.random(AlgebraSpec(dims), 1, 1, np.random.default_rng(2))
     back = decode_amatrix(amatrix_doc(tmp_path, AMatrix.from_entries([[x]]))).entry(0, 0)
     for a, b in zip(x.blocks, back.blocks):
         assert a.tobytes() == b.tobytes()

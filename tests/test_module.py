@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ncframes import (
-    AlgebraElement,
     AlgebraSpec,
     AMatrix,
     NotCoisometricError,
@@ -17,13 +16,13 @@ from ncframes.module import _scale_columns
 
 
 def _std_basis(spec, n, i):
-    entries = [[spec.zero()] for _ in range(n)]
-    entries[i][0] = spec.identity()
+    entries = [[AMatrix.zeros(spec, 1, 1)] for _ in range(n)]
+    entries[i][0] = AMatrix.identity(spec, 1)
     return AMatrix.from_entries(entries)
 
 
 def scalar_vector(spec, values):
-    return AMatrix.from_entries([[spec.from_scalar(z)] for z in values])
+    return AMatrix.from_entries([[z * AMatrix.identity(spec, 1)] for z in values])
 
 
 class TestInnerProduct:
@@ -34,12 +33,14 @@ class TestInnerProduct:
                 ip = inner_product(
                     _std_basis(mixed_spec, n, i), _std_basis(mixed_spec, n, j)
                 )
-                expected = mixed_spec.identity() if i == j else mixed_spec.zero()
+                expected = (
+                    AMatrix.identity(mixed_spec, 1) if i == j else AMatrix.zeros(mixed_spec, 1, 1)
+                )
                 assert ip.allclose(expected)
 
     def test_zero_vector(self, m2_spec):
         v = AMatrix.zeros(m2_spec, 4, 1)
-        assert inner_product(v, v).allclose(m2_spec.zero())
+        assert inner_product(v, v).allclose(AMatrix.zeros(m2_spec, 1, 1))
 
     def test_scalar_convention_oracle(self, scalar_spec):
         # independent scalar-arithmetic oracle for sum_i conj(v_i) * w_i
@@ -67,10 +68,10 @@ class TestInnerProduct:
         for _ in range(50):
             v = AMatrix.random(mixed_spec, 3, 1, rng)
             w = AMatrix.random(mixed_spec, 3, 1, rng)
-            a = mixed_spec.random_element(rng)
+            a = AMatrix.random(mixed_spec, 1, 1, rng)
             scaled = w @ AMatrix.from_entries([[a]])
             lhs = inner_product(v, scaled)
-            rhs = inner_product(v, w) * a
+            rhs = inner_product(v, w) @ a
             assert (lhs - rhs).norm() <= 1e-10
 
     def test_cauchy_schwarz(self, m2_spec):
@@ -88,17 +89,17 @@ class TestInnerProduct:
 
 
 def _entrywise_product(M, N):
-    """Oracle: (MN)_ij = sum_p M_ip N_pj, summed with AlgebraElement arithmetic."""
-    grid = []
-    for i in range(M.rows):
-        row = []
-        for j in range(N.cols):
-            acc = M.spec.zero()
-            for p in range(M.cols):
-                acc = acc + M.entry(i, p) * N.entry(p, j)
-            row.append(acc)
-        grid.append(row)
-    return grid
+    """Oracle: (MN)_ij = sum_p M_ip N_pj, summed in numpy over the (m, m)
+    entries of the grids, one summand at a time."""
+    out = []
+    for gm, gn in zip(M.grids, N.grids):
+        acc = np.zeros((M.rows, N.cols) + gm.shape[2:], dtype=complex)
+        for i in range(M.rows):
+            for j in range(N.cols):
+                for p in range(M.cols):
+                    acc[i, j] += gm[i, p] @ gn[p, j]
+        out.append(acc)
+    return out
 
 
 MIXED_SPECS = [AlgebraSpec(d) for d in [(1,), (2,), (2, 1), (3, 1, 2)]]
@@ -107,8 +108,8 @@ MIXED_SPECS = [AlgebraSpec(d) for d in [(1,), (2,), (2, 1), (3, 1, 2)]]
 class TestFlatten:
     """The storage is the flat realization: one (r*m, c*m) block per summand.
 
-    Products, adjoints and norms are checked against entrywise
-    AlgebraElement arithmetic, which never touches the flat blocks.
+    Products, adjoints and norms are checked against entrywise numpy
+    arithmetic on the (m, m) entries, which never touches the flat blocks.
     """
 
     def test_identity_flattens_to_identity(self, m2_spec):
@@ -116,8 +117,8 @@ class TestFlatten:
         np.testing.assert_array_equal(eye.blocks[0], np.eye(4))
         for i in range(2):
             for j in range(2):
-                expected = m2_spec.identity() if i == j else m2_spec.zero()
-                assert eye.entry(i, j).allclose(expected, tol=0.0)
+                expected = np.eye(2) if i == j else np.zeros((2, 2))
+                np.testing.assert_array_equal(eye.entry(i, j).blocks[0], expected)
 
     def test_round_trip_bit_identical(self, mixed_spec):
         rng = np.random.default_rng(3)
@@ -135,9 +136,8 @@ class TestFlatten:
                 M = AMatrix.random(spec, 2, 3, rng)
                 N = AMatrix.random(spec, 3, 4, rng)
                 prod = M @ N
-                for i, row in enumerate(_entrywise_product(M, N)):
-                    for j, expected in enumerate(row):
-                        assert prod.entry(i, j).allclose(expected, tol=1e-12)
+                for got, expected in zip(prod.grids, _entrywise_product(M, N)):
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_flatten_preserves_adjoint_and_norm(self):
         rng = np.random.default_rng(5)
@@ -147,11 +147,12 @@ class TestFlatten:
             assert (MH.rows, MH.cols) == (2, 3)
             for i in range(2):
                 for j in range(3):
-                    assert MH.entry(i, j).allclose(M.entry(j, i).adjoint(), tol=0.0)
-            # the C*-norm of a 1x1 matrix is the norm of its entry
-            v = M.column(0).select_columns([0])
-            e = AMatrix.from_entries([[v.entry(1, 0)]])
-            assert e.norm() == pytest.approx(v.entry(1, 0).norm(), rel=1e-12)
+                    for a, b in zip(MH.entry(i, j).blocks, M.entry(j, i).blocks):
+                        np.testing.assert_array_equal(a, b.conj().T)
+            # the C*-norm of a 1x1 matrix is the largest spectral norm of its blocks
+            e = AMatrix.from_entries([[M.column(0).entry(1, 0)]])
+            ref = max(np.linalg.norm(b, 2) for b in e.blocks)
+            assert e.norm() == pytest.approx(ref, rel=1e-12)
             # ||M||^2 = ||M* M|| (C*-identity)
             assert (MH @ M).norm() == pytest.approx(M.norm() ** 2, rel=1e-12)
 
@@ -175,6 +176,30 @@ class TestFlatten:
             AMatrix(mixed_spec, 2, 2, (np.zeros((4, 4)), np.zeros((2, 3))))
 
 
+class TestEntries:
+    """An element of A is the 1 x 1 AMatrix: entry returns one, from_entries
+    assembles a grid of them."""
+
+    def test_entry_is_a_write_through_view(self, mixed_spec):
+        M = AMatrix.random(mixed_spec, 2, 3, np.random.default_rng(9))
+        e = M.entry(1, 2)
+        assert (e.rows, e.cols) == (1, 1)
+        for blk in e.blocks:
+            blk[0, 0] = 7.0
+        for g in M.grids:
+            assert g[1, 2, 0, 0] == 7.0
+
+    def test_empty_grid_rejected(self):
+        for grid in ([], [[]]):
+            with pytest.raises(ShapeError, match="empty"):
+                AMatrix.from_entries(grid)
+
+    def test_entry_must_be_one_by_one(self, mixed_spec):
+        one = AMatrix.identity(mixed_spec, 1)
+        with pytest.raises(ShapeError, match=r"entry \(1, 0\) is 2x1"):
+            AMatrix.from_entries([[one, one], [AMatrix.zeros(mixed_spec, 2, 1), one]])
+
+
 class TestAdjoint:
     def test_involution_and_identity(self, m2_spec):
         rng = np.random.default_rng(6)
@@ -191,7 +216,7 @@ class TestUnitaryPredicates:
     def test_diagonal_phases(self, scalar_spec):
         phases = [np.exp(1j * t) for t in (0.3, 1.2, -2.0)]
         entries = [
-            [scalar_spec.from_scalar(phases[i] if i == j else 0) for j in range(3)]
+            [(phases[i] if i == j else 0) * AMatrix.identity(scalar_spec, 1) for j in range(3)]
             for i in range(3)
         ]
         assert is_unitary(AMatrix.from_entries(entries))
@@ -255,7 +280,7 @@ class TestCompleteToUnitary:
 
     def test_scalar_row(self, scalar_spec):
         M = AMatrix.from_entries(
-            [[scalar_spec.from_scalar(1), scalar_spec.from_scalar(0)]]
+            [[AMatrix.identity(scalar_spec, 1), AMatrix.zeros(scalar_spec, 1, 1)]]
         )
         U = complete_to_unitary(M)
         assert U.allclose(AMatrix.identity(scalar_spec, 2), tol=1e-12)
@@ -403,7 +428,7 @@ def _views(M):
 
 class TestBlockAccessors:
     """grids, from_grids, column_grams, entry_norms and the block function
-    _scale_columns against entrywise AlgebraElement arithmetic."""
+    _scale_columns against entrywise references."""
 
     @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
     def test_entry_norms_match_element_norms(self, dims):
@@ -413,7 +438,8 @@ class TestBlockAccessors:
             assert norms.shape == (M.rows, M.cols)
             for i in range(M.rows):
                 for j in range(M.cols):
-                    assert norms[i, j] == pytest.approx(M.entry(i, j).norm(), rel=1e-14)
+                    ref = max(np.linalg.norm(g[i, j], 2) for g in M.grids)
+                    assert norms[i, j] == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
     def test_column_grams_match_inner_products(self, dims):
@@ -431,9 +457,10 @@ class TestBlockAccessors:
         spec = AlgebraSpec(dims)
         rng = np.random.default_rng(13)
         M = AMatrix.random(spec, 3, 4, rng)
-        w = [spec.random_element(rng) for _ in range(4)]
+        w = [AMatrix.random(spec, 1, 1, rng) for _ in range(4)]
+        zero = AMatrix.zeros(spec, 1, 1)
         D = AMatrix.from_entries(
-            [[w[i] if i == j else spec.zero() for j in range(4)] for i in range(4)]
+            [[w[i] if i == j else zero for j in range(4)] for i in range(4)]
         )
         for s, (m, blk, want) in enumerate(zip(dims, M.blocks, (M @ D).blocks)):
             stack = np.stack([x.blocks[s] for x in w])
@@ -449,7 +476,7 @@ class TestBlockAccessors:
                 assert g.shape == (M.rows, M.cols, m, m)
             for i in range(M.rows):
                 for j in range(M.cols):
-                    assert AlgebraElement(spec, tuple(g[i, j] for g in grids)).allclose(
+                    assert AMatrix(spec, 1, 1, tuple(g[i, j] for g in grids)).allclose(
                         M.entry(i, j), tol=0.0
                     )
             back = AMatrix.from_grids(spec, grids)
@@ -457,7 +484,7 @@ class TestBlockAccessors:
                 np.testing.assert_array_equal(a, b)
             # a write through the views lands in the matrix, nowhere else
             expected = [M.entry(i, j) for i in range(M.rows) for j in range(M.cols)]
-            x = spec.random_element(rng)
+            x = AMatrix.random(spec, 1, 1, rng)
             for g, blk in zip(M.grids, x.blocks):
                 g[M.rows - 1, 0] = blk
             expected[(M.rows - 1) * M.cols] = x

@@ -118,7 +118,7 @@ class TestRetraction:
         assert (again.matrix - mercedes.matrix).norm() <= 1e-12
 
     def test_scalar_column_halved(self, scalar_spec):
-        F = Frame(AMatrix.from_entries([[scalar_spec.from_scalar(2.0)]]))
+        F = Frame(2.0 * AMatrix.identity(scalar_spec, 1))
         out = retract_spherical(F, 1.0)
         assert out.matrix.entry(0, 0).blocks[0][0, 0] == pytest.approx(1.0)
 
@@ -324,7 +324,7 @@ class TestStopReason:
         # not tight, yet each column is an eigenvector of S, so the gradient
         # 4 S X is radial and the retraction undoes every step
         spec = AlgebraSpec(dims)
-        one, zero = spec.identity(), spec.zero()
+        one, zero = AMatrix.identity(spec, 1), AMatrix.zeros(spec, 1, 1)
         start = AMatrix.from_entries([[one, one, zero], [zero, zero, one]])
         monkeypatch.setattr(
             AMatrix, "random", classmethod(lambda cls, spec, rows, cols, rng: start)
@@ -562,7 +562,7 @@ def test_stationary_start_accepts_no_roundoff_step(monkeypatch, dims, radius):
     # so candidates differ from the start by a few ulps at most; none of
     # them may pass for a decrease
     spec = AlgebraSpec(dims)
-    one, zero = spec.identity(), spec.zero()
+    one, zero = AMatrix.identity(spec, 1), AMatrix.zeros(spec, 1, 1)
     start = AMatrix.from_entries([[one, one, zero], [zero, zero, one]])
     monkeypatch.setattr(AMatrix, "random", classmethod(lambda cls, spec, rows, cols, rng: start))
     trace = minimize(spec, 3, 2, OptimizerConfig(radius=radius))
