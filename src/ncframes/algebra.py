@@ -24,6 +24,12 @@ class ShapeError(ValueError):
     """Operands do not conform (different algebra or incompatible shapes)."""
 
 
+def _check_positive(value: float, name: str) -> None:
+    """Raise ValueError unless value is finite and positive; NaN fails too."""
+    if not 0 < value < np.inf:  # written so that NaN fails
+        raise ValueError(f"{name} must be finite and positive")
+
+
 def _spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a 2-D array.
 

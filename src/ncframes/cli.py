@@ -81,11 +81,8 @@ _algebra = _checked(
     "comma-separated block sizes >= 1, e.g. 1 or 2,1",
 )
 
-# the most partitions `partitions` lists; the count grows like Bell(k), and
-# listing k = 11 (678570) took 46 s and 1.9 GB, so larger counts need --count-only
-MAX_LISTED_PARTITIONS = 200_000
-# the most labels (count * k) it lists; 1936950 (k = 15, k' = 5) is the most under
-# the partition cap, and the 1804188 of k = 12, k' = 2 took 7 s and 342 MB
+# the most labels (count * k) `partitions` lists, so at most 181818 partitions
+# for k >= 11 and Bell(10) = 115975 below; 1804188 (k = 12, k' = 2) took 7 s, 342 MB
 MAX_LISTED_LABELS = 2_000_000
 # the most blocks k / k' whose count it computes: the recurrence adds up to
 # k / k' terms at each of k / k' steps, 0.9 s at 256 blocks of 6 (3013 digits)
@@ -217,10 +214,10 @@ def cmd_partitions(args) -> int:
     count = count_partitions(args.k, args.kprime)
     if args.count_only:
         _emit({"k": args.k, "kprime": args.kprime, "count": count}, args.output)
-    elif count > MAX_LISTED_PARTITIONS or count * args.k > MAX_LISTED_LABELS:
+    elif count * args.k > MAX_LISTED_LABELS:
         raise UsageError(
-            f"{count} partitions of {args.k} labels exceed the listing limit of "
-            f"{MAX_LISTED_PARTITIONS} partitions or {MAX_LISTED_LABELS} labels; use --count-only"
+            f"{count} partitions of {args.k} labels list {count * args.k} labels, over "
+            f"the limit of {MAX_LISTED_LABELS}; use --count-only"
         )
     else:
         doc = {

@@ -40,10 +40,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _spectral_norm, _spectral_norms
+from .algebra import _check_positive, _spectral_norm, _spectral_norms
 from .frames import (
     Frame,
     NotTightError,
+    _require_tight,
     check_tight,
     gram_matrix,
 )
@@ -65,11 +66,11 @@ __all__ = [
 ]
 
 
-def _column_label(i) -> int:
-    """A 1-based column label as an int; floats, strings and bools raise TypeError."""
+def _column_label(i, what: str = "column label") -> int:
+    """A 1-based column label, or what, as an int; floats, strings and bools raise TypeError."""
     # operator.index refuses floats and strings, but bool is an int subclass
     if isinstance(i, bool):
-        raise TypeError(f"column label {i!r} is a bool")
+        raise TypeError(f"{what} {i!r} is a bool")
     return operator.index(i)
 
 
@@ -81,20 +82,18 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(
-            tuple(sorted(map(_column_label, blk))) for blk in self.blocks
-        )
-        blocks = tuple(sorted(blocks, key=lambda blk: blk[0]))
-        seen: set[int] = set()
-        for blk in blocks:
-            if not blk:
-                raise ValueError("empty block in partition")
-            if seen & set(blk):
-                raise ValueError("blocks are not disjoint")
-            seen |= set(blk)
-        if seen != set(range(1, self.k + 1)):
-            raise ValueError(f"blocks do not cover 1..{self.k}")
-        object.__setattr__(self, "blocks", blocks)
+        k = _column_label(self.k, "partition size k")
+        blocks = tuple(tuple(sorted(map(_column_label, blk))) for blk in self.blocks)
+        if not all(blocks):
+            raise ValueError("empty block in partition")
+        labels = [i for blk in blocks for i in blk]
+        if len(set(labels)) != len(labels):
+            raise ValueError("blocks are not disjoint")
+        if set(labels) != set(range(1, k + 1)):
+            raise ValueError(f"blocks do not cover 1..{k}")
+        object.__setattr__(self, "k", k)
+        # disjoint blocks sort by their smallest label
+        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
 
 
 @dataclass(frozen=True)
@@ -168,9 +167,7 @@ def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
     residual at most (k / 2) * tol * max(1, b), within split_equivalence's
     bound, since every entry of F_I* F_{I^c} is a dropped edge.
     """
-    report = check_tight(F, tol)
-    if not report.is_tight:
-        raise NotTightError(report.residual, tol)
+    report = _require_tight(check_tight(F, tol), tol)
     adj = _edges(gram_matrix(F), tol * max(1.0, report.b))
     np.fill_diagonal(adj, False)
     blocks = [tuple(i + 1 for i in blk) for blk in _components(adj)]
@@ -250,6 +247,7 @@ def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
     block of a tight frame's ortho-decomposition this is the frame's b,
     where check_tight(restrict(F, I)) would divide by the full n * m_j.
     """
+    _check_positive(tol, "tol")
     per_b = []
     for y in restrict(F, I).matrix.blocks:
         rank = _rank(np.linalg.svd(y, compute_uv=False), tol)
@@ -289,10 +287,7 @@ def split_equivalence(
     All are maximized over the summands.  An empty side has no columns and
     a zero projection, so it contributes 0 to every residual but closure.
     """
-    report = check_tight(F, tol)
-    if not report.is_tight:
-        raise NotTightError(report.residual, tol)
-    b = report.b
+    b = _require_tight(check_tight(F, tol), tol).b
     threshold = tol * (max(1.0, b) * max(1.0, float(F.k)))
     sides = _sides(F, I)
 
@@ -415,9 +410,7 @@ def direct_sum_frames(
     for part in parts:
         if part.spec != spec:
             raise ValueError("parts live over different algebras")
-        report = check_tight(part, tol)
-        if not report.is_tight:
-            raise NotTightError(report.residual, tol)
+        report = _require_tight(check_tight(part, tol), tol)
         if abs(report.b - b) > tol * max(1.0, b):
             raise NotTightError(abs(report.b - b), tol * max(1.0, b))
     n_total = sum(p.n for p in parts)

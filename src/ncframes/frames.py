@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, ShapeError, _complex_gaussian, _spectral_norm, _spectral_norms
+    AlgebraSpec, ShapeError, _check_positive, _complex_gaussian, _spectral_norm, _spectral_norms
 )
 from .module import AMatrix, complete_to_unitary, is_unitary
 
@@ -41,14 +41,14 @@ __all__ = [
 
 
 class NotTightError(ValueError):
-    """Raised when an operation requires a tight frame but the input is not."""
+    """Raised when an operation requires a tight frame but the input is not;
+    tol is the threshold of the failed condition, which the message names."""
 
-    def __init__(self, residual: float, tol: float):
+    def __init__(self, residual: float, tol: float, *, b: float | None = None):
         self.residual = residual
         self.tol = tol
-        super().__init__(
-            f"frame is not tight: residual {residual:.3e} exceeds tol {tol:.3e}"
-        )
+        failed = f"residual {residual:.3e} exceeds" if b is None else f"b {b:.3e} is not above"
+        super().__init__(f"frame is not tight: {failed} tol {tol:.3e}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,7 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     of one frame then pays for FF* and its SVDs once, and ortho_decompose
     reuses the check its caller already made.
     """
-    if not 0 < tol < np.inf:  # written so that NaN fails
-        raise ValueError("tol must be finite and positive")
+    _check_positive(tol, "tol")
     snapshot = tuple(x.tobytes() for x in F.matrix.blocks)
     cached = F._tightness.get(tol)
     if cached is not None and cached[0] == snapshot:
@@ -160,6 +159,16 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     return report
 
 
+def _require_tight(report: TightnessReport, tol: float) -> TightnessReport:
+    """report if tight, else NotTightError for b <= tol or else for the residual
+    above tol * max(1, |b|); the spread of the b_j is at most the residual."""
+    if report.is_tight:
+        return report
+    if not report.b > tol:
+        raise NotTightError(report.residual, tol, b=report.b)
+    raise NotTightError(report.residual, tol * max(1.0, abs(report.b)))
+
+
 def scalar_definition_check(
     F: Frame,
     b: float,
@@ -175,6 +184,7 @@ def scalar_definition_check(
     Delta < -tol; for a tight frame the inequality Delta >= 0 holds up to
     roundoff, with equality in the scalar algebra.
     """
+    _check_positive(tol, "tol")
     rng = np.random.default_rng(seed)
     # sample s, drawn entry by entry per summand, is column s of V
     draws = [_complex_gaussian(rng, (num_samples, F.n, m, m)) for m in F.spec.summand_dims]
@@ -199,8 +209,7 @@ def is_spherical(
     """
     if mode not in ("strict", "equal_norm"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not 0 < tol < np.inf:  # written so that NaN fails
-        raise ValueError("tol must be finite and positive")
+    _check_positive(tol, "tol")
     grams = F.matrix.column_grams()
     if mode == "strict":
         traces = sum(np.trace(g, axis1=1, axis2=2) for g in grams)
@@ -231,8 +240,7 @@ def canonical_frame(
     U must be a k x k unitary over A; the result always passes check_tight
     with constant b.
     """
-    if not 0 < b < np.inf:  # written so that NaN fails
-        raise ValueError("frame constant b must be finite and positive")
+    _check_positive(b, "frame constant b")
     if U.rows != k or U.cols != U.rows:
         raise ShapeError(f"U must be {k}x{k}")
     if not is_unitary(U, tol):
@@ -249,10 +257,7 @@ def factorize(F: Frame, tol: float = 1e-9) -> FactorizationResult:
     so U is unitary to machine precision even when the tightness residual
     sits at the tolerance.
     """
-    report = check_tight(F, tol)
-    if not report.is_tight:
-        raise NotTightError(report.residual, tol)
-    b = report.b
+    b = _require_tight(check_tight(F, tol), tol).b
     G = (1.0 / np.sqrt(b)) * F.matrix
     polished = []
     for blk in G.blocks:

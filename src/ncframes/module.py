@@ -37,7 +37,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraSpec, ShapeError, _complex_gaussian, _spectral_norm, _spectral_norms
+from .algebra import (
+    AlgebraSpec, ShapeError, _check_positive, _complex_gaussian, _spectral_norm, _spectral_norms
+)
 
 __all__ = [
     "AMatrix",
@@ -142,20 +144,22 @@ class AMatrix:
         cols = len(entries[0]) if rows else 0
         if cols == 0:
             raise ShapeError("entry grid is empty")
-        spec = entries[0][0].spec
+        first = entries[0][0]  # its type is checked before its spec is read
         for i, row in enumerate(entries):
             if len(row) != cols:
                 raise ShapeError("ragged entry grid")
             for j, elem in enumerate(row):
-                if elem.spec != spec:
+                if not isinstance(elem, AMatrix):
+                    raise TypeError(f"entry ({i}, {j}) is {type(elem).__name__}, not AMatrix")
+                if elem.spec != first.spec:
                     raise ShapeError("entries belong to different algebras")
                 if (elem.rows, elem.cols) != (1, 1):
                     raise ShapeError(f"entry ({i}, {j}) is {elem.rows}x{elem.cols}, not 1x1")
         blocks = tuple(
             np.block([[elem.blocks[j] for elem in row] for row in entries])
-            for j in range(spec.num_summands)
+            for j in range(first.spec.num_summands)
         )
-        return cls(spec, rows, cols, blocks)
+        return cls(first.spec, rows, cols, blocks)
 
     @classmethod
     def random(
@@ -290,8 +294,7 @@ class AMatrix:
         """Positivity in the C*-algebra M_n(A), for square M only: per summand
         block, Hermitian within tol and smallest eigenvalue >= -tol."""
         self._check_square("is_positive")
-        if not 0 < tol < np.inf:  # written so that NaN fails
-            raise ValueError("tol must be finite and positive")
+        _check_positive(tol, "tol")
         for a in self.blocks:
             if _spectral_norm(a - a.conj().T) > tol:
                 return False
@@ -328,16 +331,14 @@ def inner_product(v: AMatrix, w: AMatrix) -> AMatrix:
 def is_unitary(M: AMatrix, tol: float = 1e-9) -> bool:
     """True iff both ||MM* - I|| and ||M*M - I|| are at most tol."""
     M._check_square("is_unitary")
-    if not 0 < tol < np.inf:  # written so that NaN fails
-        raise ValueError("tol must be finite and positive")
+    _check_positive(tol, "tol")
     eye = AMatrix.identity(M.spec, M.rows)
     return (M @ M.H - eye).norm() <= tol and (M.H @ M - eye).norm() <= tol
 
 
 def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:
     """True iff ||M M* M - M|| <= tol * max(1, ||M||)."""
-    if not 0 < tol < np.inf:  # written so that NaN fails
-        raise ValueError("tol must be finite and positive")
+    _check_positive(tol, "tol")
     defect = (M @ M.H @ M - M).norm()
     return defect <= tol * max(1.0, M.norm())
 
@@ -403,8 +404,7 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
         (k - n) * m: the pivot search meets a remainder <= 0, or the last
         pivot in R is below 1e-8.
     """
-    if not 0 < tol < np.inf:  # written so that NaN fails
-        raise ValueError("tol must be finite and positive")
+    _check_positive(tol, "tol")
     n, k = M.rows, M.cols
     if n > k:
         raise ShapeError("completion needs at least as many columns as rows")

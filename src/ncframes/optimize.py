@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _complex_gaussian, _spectral_norm
+from .algebra import AlgebraSpec, _check_positive, _complex_gaussian, _spectral_norm
 from .frames import Frame
 from .module import AMatrix, _column_grams, _scale_columns
 
@@ -66,13 +66,12 @@ class OptimizerConfig:
     radius: float | None = None  # None -> n/k, making b = 1
 
     def __post_init__(self):
-        # written so that NaN fails the range tests
-        if not (0 < self.step_size < np.inf and 0 < self.tight_tol < np.inf):
-            raise ValueError("step_size and tight_tol must be finite and positive")
+        _check_positive(self.step_size, "step_size")
+        _check_positive(self.tight_tol, "tight_tol")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
-        if self.radius is not None and not 0 < self.radius < np.inf:
-            raise ValueError("radius must be finite and positive")
+        if self.radius is not None:
+            _check_positive(self.radius, "radius")
 
     def radius_for(self, spec: AlgebraSpec, k: int, n: int) -> float:
         """The column radius r of a k-column descent on A^n: radius, or n/k.
@@ -222,8 +221,8 @@ def retract_spherical(F: Frame, r: float, tol: float = 1e-12) -> Frame:
     some column Gram block has an eigenvalue at or below tol, naming the
     first such column of the first summand that has one.
     """
-    if not 0 < r < np.inf:  # written so that NaN fails
-        raise ValueError("radius must be finite and positive")
+    _check_positive(r, "radius")
+    _check_positive(tol, "tol")
     blocks = _retract(F.matrix.blocks, F.spec.summand_dims, r, tol)
     return Frame(AMatrix(F.spec, F.n, F.k, blocks))
 

@@ -231,6 +231,39 @@ class TestFactorize:
         rc, _ = run(capsys, "factorize", str(path), "--out", str(tmp_path / "u.json"))
         assert rc == 1
 
+    def test_constant_below_tol_is_named(self, tmp_path, capsys):
+        from ncframes import AlgebraSpec, random_tight_frame
+
+        path = tmp_path / "f.json"
+        save_frame(path, random_tight_frame(AlgebraSpec((1,)), 3, 2, 5e-10))
+        rc, out = run(capsys, "factorize", str(path), "--out", str(tmp_path / "u.json"))
+        assert rc == 1
+        error = json.loads(out)["error"]
+        assert error == "frame is not tight: b 5.000e-10 is not above tol 1.000e-09"
+        assert not (tmp_path / "u.json").exists()
+
+
+class TestTextOutput:
+    def test_verify_prints_key_value_lines(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        save_frame(path, make_mercedes())
+        rc, out = run(capsys, "verify", str(path), "--output", "text")
+        assert rc == 0
+        lines = out.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == [
+            "b", "residual", "is_tight", "per_summand_b"
+        ]
+        assert "is_tight: True" in lines
+        assert float(lines[0].split(": ")[1]) == pytest.approx(1.5)
+
+    def test_partitions_prints_key_value_lines(self, capsys):
+        rc, out = run(capsys, "partitions", "--k", "4", "--kprime", "2", "--output", "text")
+        assert rc == 0
+        assert out == (
+            "k: 4\nkprime: 2\ncount: 4\npartitions: [[[1, 2], [3, 4]], [[1, 2, 3, 4]], "
+            "[[1, 3], [2, 4]], [[1, 4], [2, 3]]]\n"
+        )
+
 
 class TestPartitions:
     def test_counts(self, capsys):
@@ -274,14 +307,6 @@ class TestPartitions:
         assert captured.out == ""
         assert "--count-only" in captured.err
         assert elapsed < 1.0
-
-    def test_cap_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_LISTED_PARTITIONS", 4)
-        rc, out = run(capsys, "partitions", "--k", "4", "--kprime", "2")
-        assert rc == 0
-        assert json.loads(out)["count"] == 4
-        rc, out = run(capsys, "partitions", "--k", "6", "--kprime", "2")
-        assert (rc, out) == (3, "")
 
     @pytest.mark.parametrize(
         "argv",
@@ -329,6 +354,15 @@ class TestPartitions:
         monkeypatch.setattr(cli, "MAX_LISTED_LABELS", 15)
         rc, out = run(capsys, "partitions", "--k", "4", "--kprime", "2")
         assert (rc, out) == (3, "")
+
+    def test_label_cap_alone_decides_every_listing(self, capsys, monkeypatch):
+        # the listing itself is stubbed out: this checks the refusal rule only
+        monkeypatch.setattr(cli, "enumerate_partitions", lambda k, kprime: iter(()))
+        for k in range(1, 61):
+            for kprime in (d for d in range(1, k + 1) if k % d == 0):
+                rc, _ = run(capsys, "partitions", "--k", str(k), "--kprime", str(kprime))
+                over = count_partitions(k, kprime) * k > cli.MAX_LISTED_LABELS
+                assert rc == (3 if over else 0), (k, kprime)
 
 
 class TestArgumentContract:

@@ -43,6 +43,10 @@ class TestPartitionType:
             Partition(3, ((1, 2),))  # not covering
         with pytest.raises(ValueError):
             Partition(3, ((1, 2), (2, 3)))  # overlapping
+        with pytest.raises(ValueError, match="not disjoint"):
+            Partition(2, ((1, 1), (2,)))  # a label twice in one block
+        with pytest.raises(ValueError, match="empty block"):
+            Partition(2, ((1, 2), ()))
 
     def test_labels_must_be_integers(self):
         # a truncating int() would read 1.5 and True as 1 and '3' as 3
@@ -52,6 +56,13 @@ class TestPartitionType:
         p = Partition(3, ((np.int64(2), np.uint8(1)), (np.int32(3),)))
         assert p.blocks == ((1, 2), (3,))
         assert all(type(i) is int for blk in p.blocks for i in blk)
+
+    def test_size_must_be_an_integer(self):
+        for k in (True, np.True_, 1.0, "1"):
+            with pytest.raises(TypeError):
+                Partition(k, ((1,),))
+        p = Partition(np.int64(2), ((2,), (1,)))
+        assert type(p.k) is int and p == Partition(2, ((1,), (2,)))
 
 
 class TestCommutationResidual:

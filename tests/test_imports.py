@@ -101,3 +101,37 @@ def test_package_reexports_exactly_the_library_lists():
     }
     assert sorted(public) == sorted(listed)
     assert all(public[attr] is listed[attr] for attr in listed)
+
+
+def _raise_sites():
+    """(file, innermost enclosing function, exception) of each raise in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        owner = {}
+        # ast.walk is breadth-first, so an inner function overwrites its outer one
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node, name in owner.items():
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                yield path.name, name, node.exc
+
+
+def test_each_tolerance_rule_is_raised_in_one_place():
+    sites = list(_raise_sites())
+    # the "finite and positive" rule lives in algebra._check_positive only
+    positive = [
+        (path, func) for path, func, exc in sites
+        if any(isinstance(n, ast.Constant) and "finite and positive" in str(n.value)
+               for n in ast.walk(exc))
+    ]
+    assert positive == [("algebra.py", "_check_positive")]
+    # NotTightError is raised by the tightness gate, and by direct_sum_frames
+    # when a part is tight with another constant
+    gates = [
+        (path, func) for path, func, exc in sites
+        if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "NotTightError"
+    ]
+    assert {site for site in gates if site[0] == "frames.py"} == {("frames.py", "_require_tight")}
+    assert [site for site in gates if site[0] != "frames.py"] == [
+        ("decomposition.py", "direct_sum_frames")
+    ]

@@ -199,6 +199,13 @@ class TestEntries:
         with pytest.raises(ShapeError, match=r"entry \(1, 0\) is 2x1"):
             AMatrix.from_entries([[one, one], [AMatrix.zeros(mixed_spec, 2, 1), one]])
 
+    def test_entry_must_be_a_matrix(self, mixed_spec):
+        one = AMatrix.identity(mixed_spec, 1)
+        with pytest.raises(TypeError, match=r"entry \(0, 0\) is float, not AMatrix"):
+            AMatrix.from_entries([[1.0]])
+        with pytest.raises(TypeError, match=r"entry \(1, 1\) is ndarray"):
+            AMatrix.from_entries([[one, one], [one, np.eye(3)]])
+
 
 class TestAdjoint:
     def test_involution_and_identity(self, m2_spec):

@@ -1,0 +1,134 @@
+"""One rule per tolerance decision.
+
+Every public function that takes a tol refuses a NaN, infinite or
+non-positive one, and every operation that needs a tight frame raises the
+same NotTightError, naming the condition that failed and carrying its
+threshold as tol.
+"""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+import ncframes
+from ncframes import (
+    AlgebraSpec,
+    AMatrix,
+    Frame,
+    NotTightError,
+    canonical_coisometry,
+    canonical_frame,
+    check_tight,
+    complete_to_unitary,
+    direct_sum_frames,
+    factorize,
+    is_partial_isometry,
+    is_spherical,
+    is_unitary,
+    ortho_decompose,
+    random_tight_frame,
+    range_constant,
+    retract_spherical,
+    scalar_definition_check,
+    split_equivalence,
+)
+
+SPEC = AlgebraSpec((2, 1))
+F = random_tight_frame(SPEC, 4, 2, 1.0, seed=3)
+W = canonical_coisometry(SPEC, 3, 2)
+U = AMatrix.identity(SPEC, 3)
+
+# one valid call per public function (or method) with a tol parameter
+CALLS = {
+    "check_tight": lambda tol: check_tight(F, tol),
+    "is_spherical": lambda tol: is_spherical(F, tol),
+    "is_unitary": lambda tol: is_unitary(U, tol),
+    "is_partial_isometry": lambda tol: is_partial_isometry(W, tol),
+    "complete_to_unitary": lambda tol: complete_to_unitary(W, tol),
+    "canonical_frame": lambda tol: canonical_frame(SPEC, 3, 2, 1.0, U, tol),
+    "factorize": lambda tol: factorize(F, tol),
+    "ortho_decompose": lambda tol: ortho_decompose(F, tol),
+    "split_equivalence": lambda tol: split_equivalence(F, [1], tol),
+    "direct_sum_frames": lambda tol: direct_sum_frames([F], 1.0, tol),
+    "range_constant": lambda tol: range_constant(F, [1, 2], tol),
+    "retract_spherical": lambda tol: retract_spherical(F, 0.5, tol),
+    "scalar_definition_check": lambda tol: scalar_definition_check(F, 1.0, 4, 0, tol),
+    "AMatrix.is_positive": lambda tol: U.is_positive(tol),
+}
+
+
+def _takes_tol(func) -> bool:
+    return inspect.isfunction(func) and "tol" in inspect.signature(func).parameters
+
+
+def _public_tol_callables() -> set[str]:
+    names = set()
+    for name, value in vars(ncframes).items():
+        if name.startswith("_") or inspect.ismodule(value):
+            continue
+        if _takes_tol(value):
+            names.add(name)
+        if inspect.isclass(value):
+            names.update(
+                f"{name}.{attr}"
+                for attr, member in vars(value).items()
+                if not attr.startswith("_") and _takes_tol(member)
+            )
+    # allclose compares entries within tol, and tol = 0 asks for equality
+    return names - {"AMatrix.allclose"}
+
+
+def test_sweep_covers_every_public_tol():
+    assert _public_tol_callables() == set(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_valid_tol_is_accepted(name):
+    CALLS[name](1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_invalid_tol_raises(name, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        CALLS[name](tol)
+
+
+# every operation that needs a tight frame, called on a frame G
+GATES = {
+    "factorize": lambda G, tol: factorize(G, tol),
+    "ortho_decompose": lambda G, tol: ortho_decompose(G, tol),
+    "split_equivalence": lambda G, tol: split_equivalence(G, [1], tol),
+    "direct_sum_frames": lambda G, tol: direct_sum_frames([G, G], 100.0, tol),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_residual_failure_reports_the_scaled_threshold(gate):
+    rng = np.random.default_rng(5)
+    tight = random_tight_frame(SPEC, 4, 2, 100.0, seed=1)
+    G = Frame(tight.matrix + 1e-6 * AMatrix.random(SPEC, 2, 4, rng))
+    tol = 1e-9
+    report = check_tight(G, tol)
+    assert report.b == pytest.approx(100.0, rel=1e-6) and not report.is_tight
+    with pytest.raises(NotTightError) as exc:
+        GATES[gate](G, tol)
+    assert exc.value.tol == tol * max(1.0, report.b)
+    assert exc.value.residual == report.residual
+    assert str(exc.value) == (
+        f"frame is not tight: residual {report.residual:.3e} exceeds tol {exc.value.tol:.3e}"
+    )
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_constant_failure_names_b_and_tol(gate):
+    G = random_tight_frame(SPEC, 4, 2, 5e-10, seed=1)
+    report = check_tight(G, 1e-9)
+    assert report.residual <= 1e-9 and not report.is_tight
+    with pytest.raises(NotTightError) as exc:
+        GATES[gate](G, 1e-9)
+    assert exc.value.tol == 1e-9
+    assert str(exc.value) == "frame is not tight: b 5.000e-10 is not above tol 1.000e-09"
+
