@@ -32,6 +32,7 @@ from .decomposition import (
 from .frames import (
     Frame,
     NotTightError,
+    _above_tol,
     check_tight,
     factorize,
     is_spherical,
@@ -120,7 +121,7 @@ def _add_common(parser: ArgumentParser, tol: bool = True):
 
 def cmd_gen(args) -> int:
     _check_shape(args)
-    if not args.b > args.tol:
+    if not _above_tol(args.b, args.tol):
         raise UsageError(
             f"b {args.b:g} is too small: it is not above --tol {args.tol:g}, "
             "so check_tight reports no such frame tight"

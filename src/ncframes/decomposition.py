@@ -83,6 +83,8 @@ class Partition:
 
     def __post_init__(self):
         k = _column_label(self.k, "partition size k")
+        if k < 0:  # k = 0 has the one empty partition
+            raise ValueError(f"partition size k {k} is negative")
         blocks = tuple(tuple(sorted(map(_column_label, blk))) for blk in self.blocks)
         if not all(blocks):
             raise ValueError("empty block in partition")

@@ -120,6 +120,12 @@ def gram_matrix(F: Frame) -> AMatrix:
     return F.matrix.H @ F.matrix
 
 
+def _above_tol(b: float, tol: float) -> bool:
+    """The rule b > tol, without which no frame of constant b is tight at tol;
+    gen's --b and the optimizer's radius are held to it too."""
+    return b > tol
+
+
 def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     """Estimate the frame constant and measure the defect ||FF* - bI||.
 
@@ -153,7 +159,7 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     residual = max(_spectral_norm(d) for d in defects)
     scale = max(1.0, abs(b))
     spread = max(abs(bj - b) for bj in per_b)
-    is_tight = residual <= tol * scale and spread <= tol * scale and b > tol
+    is_tight = residual <= tol * scale and spread <= tol * scale and _above_tol(b, tol)
     report = TightnessReport(b, residual, is_tight, tuple(per_b))
     F._tightness[tol] = (snapshot, report)
     return report
@@ -164,7 +170,7 @@ def _require_tight(report: TightnessReport, tol: float) -> TightnessReport:
     above tol * max(1, |b|); the spread of the b_j is at most the residual."""
     if report.is_tight:
         return report
-    if not report.b > tol:
+    if not _above_tol(report.b, tol):
         raise NotTightError(report.residual, tol, b=report.b)
     raise NotTightError(report.residual, tol * max(1.0, abs(report.b)))
 
@@ -225,10 +231,17 @@ def is_spherical(
     return SphericalReport(ok, r, deviation, mode)
 
 
-def canonical_coisometry(spec: AlgebraSpec, k: int, n: int) -> AMatrix:
-    """The n x k matrix [I_n | 0] over A; the model coisometry."""
+def _check_k_n(k: int, n: int) -> None:
     if k < n:
         raise ShapeError(f"need k >= n, got k={k}, n={n}")
+
+
+def canonical_coisometry(spec: AlgebraSpec, k: int, n: int) -> AMatrix:
+    """The n x k matrix [I_n | 0] over A; the model coisometry.
+
+    The library never multiplies by it: [I_n | 0] U is U.top_rows(n).
+    """
+    _check_k_n(k, n)
     return AMatrix.diagonal(spec, n, k, range(n))
 
 
@@ -238,15 +251,17 @@ def canonical_frame(
     """The normal-form tight frame sqrt(b) * [I_n | 0] * U.
 
     U must be a k x k unitary over A; the result always passes check_tight
-    with constant b.
+    with constant b.  [I_n | 0] U is U.top_rows(n), with no product: each
+    entry of the product is one entry of U plus exact zeros, so the two
+    agree bit for bit except in the sign of an entry that is zero.
     """
     _check_positive(b, "frame constant b")
     if U.rows != k or U.cols != U.rows:
         raise ShapeError(f"U must be {k}x{k}")
     if not is_unitary(U, tol):
         raise ValueError("U is not unitary within tolerance")
-    W = canonical_coisometry(spec, k, n)
-    return Frame(np.sqrt(b) * (W @ U))
+    _check_k_n(k, n)
+    return Frame(np.sqrt(b) * U.top_rows(n))
 
 
 def factorize(F: Frame, tol: float = 1e-9) -> FactorizationResult:
@@ -265,8 +280,7 @@ def factorize(F: Frame, tol: float = 1e-9) -> FactorizationResult:
         polished.append(u @ vh)
     Gp = AMatrix(F.spec, F.n, F.k, tuple(polished))
     U = complete_to_unitary(Gp, tol=max(tol, 1e-8))
-    W = canonical_coisometry(F.spec, F.k, F.n)
-    recon = (F.matrix - np.sqrt(b) * (W @ U)).norm()
+    recon = (F.matrix - np.sqrt(b) * U.top_rows(F.n)).norm()
     return FactorizationResult(b, U, recon)
 
 
@@ -290,8 +304,7 @@ def random_tight_frame(
     spec: AlgebraSpec, k: int, n: int, b: float = 1.0, seed: int = 0
 ) -> Frame:
     """A seeded tight frame drawn through the normal form."""
-    if k < n:
-        raise ShapeError(f"need k >= n, got k={k}, n={n}")
+    _check_k_n(k, n)
     rng = np.random.default_rng(seed)
     U = random_unitary(spec, k, rng)
     return canonical_frame(spec, k, n, b, U)

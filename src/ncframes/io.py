@@ -15,11 +15,17 @@ does, so the bytes equal json.dumps of the nested lists plus a newline.
 save_with_frame splices the same frame text into another document as its
 last key.  A non-finite entry raises ValueError before the file is opened.
 
-Decoding takes one array per summand over the flat list of entries; it
-rejects with FormatError a payload of the wrong shape, with a shape or
-block size that is not a JSON integer, with a non-finite entry, or with
-entries so large that the trace of M M* overflows (so M M* cannot be
-formed finitely).
+Decoding is flat too.  Per summand, the decoder checks with one set of
+lengths per nesting level that every entry holds m*m pairs and every pair
+two numbers, then builds the summand from one np.array call over the
+chained numbers, so numpy infers a single dtype for the whole flat list
+instead of one level of nested lists at a time.  The dtype must be bool,
+integer or float: a string (even "1.5"), a null, a list where a number
+belongs or an integer outside [-2**63, 2**64) is refused rather than
+converted, and true and false read as 1.0 and 0.0.  The decoder also
+rejects with FormatError a payload of the wrong shape, a shape or block
+size that is not a JSON integer, a non-finite entry, and entries so large
+that the trace of M M* overflows (so M M* cannot be formed finitely).
 """
 
 from __future__ import annotations
@@ -176,11 +182,16 @@ def _decode_grids(
         raise FormatError("wrong number of blocks")
     grids = []
     for j, m in enumerate(spec.summand_dims):
-        arr = np.asarray(list(map(itemgetter(j), entries)))
-        if arr.dtype.kind not in "biuf":
+        blocks = list(map(itemgetter(j), entries))
+        if set(map(len, blocks)) != {m * m}:
+            raise FormatError(f"summand {j} entries do not hold {m * m} pairs each")
+        pairs = list(chain.from_iterable(blocks))
+        if set(map(len, pairs)) != {2}:
+            raise FormatError(f"summand {j} holds a number that is not an [re, im] pair")
+        # one flat list: numpy infers the dtype of the whole summand at once
+        arr = np.array(list(chain.from_iterable(pairs)))
+        if arr.dtype.kind not in "biuf" or arr.ndim != 1:
             raise FormatError("block entries must be numbers")
-        if arr.shape != (outer * inner, m * m, 2):
-            raise FormatError(f"summand {j} data has shape {arr.shape}")
         arr = arr.reshape(outer, inner, m * m, 2)
         if transpose:
             arr = arr.swapaxes(0, 1)

@@ -5,7 +5,8 @@ An r x c AMatrix over A = ⊕_j M_{m_j}(C) is stored as one complex
 is summand j of the entry (i, p).  This realization is a *-isomorphism onto
 its image, so products are one matrix product per summand, the adjoint is
 the conjugate transpose, the operator norm is the largest summand spectral
-norm, entries are slices and a column selection is one gather per summand.
+norm, entries are slices, the leading rows [I_n | 0] M are a slice too,
+and a column selection is one gather per summand.
 This module is the only code that indexes inside a summand block: the
 others reach entries through the (rows, cols, m, m) grids view, column
 Grams and entry norms, and decomposition's split pass gathers column sides
@@ -216,6 +217,16 @@ class AMatrix:
         """The (rows, cols) array of entry C*-norms ||M_ij||."""
         return np.max([_spectral_norms(g) for g in self.grids], axis=0)
 
+    def top_rows(self, n: int) -> "AMatrix":
+        """The first n rows, [I_n | 0] M, taken as a view of the leading n*m
+        rows of each summand block rather than computed as a product."""
+        return AMatrix(
+            self.spec,
+            n,
+            self.cols,
+            tuple(blk[: n * m] for m, blk in zip(self.spec.summand_dims, self.blocks)),
+        )
+
     def select_columns(self, indices: Sequence[int]) -> "AMatrix":
         idx = list(indices)
         return AMatrix(
@@ -329,11 +340,18 @@ def inner_product(v: AMatrix, w: AMatrix) -> AMatrix:
 
 
 def is_unitary(M: AMatrix, tol: float = 1e-9) -> bool:
-    """True iff both ||MM* - I|| and ||M*M - I|| are at most tol."""
+    """True iff ||MM* - I|| <= tol, which bounds ||M*M - I|| by the same number.
+
+    One side decides both: M is square, so each summand block M_j is a
+    square matrix, and with its singular value decomposition
+    M_j = P diag(s_i) Q*, both M_j M_j* - I = P diag(s_i^2 - 1) P* and
+    M_j* M_j - I = Q diag(s_i^2 - 1) Q* are Hermitian with eigenvalues
+    s_i^2 - 1, so ||MM* - I|| = ||M*M - I|| = max_{i, j} |s_i^2 - 1|.  In
+    floating point the two computed norms differ by roundoff only.
+    """
     M._check_square("is_unitary")
     _check_positive(tol, "tol")
-    eye = AMatrix.identity(M.spec, M.rows)
-    return (M @ M.H - eye).norm() <= tol and (M.H @ M - eye).norm() <= tol
+    return (M @ M.H - AMatrix.identity(M.spec, M.rows)).norm() <= tol
 
 
 def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:

@@ -48,6 +48,15 @@ class TestPartitionType:
         with pytest.raises(ValueError, match="empty block"):
             Partition(2, ((1, 2), ()))
 
+    def test_size_must_not_be_negative(self):
+        for k in (-1, -5, np.int64(-1)):
+            with pytest.raises(ValueError, match="negative"):
+                Partition(k, ())
+        # k = 0 has one partition, the empty one
+        assert Partition(0, ()).blocks == ()
+        assert list(enumerate_partitions(0, 1)) == [Partition(0, ())]
+        assert count_partitions(0, 1) == 1
+
     def test_labels_must_be_integers(self):
         # a truncating int() would read 1.5 and True as 1 and '3' as 3
         for blocks in (((1.5, 2), (3,)), ((True, 2), (3,)), ((1, 2), ("3",)), ((np.True_, 2), (3,))):

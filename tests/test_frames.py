@@ -214,6 +214,30 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             canonical_frame(m2_spec, 4, 2, 1.0, 2.0 * AMatrix.identity(m2_spec, 4))
 
+    @pytest.mark.parametrize(
+        "dims,k,n", [((1,), 5, 3), ((2,), 4, 2), ((2, 1), 6, 4), ((3, 2), 5, 5), ((1, 1), 7, 1), ((3,), 3, 2)]
+    )
+    @pytest.mark.parametrize("b", [1.0, 2.0, 0.37])
+    def test_rows_of_u_equal_the_product_bit_for_bit(self, dims, k, n, b):
+        # the frame is U's first n rows, each entry of the product [I_n | 0] U
+        # is one of them plus exact zeros, and a Haar U has no zero entry
+        spec = AlgebraSpec(dims)
+        W = canonical_coisometry(spec, k, n)
+        for seed in range(4):
+            U = random_unitary(spec, k, np.random.default_rng(seed))
+            product = np.sqrt(b) * (W @ U)
+            F = canonical_frame(spec, k, n, b, U)
+            assert [x.tobytes() for x in F.matrix.blocks] == [x.tobytes() for x in product.blocks]
+            result = factorize(F)
+            W_U = np.sqrt(result.b) * (W @ result.unitary)
+            assert result.reconstruction_residual == (F.matrix - W_U).norm()
+
+    def test_frame_needs_k_at_least_n(self, scalar_spec):
+        from ncframes import ShapeError
+
+        with pytest.raises(ShapeError, match="need k >= n"):
+            canonical_frame(scalar_spec, 2, 3, 1.0, AMatrix.identity(scalar_spec, 2))
+
     def test_square_case_orthonormal_basis(self, scalar_spec):
         F = canonical_frame(scalar_spec, 3, 3, 1.0, AMatrix.identity(scalar_spec, 3))
         assert frame_operator(F).allclose(AMatrix.identity(scalar_spec, 3), tol=0.0)

@@ -13,6 +13,7 @@ from ncframes import AMatrix, AlgebraSpec, Frame, canonical_coisometry, random_t
 from ncframes.cli import main
 from ncframes.io import (
     FormatError,
+    _json_int,
     decode_amatrix,
     decode_frame_file,
     decode_spec,
@@ -214,6 +215,24 @@ def test_factorize_golden_bytes(tmp_path, capsys, algebra, k, n, seed, b, digest
     assert hashlib.sha256(unitary.read_bytes()).hexdigest() == digest
 
 
+# sha256 of factorize's stdout and --out file for the gen --algebra 3,2
+# --k 48 --n 24 --seed 1 frame, both paths relative to the working directory;
+# recorded with the unitary check on both sides and the product [I_n | 0] U
+FACTORIZE_STDOUT_GOLDEN = "b5cff0d50b8820548fe7afefb71d9c7e65e65ac84680ba0fda783d13f4e9ce30"
+FACTORIZE_OUT_GOLDEN = "0407af622237dcae054ff1ef77a779c0a7cdfa12d070123ef22e9bab52754639"
+
+
+def test_factorize_golden_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--algebra", "3,2", "--k", "48", "--n", "24", "--seed", "1",
+                 "--out", "f.json"]) == 0
+    capsys.readouterr()
+    assert main(["factorize", "f.json", "--out", "u.json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FACTORIZE_STDOUT_GOLDEN
+    assert hashlib.sha256((tmp_path / "u.json").read_bytes()).hexdigest() == FACTORIZE_OUT_GOLDEN
+
+
 # -- the one-pass writer against the reference encoder ------------------------
 
 WRITER_SPECS = [(1,), (2,), (2, 1), (3, 1, 2)]
@@ -363,6 +382,157 @@ def test_unreadable_json_is_a_format_error(tmp_path, payload):
         load_frame(path)
 
 
+# -- the flat decoder against the nested one it replaced -----------------------
+
+
+def reference_decode_grids(data, spec, outer, inner, transpose=False):
+    """The nested decoder: one np.asarray per summand over the nested entry
+    lists, its dtype inferred level by level."""
+    if len(data) != outer or set(map(len, data)) != {inner}:
+        raise FormatError("payload shape does not match the header")
+    entries = list(itertools.chain.from_iterable(data))
+    if set(map(len, entries)) != {spec.num_summands}:
+        raise FormatError("wrong number of blocks")
+    grids = []
+    for j, m in enumerate(spec.summand_dims):
+        arr = np.asarray([entry[j] for entry in entries])
+        if arr.dtype.kind not in "biuf":
+            raise FormatError("block entries must be numbers")
+        if arr.shape != (outer * inner, m * m, 2):
+            raise FormatError(f"summand {j} data has shape {arr.shape}")
+        arr = arr.reshape(outer, inner, m * m, 2)
+        if transpose:
+            arr = arr.swapaxes(0, 1)
+        arr = arr.astype(float, order="C")
+        if not np.isfinite(arr).all():
+            raise FormatError("non-finite matrix entry")
+        flat = arr.ravel()
+        with np.errstate(over="ignore"):
+            power = flat @ flat
+        if not np.isfinite(power):
+            raise FormatError(f"summand {j} entries too large: trace of M M* overflows")
+        grids.append(arr.view(complex).reshape(arr.shape[:2] + (m, m)))
+    return grids
+
+
+def reference_decode(doc):
+    """The frame or matrix doc decodes to through the nested decoder."""
+    spec = decode_spec(doc["algebra"])
+    if "columns" in doc:
+        k, n = _json_int(doc["k"]), _json_int(doc["n"])
+        return Frame(AMatrix.from_grids(spec, reference_decode_grids(doc["columns"], spec, k, n, True)))
+    rows, cols = _json_int(doc["rows"]), _json_int(doc["cols"])
+    nested = [doc["entries"][i * cols : (i + 1) * cols] for i in range(rows)]
+    return AMatrix.from_grids(spec, reference_decode_grids(nested, spec, rows, cols))
+
+
+def _blocks(decoded):
+    M = decoded.matrix if isinstance(decoded, Frame) else decoded
+    return [b.tobytes() for b in M.blocks], [b.flags.c_contiguous for b in M.blocks]
+
+
+def _with_ints_and_bools(doc):
+    """doc with a few numbers of its payload replaced by ints and bools."""
+    doc = copy.deepcopy(doc)
+    payload = doc["columns"] if "columns" in doc else [doc["entries"]]
+    entry = payload[-1][-1]
+    entry[0][0] = [True, False]
+    entry[-1][-1] = [-3, 2**53 + 1]
+    return doc
+
+
+DECODE_SPECS = [(1,), (2,), (2, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("dims", DECODE_SPECS)
+@pytest.mark.parametrize("seed", range(3))
+def test_flat_decode_matches_nested_decode_bit_for_bit(tmp_path, dims, seed):
+    spec = AlgebraSpec(dims)
+    F = random_tight_frame(spec, 5, 3, 1.7, seed=seed)
+    M = AMatrix.random(spec, 3, 4, np.random.default_rng(seed))
+    docs = [frame_doc(F), amatrix_doc(tmp_path, M)]
+    for doc in docs + [_with_ints_and_bools(d) for d in docs]:
+        decode = decode_frame_file if "columns" in doc else decode_amatrix
+        assert _blocks(decode(copy.deepcopy(doc))) == _blocks(reference_decode(doc))
+
+
+def test_true_and_false_load_as_one_and_zero(tmp_path, mixed_spec):
+    F = random_tight_frame(mixed_spec, 3, 2, seed=0)
+    for doc in (frame_doc(F), amatrix_doc(tmp_path, F.matrix)):
+        doc = _with_ints_and_bools(doc)
+        M = decode_frame_file(doc).matrix if "columns" in doc else decode_amatrix(doc)
+        assert M.entry(M.rows - 1, M.cols - 1).blocks[0][0, 0] == 1.0 + 0.0j
+
+
+def _set_pair(value):
+    def edit(payload):
+        payload[1][0][0][2] = value
+
+    return edit
+
+
+def _set_number(value):
+    def edit(payload):
+        payload[1][0][0][2][0] = value
+
+    return edit
+
+
+def _edit_block(method, *args):
+    def edit(payload):
+        getattr(payload[1][0][0], method)(*args)
+
+    return edit
+
+
+def _nest_every_pair(payload):
+    for column in payload:
+        for entry in column:
+            entry[0] = [[[re], [im]] for re, im in entry[0]]
+
+
+# payload edits the decoder must refuse, on a (2, 1) payload whose first
+# summand holds m^2 = 4 pairs per entry
+MALFORMED = {
+    "numeric string": _set_pair(["1.5", 0.0]),
+    "null": _set_number(None),
+    "scalar for a pair": _set_pair(0.5),
+    "triple": _set_pair([0.5, 0.5, 0.5]),
+    "pair nested deeper": _set_pair([[0.5, 0.5]]),
+    "pair of one-element lists": _set_pair([[0.5], [0.5]]),
+    "every pair nested deeper": _nest_every_pair,
+    "m^2 + 1 pairs": _edit_block("append", [0.0, 0.0]),
+    "m^2 - 1 pairs": _edit_block("pop"),
+    "ragged column": lambda payload: payload[1].pop(),
+    "integer beyond uint64": _set_number(2**64),
+}
+
+
+def _malformed_docs(tmp_path, edit):
+    """A frame doc and a matrix doc, each with edit applied to its payload."""
+    F = random_tight_frame(AlgebraSpec((2, 1)), 3, 2, seed=0)
+    fdoc = frame_doc(F)
+    edit(fdoc["columns"])
+    mdoc = amatrix_doc(tmp_path, F.matrix.H)  # 3 x 2: rows stand in for columns
+    rows = [mdoc["entries"][i * 2 : (i + 1) * 2] for i in range(3)]
+    edit(rows)
+    mdoc["entries"] = list(itertools.chain.from_iterable(rows))
+    return fdoc, mdoc
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payload_is_a_format_error(tmp_path, capsys, case):
+    fdoc, mdoc = _malformed_docs(tmp_path, MALFORMED[case])
+    with pytest.raises(FormatError):
+        decode_frame_file(fdoc)
+    with pytest.raises(FormatError):
+        decode_amatrix(mdoc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(fdoc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # -- fuzzing the decoder ------------------------------------------------------
 
 _BASE = frame_doc(random_tight_frame(AlgebraSpec((2, 1)), 2, 1, seed=0))
@@ -428,3 +598,33 @@ def test_fuzzed_frame_document_decodes_or_raises_format_error(edits):
     except FormatError:
         return
     assert isinstance(F, Frame)
+
+
+def _refused(decode, doc):
+    try:
+        return decode(doc)
+    except (FormatError, KeyError, TypeError, ValueError, IndexError, OverflowError):
+        return None
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(_paths(_BASE))),
+            st.sampled_from(["replace", "delete", "append"]),
+            _JSON,
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_fuzzed_frame_document_decodes_as_the_nested_decoder(edits):
+    doc = copy.deepcopy(_BASE)
+    for path, action, value in edits:
+        doc = _mutate(doc, path, action, value)
+    flat = _refused(decode_frame_file, copy.deepcopy(doc))
+    nested = _refused(reference_decode, doc)
+    assert (flat is None) == (nested is None)
+    if flat is not None:
+        assert _blocks(flat) == _blocks(nested)

@@ -12,6 +12,7 @@ from ncframes import (
     is_partial_isometry,
     is_unitary,
 )
+from ncframes import module
 from ncframes.module import _scale_columns
 
 
@@ -216,6 +217,20 @@ class TestAdjoint:
         assert eye.H.allclose(eye, tol=0.0)
 
 
+class TestTopRows:
+    def test_equals_the_product_with_the_model_coisometry(self, mixed_spec):
+        M = AMatrix.random(mixed_spec, 5, 3, np.random.default_rng(4))
+        for n in range(1, 6):
+            top = M.top_rows(n)
+            assert (top.rows, top.cols) == (n, 3)
+            assert top.allclose(canonical_coisometry(mixed_spec, 5, n) @ M, tol=0.0)
+
+    @pytest.mark.parametrize("n", [0, -1, 6])
+    def test_rejects_rows_it_does_not_have(self, mixed_spec, n):
+        with pytest.raises(ShapeError):
+            AMatrix.zeros(mixed_spec, 5, 3).top_rows(n)
+
+
 class TestUnitaryPredicates:
     def test_identity_is_unitary(self, mixed_spec):
         assert is_unitary(AMatrix.identity(mixed_spec, 3))
@@ -271,6 +286,45 @@ class TestUnitaryPredicates:
         )
         assert svd_verdict == (side < 0)
         assert is_unitary(M, tol) == svd_verdict
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_one_sided_verdict_matches_two_sided_svd(self, dims, seed, side):
+        # M_j = P diag(s) Q* with independent Haar P, Q is far from normal,
+        # and both defects MM* - I and M*M - I have eigenvalues s_i^2 - 1,
+        # so one side decides; tol sits a relative 1e-12 on either side of
+        # the exact largest |s_i^2 - 1|, far above the roundoff of either
+        spec = AlgebraSpec(dims)
+        rng = np.random.default_rng(seed)
+        size = 3 * max(dims)
+        s = np.sqrt(1 + rng.uniform(-0.05, 0.05, size))
+        defect = float(np.max(np.abs(s**2 - 1)))
+        tol = defect * (1 + side * 1e-12)
+
+        def haar(d):
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return np.linalg.qr(z)[0]
+
+        # the largest summand takes every s_i, the others a prefix
+        blocks = [haar(3 * m) * s[: 3 * m] @ haar(3 * m).conj().T for m in dims]
+        big = blocks[int(np.argmax(dims))]
+        assert np.linalg.norm(big @ big.conj().T - big.conj().T @ big, 2) > 1e-3  # not normal
+        two_sided = all(
+            np.linalg.norm(d - np.eye(len(d)), 2) <= tol
+            for b in blocks
+            for d in (b @ b.conj().T, b.conj().T @ b)
+        )
+        assert two_sided == (side > 0)
+        assert is_unitary(AMatrix(spec, 3, 3, tuple(blocks)), tol) == two_sided
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 1), (3, 2, 1)])
+    def test_one_spectral_norm_per_summand(self, dims, monkeypatch):
+        calls = []
+        spectral_norm = module._spectral_norm
+        monkeypatch.setattr(module, "_spectral_norm", lambda a: calls.append(a.shape) or spectral_norm(a))
+        assert is_unitary(AMatrix.identity(AlgebraSpec(dims), 4))
+        assert calls == [(4 * m, 4 * m) for m in dims]
 
     def test_partial_isometries(self, mixed_spec):
         W = canonical_coisometry(mixed_spec, 4, 2)

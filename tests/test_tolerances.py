@@ -34,6 +34,7 @@ from ncframes import (
     scalar_definition_check,
     split_equivalence,
 )
+from ncframes.cli import main
 
 SPEC = AlgebraSpec((2, 1))
 F = random_tight_frame(SPEC, 4, 2, 1.0, seed=3)
@@ -132,3 +133,33 @@ def test_constant_failure_names_b_and_tol(gate):
     assert exc.value.tol == 1e-9
     assert str(exc.value) == "frame is not tight: b 5.000e-10 is not above tol 1.000e-09"
 
+
+@pytest.mark.parametrize("rel", [-1e-12, 0.0, 1e-12])
+def test_constant_above_tol_is_one_rule(tmp_path, capsys, rel):
+    # check_tight's b > tol term, gen's --b and the optimizer's frame
+    # constant k r / n all ask the same predicate, so at b = tol (1 + rel)
+    # they accept or refuse together
+    G = random_tight_frame(SPEC, 4, 2, 1e-3, seed=1)
+    b = check_tight(G, 1e-9).b
+    tol = b / (1 + rel)
+    above = b > tol
+    assert above == (rel > 0)
+    # G's residual and spread are far below tol, so only the b term decides
+    assert check_tight(G, tol).is_tight == above
+
+    out = tmp_path / "f.json"
+    code = main(
+        ["gen", "--algebra", "2,1", "--k", "4", "--n", "2", "--b", repr(b), "--tol", repr(tol),
+         "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == (0 if above else 3) and out.exists() == above
+    if not above:
+        assert f"is not above --tol {tol:g}" in err
+
+    config = ncframes.OptimizerConfig(tight_tol=tol, radius=b)
+    if above:
+        assert config.radius_for(SPEC, 1, 1) == b
+    else:
+        with pytest.raises(ValueError, match=f"is not above tight_tol {tol:g}"):
+            config.radius_for(SPEC, 1, 1)
