@@ -48,7 +48,7 @@ from .frames import (
     check_tight,
     gram_matrix,
 )
-from .module import AMatrix, _spread
+from .module import AMatrix
 
 __all__ = [
     "Partition",
@@ -127,36 +127,36 @@ class SplitEquivalenceReport:
         return self.commutes == self.splits
 
 
-def _to_zero_based(I: Iterable[int], k: int) -> list[int]:
-    idx = sorted(set(map(_column_label, I)))
-    if idx and (idx[0] < 1 or idx[-1] > k):
-        raise IndexError(f"index set {idx} out of range for k={k}")
-    return [i - 1 for i in idx]
+def _column_mask(I: Iterable[int], k: int) -> np.ndarray:
+    """The boolean mask over columns 0, ..., k - 1 of the 1-based labels I."""
+    labels = set(map(_column_label, I))
+    if labels and (min(labels) < 1 or max(labels) > k):
+        raise IndexError(f"index set {sorted(labels)} out of range for k={k}")
+    return np.array([i in labels for i in range(1, k + 1)], dtype=bool)
 
 
-def _sides(F: Frame, I: Iterable[int]) -> tuple:
-    """Per summand, the blocks of the columns I and of the rest; None for no columns."""
-    idx = _to_zero_based(I, F.k)
-    comp = sorted(set(range(F.k)) - set(idx))
-    dims = F.spec.summand_dims
-    return tuple(
-        tuple(x[:, _spread(cols, m)] for m, x in zip(dims, F.matrix.blocks)) if cols else None
-        for cols in (idx, comp)
-    )
+def _column_blocks(F: Frame, keep: np.ndarray) -> tuple | None:
+    """Per summand, the block of the columns where keep holds; None for none."""
+    idx = np.flatnonzero(keep)
+    return F.matrix.select_columns(idx).blocks if len(idx) else None
+
+
+def _commutator_norm(sub: tuple, comp: tuple) -> float:
+    """||F_I* F_{I^c}||, the largest over the summands of the spectral norm of y* yc."""
+    return max(_spectral_norm(y.conj().T @ yc) for y, yc in zip(sub, comp))
 
 
 def commutation_residual(F: Frame, I: Iterable[int]) -> float:
     """||Q_I (F*F) - (F*F) Q_I|| for the coordinate projection onto I.
 
     The commutator has the Gram block F_I* F_{I^c} and minus its adjoint as
-    its only nonzero blocks, so its norm is ||F_I* F_{I^c}||, the largest
-    over the summands of the spectral norm of y* yc; it is 0 when I or its
-    complement is empty.
+    its only nonzero blocks, so its norm is ||F_I* F_{I^c}||; it is 0 when I
+    or its complement is empty.
     """
-    sub, comp = _sides(F, I)
-    if sub is None or comp is None:
+    mask = _column_mask(I, F.k)
+    if mask.all() or not mask.any():
         return 0.0
-    return max(_spectral_norm(y.conj().T @ yc) for y, yc in zip(sub, comp))
+    return _commutator_norm(_column_blocks(F, mask), _column_blocks(F, ~mask))
 
 
 def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
@@ -224,11 +224,11 @@ def _components(adj: np.ndarray) -> list[list[int]]:
 
 
 def restrict(F: Frame, I: Iterable[int]) -> Frame:
-    """Sub-frame of the columns indexed by I (1-based), order preserved."""
-    idx = _to_zero_based(I, F.k)
-    if not idx:
+    """Sub-frame of the columns labelled I (1-based), ascending, repeats dropped."""
+    mask = _column_mask(I, F.k)
+    if not mask.any():
         raise ValueError("cannot restrict to an empty index set")
-    return Frame(F.matrix.select_columns(idx))
+    return Frame(F.matrix.select_columns(np.flatnonzero(mask)))
 
 
 def _rank(s: np.ndarray, tol: float) -> int:
@@ -291,31 +291,28 @@ def split_equivalence(
     """
     b = _require_tight(check_tight(F, tol), tol).b
     threshold = tol * (max(1.0, b) * max(1.0, float(F.k)))
-    sides = _sides(F, I)
+    mask = _column_mask(I, F.k)
+    sides = (_column_blocks(F, mask), _column_blocks(F, ~mask))
+    present = [(side, blocks) for side, blocks in enumerate(sides) if blocks is not None]
 
-    comm = overlap = closure = 0.0
+    comm = _commutator_norm(*sides) if len(present) == 2 else 0.0
+    overlap = closure = 0.0
     tight = [0.0, 0.0]  # sub-tight and comp-tight residuals
     for j, x in enumerate(F.matrix.blocks):
         bases = []
-        for side, blocks in enumerate(sides):
-            if blocks is None:
-                continue
-            y = blocks[j]
-            u, s, _ = np.linalg.svd(y, full_matrices=False)
+        for side, blocks in present:
+            u, s, _ = np.linalg.svd(blocks[j], full_matrices=False)
             r = _rank(s, tol)
             eig = s * s
             eig[:r] -= b
             tight[side] = max(tight[side], float(np.abs(eig).max()))
-            bases.append((y, u[:, :r]))
-        w = np.hstack([u for _, u in bases])
+            bases.append(u[:, :r])
+        w = np.hstack(bases) if len(bases) == 2 else bases[0]
         gap = w @ w.conj().T  # P + Pc, as [U_r Uc_rc][U_r Uc_rc]*
         gap.flat[:: x.shape[0] + 1] -= 1.0
         closure = max(closure, float(np.abs(np.linalg.eigvalsh(gap)).max()))
-        if len(bases) == 2:
-            (y, u), (yc, uc) = bases
-            comm = max(comm, _spectral_norm(y.conj().T @ yc))
-            if u.shape[1] and uc.shape[1]:
-                overlap = max(overlap, _spectral_norm(u.conj().T @ uc))
+        if len(bases) == 2 and bases[0].shape[1] and bases[1].shape[1]:
+            overlap = max(overlap, _spectral_norm(bases[0].conj().T @ bases[1]))
     sub_res, comp_res = tight
 
     return SplitEquivalenceReport(

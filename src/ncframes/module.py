@@ -9,10 +9,10 @@ norm, entries are slices, the leading rows [I_n | 0] M are a slice too,
 and a column selection is one gather per summand.
 This module is the only code that indexes inside a summand block: the
 others reach entries through the (rows, cols, m, m) grids view, column
-Grams and entry norms, and decomposition's split pass gathers column sides
-at the positions _spread gives.  The descent loop in optimize works on bare summand
-blocks through _column_grams, which column_grams also calls, and
-_scale_columns, the block of M diag(w_1, ..., w_cols).
+Grams and entry norms, and take column subsets with select_columns.  The
+descent loop in optimize works on bare summand blocks through _column_grams,
+which column_grams also calls, and _scale_columns, the block of
+M diag(w_1, ..., w_cols).
 
 An element of A is the 1 x 1 AMatrix, since M_1(A) = A: entry(i, j) returns
 one, from_entries assembles a grid of them, and the C*-algebra operations
@@ -228,16 +228,15 @@ class AMatrix:
         )
 
     def select_columns(self, indices: Sequence[int]) -> "AMatrix":
-        idx = list(indices)
-        return AMatrix(
-            self.spec,
-            self.rows,
-            len(idx),
-            tuple(
-                blk[:, _spread(idx, m)]
-                for m, blk in zip(self.spec.summand_dims, self.blocks)
-            ),
+        """The columns at indices, in that order and with any repeats."""
+        idx = np.asarray(indices, dtype=np.intp)
+        # one gather per block from its transpose viewed as (cols, m, rows*m): the
+        # result is laid out as blk[:, positions] is, which sets how products round
+        blocks = tuple(
+            blk.T.reshape(self.cols, m, -1)[idx].reshape(-1, len(blk)).T
+            for m, blk in zip(self.spec.summand_dims, self.blocks)
         )
+        return AMatrix(self.spec, self.rows, len(idx), blocks)
 
     # -- algebra -----------------------------------------------------------
 
@@ -351,7 +350,12 @@ def is_unitary(M: AMatrix, tol: float = 1e-9) -> bool:
     """
     M._check_square("is_unitary")
     _check_positive(tol, "tol")
-    return (M @ M.H - AMatrix.identity(M.spec, M.rows)).norm() <= tol
+    return _coisometry_residual(M) <= tol
+
+
+def _coisometry_residual(M: AMatrix) -> float:
+    """||MM* - I||, the distance of M's rows from an orthonormal set over A."""
+    return (M @ M.H - AMatrix.identity(M.spec, M.rows)).norm()
 
 
 def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:
@@ -426,8 +430,7 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
     n, k = M.rows, M.cols
     if n > k:
         raise ShapeError("completion needs at least as many columns as rows")
-    eye = AMatrix.identity(M.spec, n)
-    residual = (M @ M.H - eye).norm()
+    residual = _coisometry_residual(M)
     if residual > tol:
         raise NotCoisometricError(residual, tol)
     out_blocks = []

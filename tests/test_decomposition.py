@@ -208,6 +208,10 @@ class TestRestrictAndRange:
         assert restrict(mercedes, [1, 2, 3]).matrix.allclose(mercedes.matrix, tol=0.0)
         single = restrict(mercedes, [2])
         assert single.k == 1
+        # labels come back ascending and without repeats: f_1, then f_3
+        picked = restrict(mercedes, [3, 1, 1])
+        assert picked.k == 2
+        assert picked.matrix.allclose(mercedes.matrix.select_columns([0, 2]), tol=0.0)
 
     def test_restrict_composition(self, mixed_spec):
         F = random_tight_frame(mixed_spec, 6, 3, seed=4)
@@ -216,8 +220,9 @@ class TestRestrictAndRange:
         assert once.matrix.allclose(direct.matrix, tol=0.0)
 
     def test_restrict_empty_raises(self, mercedes):
-        with pytest.raises(ValueError):
-            restrict(mercedes, [])
+        for call in (restrict, range_constant):
+            with pytest.raises(ValueError, match="^cannot restrict to an empty index set$"):
+                call(mercedes, [])
 
 
 @pytest.mark.parametrize("call", [split_equivalence, restrict, commutation_residual, range_constant])

@@ -135,3 +135,28 @@ def test_each_tolerance_rule_is_raised_in_one_place():
     assert [site for site in gates if site[0] != "frames.py"] == [
         ("decomposition.py", "direct_sum_frames")
     ]
+
+
+# the private block helpers of module.py that other modules may call
+BLOCK_HELPERS = {"_column_grams", "_scale_columns"}
+
+
+def test_only_module_expands_columns_to_block_positions():
+    # module.py alone turns column indices into positions inside a summand
+    # block: elsewhere no private name is imported from it but BLOCK_HELPERS,
+    # and no np.repeat or np.kron expands labels per summand
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "module.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "module":
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name not in BLOCK_HELPERS
+                ]
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in ("repeat", "kron"):
+                found.append(f"{path.name}:{node.lineno} uses {name}")
+    assert found == []

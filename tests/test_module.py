@@ -166,10 +166,12 @@ class TestFlatten:
     def test_columns_are_entry_slices(self, mixed_spec):
         rng = np.random.default_rng(7)
         M = AMatrix.random(mixed_spec, 2, 5, rng)
-        S = M.select_columns([3, 0])
+        S = M.select_columns([3, 0, 3])  # in the order given, repeats kept
+        assert S.cols == 3
         for i in range(2):
             assert S.entry(i, 0).allclose(M.entry(i, 3), tol=0.0)
             assert S.entry(i, 1).allclose(M.entry(i, 0), tol=0.0)
+            assert S.entry(i, 2).allclose(M.entry(i, 3), tol=0.0)
             assert M.column(4).entry(i, 0).allclose(M.entry(i, 4), tol=0.0)
 
     def test_wrong_block_shape_rejected(self, mixed_spec):
@@ -488,8 +490,8 @@ def _views(M):
 
 
 class TestBlockAccessors:
-    """grids, from_grids, column_grams, entry_norms and the block function
-    _scale_columns against entrywise references."""
+    """grids, from_grids, column_grams, entry_norms, select_columns and the
+    block function _scale_columns against entrywise references."""
 
     @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
     def test_entry_norms_match_element_norms(self, dims):
@@ -526,6 +528,20 @@ class TestBlockAccessors:
         for s, (m, blk, want) in enumerate(zip(dims, M.blocks, (M @ D).blocks)):
             stack = np.stack([x.blocks[s] for x in w])
             np.testing.assert_allclose(_scale_columns(blk, m, stack), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
+    def test_select_columns_is_the_position_gather(self, dims):
+        # products of the selected columns round by their memory layout, so
+        # select_columns gives blk[:, positions]'s bytes and strides
+        rng = np.random.default_rng(15)
+        for M in _views(AMatrix.random(AlgebraSpec(dims), 3, 4, rng)):
+            picks = [[M.cols - 1, 0, M.cols - 1]]  # out of order, with a repeat
+            picks += [rng.integers(0, M.cols, size=3) for _ in range(6)]
+            for idx in picks:
+                for m, blk, got in zip(dims, M.blocks, M.select_columns(idx).blocks):
+                    want = blk[:, (np.asarray(idx)[:, None] * m + np.arange(m)).ravel()]
+                    assert (got.shape, got.strides) == (want.shape, want.strides)
+                    assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
     def test_grids_round_trip_and_write_through(self, dims):
