@@ -231,28 +231,45 @@ def restrict(F: Frame, I: Iterable[int]) -> Frame:
     return Frame(F.matrix.select_columns(np.flatnonzero(mask)))
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
-    """How many of the descending singular values s exceed tol * max(1, s_max).
+def _rank_and_residual(s: np.ndarray, tol: float, b: float) -> tuple[int, float]:
+    """The rank r of a summand block and its tightness residual, from its
+    descending singular values s, in one pass over them.
 
-    The rest count as zero: this is the rank of a summand block, and its
-    leading left singular vectors that many span the block's range.
+    The rank counts the values above tol * max(1, s_max); the rest count as
+    zero, and the leading r left singular vectors span the block's range.
+    The residual is max(|s_i^2 - b| over the kept values, s_i^2 over the
+    rest), the largest |eigenvalue| of F_I F_I* - b P for P the projection
+    onto that range.  Python floats round as numpy's float64 does, so this
+    equals the array arithmetic bit for bit.
     """
-    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+    values = s.tolist()
+    cut = tol * max(1.0, values[0])
+    rank = 0
+    residual = 0.0
+    for v in values:
+        sq = v * v
+        if v > cut:  # LAPACK sorts s descending, so the kept values lead
+            rank += 1
+            sq = abs(sq - b)
+        if sq > residual:
+            residual = sq
+    return rank, residual
 
 
 def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
     """The constant b of the columns I as a tight frame on their own range.
 
-    Per summand, trace(F_I F_I*) divided by the rank of F_I (by _rank, from
-    its singular values), averaged over the summands where that rank is
-    positive; 0.0 when it is zero in all of them.  For the columns of a
-    block of a tight frame's ortho-decomposition this is the frame's b,
-    where check_tight(restrict(F, I)) would divide by the full n * m_j.
+    Per summand, trace(F_I F_I*) divided by the rank of F_I (by
+    _rank_and_residual, from its singular values), averaged over the
+    summands where that rank is positive; 0.0 when it is zero in all of
+    them.  For the columns of a block of a tight frame's ortho-decomposition
+    this is the frame's b, where check_tight(restrict(F, I)) would divide by
+    the full n * m_j.
     """
     _check_positive(tol, "tol")
     per_b = []
     for y in restrict(F, I).matrix.blocks:
-        rank = _rank(np.linalg.svd(y, compute_uv=False), tol)
+        rank, _ = _rank_and_residual(np.linalg.svd(y, compute_uv=False), tol, 0.0)
         if rank:
             per_b.append(float(np.vdot(y, y).real) / rank)
     return float(np.mean(per_b)) if per_b else 0.0
@@ -302,15 +319,14 @@ def split_equivalence(
         bases = []
         for side, blocks in present:
             u, s, _ = np.linalg.svd(blocks[j], full_matrices=False)
-            r = _rank(s, tol)
-            eig = s * s
-            eig[:r] -= b
-            tight[side] = max(tight[side], float(np.abs(eig).max()))
+            r, residual = _rank_and_residual(s, tol, b)
+            tight[side] = max(tight[side], residual)
             bases.append(u[:, :r])
-        w = np.hstack(bases) if len(bases) == 2 else bases[0]
+        w = np.concatenate(bases, axis=1) if len(bases) == 2 else bases[0]
         gap = w @ w.conj().T  # P + Pc, as [U_r Uc_rc][U_r Uc_rc]*
         gap.flat[:: x.shape[0] + 1] -= 1.0
-        closure = max(closure, float(np.abs(np.linalg.eigvalsh(gap)).max()))
+        ev = np.linalg.eigvalsh(gap)  # ascending, so its largest |value| is at an end
+        closure = max(closure, float(max(-ev[0], ev[-1])))
         if len(bases) == 2 and bases[0].shape[1] and bases[1].shape[1]:
             overlap = max(overlap, _spectral_norm(bases[0].conj().T @ bases[1]))
     sub_res, comp_res = tight

@@ -18,14 +18,17 @@ last key.  A non-finite entry raises ValueError before the file is opened.
 Decoding is flat too.  Per summand, the decoder checks with one set of
 lengths per nesting level that every entry holds m*m pairs and every pair
 two numbers, then builds the summand from one np.array call over the
-chained numbers, so numpy infers a single dtype for the whole flat list
-instead of one level of nested lists at a time.  The dtype must be bool,
-integer or float: a string (even "1.5"), a null, a list where a number
-belongs or an integer outside [-2**63, 2**64) is refused rather than
-converted, and true and false read as 1.0 and 0.0.  The decoder also
-rejects with FormatError a payload of the wrong shape, a shape or block
-size that is not a JSON integer, a non-finite entry, and entries so large
-that the trace of M M* overflows (so M M* cannot be formed finitely).
+chained numbers.  The number rule: any JSON number whose float() is finite
+loads, as that float, and true and false read as 1.0 and 0.0; a string
+(even "1.5"), a null or a list where a number belongs is refused rather
+than converted, and so is an integer too large for a float.  On a payload
+of floats that one call gives float64 at once.  Only when numpy can hold
+the list in no numeric dtype (an integer beyond int64 and uint64, or a
+value that is no number) are the numbers converted one by one.  The
+decoder also rejects with FormatError a payload of the wrong shape, a
+shape or block size that is not a JSON integer, a non-finite entry, and
+entries so large that the trace of M M* overflows (so M M* cannot be
+formed finitely).
 """
 
 from __future__ import annotations
@@ -61,6 +64,16 @@ class FormatError(ValueError):
 
 def encode_spec(spec: AlgebraSpec) -> list[int]:
     return list(spec.summand_dims)
+
+
+def _json_number(value: Any) -> float:
+    """float(value) for a JSON number, true or false; anything else fails."""
+    if type(value) not in (float, int, bool):
+        raise FormatError("block entries must be numbers")
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError("integer entry too large for a float") from None
 
 
 def _json_int(value: Any) -> int:
@@ -189,7 +202,10 @@ def _decode_grids(
         if set(map(len, pairs)) != {2}:
             raise FormatError(f"summand {j} holds a number that is not an [re, im] pair")
         # one flat list: numpy infers the dtype of the whole summand at once
-        arr = np.array(list(chain.from_iterable(pairs)))
+        numbers = list(chain.from_iterable(pairs))
+        arr = np.array(numbers)
+        if arr.dtype == object:  # a huge integer or a value that is no number
+            arr = np.array([_json_number(x) for x in numbers])
         if arr.dtype.kind not in "biuf" or arr.ndim != 1:
             raise FormatError("block entries must be numbers")
         arr = arr.reshape(outer, inner, m * m, 2)

@@ -14,6 +14,13 @@ descent loop in optimize works on bare summand blocks through _column_grams,
 which column_grams also calls, and _scale_columns, the block of
 M diag(w_1, ..., w_cols).
 
+Shapes are validated at the boundary.  The public constructor, which
+from_grids, from_entries, diagonal and random go through, checks the block
+count and each block's shape and stores complex arrays; the results of
+operations on matrices that passed it (products, adjoints, sums, scalar
+multiples, entries, top_rows, select_columns) are built by _trusted,
+which repeats none of those checks.
+
 An element of A is the 1 x 1 AMatrix, since M_1(A) = A: entry(i, j) returns
 one, from_entries assembles a grid of them, and the C*-algebra operations
 (product @, adjoint, norm, is_positive, normalized_trace) are those of
@@ -85,6 +92,18 @@ def _scale_columns(block: np.ndarray, m: int, w: np.ndarray) -> np.ndarray:
     # a product in another layout rounds differently, and minimize's
     # outputs are pinned to these bits
     return (_column_stack(block, m) @ w).transpose(1, 0, 2).reshape(block.shape)
+
+
+def _trusted(spec: AlgebraSpec, rows: int, cols: int, blocks: tuple) -> "AMatrix":
+    """An AMatrix over blocks that are already complex arrays of the right
+    shapes, built without the public constructor's checks.
+
+    For results of AMatrix operations on valid operands only; other modules
+    build through the public constructor, which validates.
+    """
+    M = object.__new__(AMatrix)
+    M.__dict__.update(spec=spec, rows=rows, cols=cols, blocks=blocks)
+    return M
 
 
 @dataclass(frozen=True)
@@ -177,7 +196,12 @@ class AMatrix:
     @classmethod
     def from_grids(cls, spec: AlgebraSpec, grids: Sequence[np.ndarray]) -> "AMatrix":
         """Inverse of grids: build from one (rows, cols, m, m) array per summand."""
+        if len(grids) != spec.num_summands:
+            raise ShapeError("wrong number of summand grids")
         rows, cols = grids[0].shape[:2]
+        for m, g in zip(spec.summand_dims, grids):
+            if g.shape != (rows, cols, m, m):
+                raise ShapeError(f"summand grid has shape {g.shape}, not {(rows, cols, m, m)}")
         return cls(
             spec,
             rows,
@@ -204,7 +228,8 @@ class AMatrix:
     def entry(self, i: int, j: int) -> "AMatrix":
         """Entry (i, j), an element of A: the 1 x 1 AMatrix on the grids views,
         so writes to its blocks land in this matrix."""
-        return AMatrix(self.spec, 1, 1, tuple(g[i, j] for g in self.grids))
+        i, j = operator.index(i), operator.index(j)  # a slice would not give m x m
+        return _trusted(self.spec, 1, 1, tuple(g[i, j] for g in self.grids))
 
     def column(self, j: int) -> "AMatrix":
         return self.select_columns([j])
@@ -220,7 +245,9 @@ class AMatrix:
     def top_rows(self, n: int) -> "AMatrix":
         """The first n rows, [I_n | 0] M, taken as a view of the leading n*m
         rows of each summand block rather than computed as a product."""
-        return AMatrix(
+        if not 1 <= n <= self.rows:
+            raise ShapeError(f"cannot take {n} leading rows of {self.rows}")
+        return _trusted(
             self.spec,
             n,
             self.cols,
@@ -230,13 +257,15 @@ class AMatrix:
     def select_columns(self, indices: Sequence[int]) -> "AMatrix":
         """The columns at indices, in that order and with any repeats."""
         idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 1 or not len(idx):
+            raise ShapeError("select_columns needs a non-empty list of column indices")
         # one gather per block from its transpose viewed as (cols, m, rows*m): the
         # result is laid out as blk[:, positions] is, which sets how products round
         blocks = tuple(
             blk.T.reshape(self.cols, m, -1)[idx].reshape(-1, len(blk)).T
             for m, blk in zip(self.spec.summand_dims, self.blocks)
         )
-        return AMatrix(self.spec, self.rows, len(idx), blocks)
+        return _trusted(self.spec, self.rows, len(idx), blocks)
 
     # -- algebra -----------------------------------------------------------
 
@@ -252,7 +281,7 @@ class AMatrix:
         self._check_same_spec(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"shape mismatch in {what}")
-        return AMatrix(self.spec, self.rows, self.cols, tuple(map(op, self.blocks, other.blocks)))
+        return _trusted(self.spec, self.rows, self.cols, tuple(map(op, self.blocks, other.blocks)))
 
     def __add__(self, other: "AMatrix") -> "AMatrix":
         return self._blockwise(operator.add, other, "addition")
@@ -261,10 +290,10 @@ class AMatrix:
         return self._blockwise(operator.sub, other, "subtraction")
 
     def __neg__(self) -> "AMatrix":
-        return AMatrix(self.spec, self.rows, self.cols, tuple(-a for a in self.blocks))
+        return _trusted(self.spec, self.rows, self.cols, tuple(-a for a in self.blocks))
 
     def __mul__(self, scalar) -> "AMatrix":
-        return AMatrix(
+        return _trusted(
             self.spec,
             self.rows,
             self.cols,
@@ -279,7 +308,7 @@ class AMatrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return AMatrix(
+        return _trusted(
             self.spec,
             self.rows,
             other.cols,
@@ -288,7 +317,7 @@ class AMatrix:
 
     def adjoint(self) -> "AMatrix":
         """Conjugate transpose over A: (M*)_ij = (M_ji)*."""
-        return AMatrix(
+        return _trusted(
             self.spec, self.cols, self.rows, tuple(a.conj().T for a in self.blocks)
         )
 

@@ -385,9 +385,17 @@ def test_unreadable_json_is_a_format_error(tmp_path, payload):
 # -- the flat decoder against the nested one it replaced -----------------------
 
 
+def reference_number(value):
+    """The number rule: a JSON number, true or false, as its float()."""
+    if isinstance(value, bool) or type(value) in (int, float):
+        return float(value)  # OverflowError for an integer too large
+    raise FormatError("block entries must be numbers")
+
+
 def reference_decode_grids(data, spec, outer, inner, transpose=False):
     """The nested decoder: one np.asarray per summand over the nested entry
-    lists, its dtype inferred level by level."""
+    lists, its dtype inferred level by level, and the number rule applied
+    to each number where numpy finds no numeric dtype."""
     if len(data) != outer or set(map(len, data)) != {inner}:
         raise FormatError("payload shape does not match the header")
     entries = list(itertools.chain.from_iterable(data))
@@ -396,6 +404,8 @@ def reference_decode_grids(data, spec, outer, inner, transpose=False):
     grids = []
     for j, m in enumerate(spec.summand_dims):
         arr = np.asarray([entry[j] for entry in entries])
+        if arr.dtype == object:
+            arr = np.array([[[reference_number(x) for x in pair] for pair in entry[j]] for entry in entries])
         if arr.dtype.kind not in "biuf":
             raise FormatError("block entries must be numbers")
         if arr.shape != (outer * inner, m * m, 2):
@@ -504,7 +514,9 @@ MALFORMED = {
     "m^2 + 1 pairs": _edit_block("append", [0.0, 0.0]),
     "m^2 - 1 pairs": _edit_block("pop"),
     "ragged column": lambda payload: payload[1].pop(),
-    "integer beyond uint64": _set_number(2**64),
+    "integer too large for a float": _set_number(2**1024),
+    "a summand short": lambda payload: payload[1][0].pop(),
+    "a summand over": lambda payload: payload[1][0].append([[0.0, 0.0]]),
 }
 
 
@@ -531,6 +543,50 @@ def test_malformed_payload_is_a_format_error(tmp_path, capsys, case):
     path.write_text(json.dumps(fdoc))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+# the number rule: a JSON number loads when its float() is finite; the
+# largest integer that rounds to a finite float
+LARGEST_FINITE_INT = 2**1024 - 2**970 - 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1, 10**24, -(10**24), 1e20, True],
+    ids=repr,
+)
+def test_every_number_with_a_finite_float_loads_as_that_float(tmp_path, capsys, value):
+    # either side of the int64 and uint64 bounds numpy's dtypes once drew
+    fdoc, mdoc = _malformed_docs(tmp_path, _set_number(value))
+    F, M = decode_frame_file(fdoc), decode_amatrix(mdoc)
+    # _set_number sets the real part of pair 2, row 1 column 0 of the m = 2
+    # block, in frame column 1 (matrix row 1), entry row 0 (matrix column 0)
+    assert F.matrix.grids[0][0, 1, 1, 0].real == float(value)
+    assert M.grids[0][1, 0, 1, 0].real == float(value)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(fdoc))
+    assert main(["verify", str(path)]) in (0, 1)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_too_large_for_a_float_is_refused_as_such(tmp_path, capsys, sign):
+    assert float(LARGEST_FINITE_INT) == np.finfo(float).max
+    # the largest such integer loads as a number, and is then too large for M M*
+    fdoc, mdoc = _malformed_docs(tmp_path, _set_number(sign * LARGEST_FINITE_INT))
+    for decode, doc in ((decode_frame_file, fdoc), (decode_amatrix, mdoc)):
+        with pytest.raises(FormatError, match=r"trace of M M\* overflows"):
+            decode(doc)
+    fdoc, mdoc = _malformed_docs(tmp_path, _set_number(sign * (LARGEST_FINITE_INT + 1)))
+    for decode, doc in ((decode_frame_file, fdoc), (decode_amatrix, mdoc)):
+        with pytest.raises(FormatError, match="integer entry too large for a float"):
+            decode(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(fdoc))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large for a float" in captured.err
 
 
 # -- fuzzing the decoder ------------------------------------------------------

@@ -179,6 +179,59 @@ class TestFlatten:
             AMatrix(mixed_spec, 2, 2, (np.zeros((4, 4)), np.zeros((2, 3))))
 
 
+def _wrong_blocks(spec):
+    """name -> a call of a public constructor with a wrong block count or shape."""
+    rng = np.random.default_rng(3)
+    good = AMatrix.random(spec, 2, 3, rng)
+    blocks, grids = good.blocks, good.grids
+    other = AMatrix.identity(AlgebraSpec((2,)), 1)
+    return {
+        "init, a block short": lambda: AMatrix(spec, 2, 3, blocks[:1]),
+        "init, a block over": lambda: AMatrix(spec, 2, 3, blocks + blocks[:1]),
+        "init, block of another summand": lambda: AMatrix(spec, 2, 3, (blocks[0], blocks[0])),
+        "init, transposed block": lambda: AMatrix(spec, 2, 3, (blocks[0].T, blocks[1])),
+        "from_grids, a grid short": lambda: AMatrix.from_grids(spec, grids[:1]),
+        "from_grids, a grid over": lambda: AMatrix.from_grids(spec, grids + grids[:1]),
+        "from_grids, grid of another summand": lambda: AMatrix.from_grids(spec, (grids[0], grids[0])),
+        # reshapes to the right block size, so only the shape check refuses it
+        "from_grids, rows and cols swapped": lambda: AMatrix.from_grids(
+            spec, (grids[0], grids[1].swapaxes(0, 1))
+        ),
+        "from_entries, entry not 1x1": lambda: AMatrix.from_entries([[good.entry(0, 0), good.column(0)]]),
+        "from_entries, entry of another algebra": lambda: AMatrix.from_entries([[good.entry(0, 0), other]]),
+        "diagonal, no rows": lambda: AMatrix.diagonal(spec, 0, 3),
+        "zeros, no columns": lambda: AMatrix.zeros(spec, 2, 0),
+        "identity, size 0": lambda: AMatrix.identity(spec, 0),
+        "random, no rows": lambda: AMatrix.random(spec, 0, 3, rng),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_wrong_blocks(AlgebraSpec((2, 1)))))
+def test_public_constructors_check_blocks(mixed_spec, case):
+    # the operations build their results unchecked (module._trusted), so the
+    # checks must stay in every constructor that takes outside blocks
+    with pytest.raises(ShapeError):
+        _wrong_blocks(mixed_spec)[case]()
+
+
+def test_operations_on_valid_matrices_give_valid_matrices(mixed_spec):
+    # what _trusted skips holds for every result an operation builds
+    rng = np.random.default_rng(5)
+    M, N = AMatrix.random(mixed_spec, 2, 3, rng), AMatrix.random(mixed_spec, 2, 3, rng)
+    results = [M @ N.H, M.H, M + N, M - N, -M, 2 * M, M * 0.5j, M.entry(1, 2),
+               M.top_rows(1), M.select_columns([2, 0, 2]), M.column(1)]
+    for R in results:
+        checked = AMatrix(R.spec, R.rows, R.cols, R.blocks)
+        assert all(a is b for a, b in zip(R.blocks, checked.blocks))
+        assert all(a.dtype == complex for a in R.blocks)
+
+
+@pytest.mark.parametrize("indices", [[], [[0, 1]]])
+def test_select_columns_refuses_no_columns_and_nested_indices(mixed_spec, indices):
+    with pytest.raises(ShapeError):
+        AMatrix.zeros(mixed_spec, 2, 3).select_columns(indices)
+
+
 class TestEntries:
     """An element of A is the 1 x 1 AMatrix: entry returns one, from_entries
     assembles a grid of them."""

@@ -9,10 +9,18 @@ coordinate projection, and takes every residual as a spectral norm.  The
 arithmetic differs (tightness read off singular values, one eigvalsh and
 ||U* Uc|| in place of products and SVDs of the projections), so residuals
 are held to 1e-12 and verdicts to equality.
+
+array_split_equivalence and array_range_constant are the one-pass bodies
+as they stood with the rank, the tightness residuals and the closure
+residual taken by numpy array operations.  The library now reads them off
+the singular values in one Python loop and off the ends of eigvalsh's
+ascending output; both do the same float64 operations, so every report
+field and every range constant must equal these bit for bit.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,9 +36,12 @@ from ncframes import (
     frame_operator,
     gram_matrix,
     random_tight_frame,
+    range_constant,
     restrict,
     split_equivalence,
 )
+from ncframes.cli import _equivalence_corpus
+from ncframes.decomposition import SplitEquivalenceReport
 from ncframes.decomposition import _components
 from conftest import make_mercedes, perturbed_direct_sum
 
@@ -149,6 +160,131 @@ def test_rotated_mercedes_band_keeps_its_verdicts():
         verdicts.append((rep.commutes, rep.splits))
         assert rep.threshold == 1e-9 * 1.5 * 6
     assert verdicts == [(True, True), (True, False), (False, False)]
+
+
+def array_rank(s, tol):
+    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+
+
+def _sides(F, I):
+    """The summand blocks of the columns in I and of the rest, None for no columns."""
+    labels = set(I)
+    mask = np.array([i in labels for i in range(1, F.k + 1)], dtype=bool)
+    return tuple(
+        F.matrix.select_columns(np.flatnonzero(keep)).blocks if keep.any() else None
+        for keep in (mask, ~mask)
+    )
+
+
+def _norm2(a):
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def array_split_equivalence(F, I, tol=1e-9):
+    b = check_tight(F, tol).b
+    threshold = tol * (max(1.0, b) * max(1.0, float(F.k)))
+    sides = _sides(F, I)
+    present = [(side, blocks) for side, blocks in enumerate(sides) if blocks is not None]
+
+    comm = max(_norm2(y.conj().T @ yc) for y, yc in zip(*sides)) if len(present) == 2 else 0.0
+    overlap = closure = 0.0
+    tight = [0.0, 0.0]
+    for j, x in enumerate(F.matrix.blocks):
+        bases = []
+        for side, blocks in present:
+            u, s, _ = np.linalg.svd(blocks[j], full_matrices=False)
+            r = array_rank(s, tol)
+            eig = s * s
+            eig[:r] -= b
+            tight[side] = max(tight[side], float(np.abs(eig).max()))
+            bases.append(u[:, :r])
+        w = np.hstack(bases) if len(bases) == 2 else bases[0]
+        gap = w @ w.conj().T
+        gap.flat[:: x.shape[0] + 1] -= 1.0
+        closure = max(closure, float(np.abs(np.linalg.eigvalsh(gap)).max()))
+        if len(bases) == 2 and bases[0].shape[1] and bases[1].shape[1]:
+            overlap = max(overlap, _norm2(bases[0].conj().T @ bases[1]))
+    sub_res, comp_res = tight
+    return SplitEquivalenceReport(
+        commutes=comm <= threshold,
+        splits=all(v <= threshold for v in (sub_res, comp_res, overlap, closure)),
+        commutation_residual=comm,
+        sub_tight_residual=sub_res,
+        comp_tight_residual=comp_res,
+        range_overlap=overlap,
+        closure_residual=closure,
+        threshold=threshold,
+    )
+
+
+def array_range_constant(F, I, tol=1e-9):
+    per_b = []
+    for y in restrict(F, I).matrix.blocks:
+        rank = array_rank(np.linalg.svd(y, compute_uv=False), tol)
+        if rank:
+            per_b.append(float(np.vdot(y, y).real) / rank)
+    return float(np.mean(per_b)) if per_b else 0.0
+
+
+def _subsets(k):
+    for size in range(k + 1):
+        yield from itertools.combinations(range(1, k + 1), size)
+
+
+BIT_CORPUS = corpus() + [
+    pytest.param(F, 1e-9, id=f"selftest-{i}") for i, F in enumerate(_equivalence_corpus(8))
+]
+
+
+@pytest.mark.parametrize("F, tol", BIT_CORPUS)
+def test_split_reports_and_range_constants_equal_the_array_bodies_bit_for_bit(F, tol):
+    for I in _subsets(F.k):
+        rep = split_equivalence(F, I, tol)
+        ref = array_split_equivalence(F, I, tol)
+        # repr tells -0.0 from 0.0, which == does not
+        assert rep == ref and repr(rep) == repr(ref), I
+        if I:
+            got, want = range_constant(F, I, tol), array_range_constant(F, I, tol)
+            assert got.hex() == want.hex(), I
+
+
+@pytest.mark.parametrize("F, tol", corpus())
+def test_lapack_calls_per_query(F, tol, monkeypatch):
+    # per summand: an SVD with U of each column side that has columns, one
+    # eigvalsh, the commutator's SVD when both sides have columns, and the
+    # overlap's when both ranges are nonzero; values-only SVDs carry
+    # compute_uv=False
+    expected = []
+    for I in _subsets(F.k):
+        present = [blocks for blocks in _sides(F, I) if blocks is not None]
+        calls = Counter()
+        for j in range(F.spec.num_summands):
+            ranks = [array_rank(np.linalg.svd(b[j], compute_uv=False), tol) for b in present]
+            calls["svd with U"] += len(present)
+            calls["eigvalsh"] += 1
+            calls["svd"] += (len(present) == 2) + (len(present) == 2 and min(ranks) > 0)
+        expected.append(calls)
+    check_tight(F, tol)  # memoized on F, so the queries below reuse it
+
+    calls = Counter()
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+    def counted_svd(*args, **kwargs):
+        calls["svd with U" if kwargs.get("compute_uv", True) else "svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    got = []
+    for I in _subsets(F.k):
+        calls.clear()
+        split_equivalence(F, I, tol)
+        got.append(Counter(calls))
+    assert got == expected
 
 
 def reference_check_tight(F, tol):
