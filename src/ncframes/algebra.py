@@ -30,6 +30,11 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive")
 
 
+def _scaled_tol(tol: float, scale: float, factor: float = 1.0) -> float:
+    """The bound of every verdict, tol * max(1, |scale|) * factor: absolute below scale 1."""
+    return tol * (max(1.0, abs(scale)) * factor)
+
+
 def _spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a 2-D array.
 

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _check_positive, _spectral_norm, _spectral_norms
+from .algebra import _check_positive, _scaled_tol, _spectral_norm, _spectral_norms
 from .frames import (
     Frame,
     NotTightError,
@@ -120,7 +120,7 @@ class SplitEquivalenceReport:
     comp_tight_residual: float
     range_overlap: float
     closure_residual: float
-    threshold: float  # tol * max(1, b) * max(1, k), the bound of every verdict
+    threshold: float  # tol * max(1, b) * k, the bound of every verdict
 
     @property
     def agree(self) -> bool:
@@ -170,7 +170,7 @@ def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
     bound, since every entry of F_I* F_{I^c} is a dropped edge.
     """
     report = _require_tight(check_tight(F, tol), tol)
-    adj = _edges(gram_matrix(F), tol * max(1.0, report.b))
+    adj = _edges(gram_matrix(F), _scaled_tol(tol, report.b))
     np.fill_diagonal(adj, False)
     blocks = [tuple(i + 1 for i in blk) for blk in _components(adj)]
     return Partition(F.k, tuple(blocks))
@@ -243,7 +243,7 @@ def _rank_and_residual(s: np.ndarray, tol: float, b: float) -> tuple[int, float]
     equals the array arithmetic bit for bit.
     """
     values = s.tolist()
-    cut = tol * max(1.0, values[0])
+    cut = _scaled_tol(tol, values[0])
     rank = 0
     residual = 0.0
     for v in values:
@@ -285,7 +285,7 @@ def split_equivalence(
     the same constant b on the range of their own projection, the
     complementary columns do the same on an orthogonal range, and the two
     range projections sum to the identity.  Every residual is compared
-    against threshold = tol * max(1, b) * max(1, k).
+    against threshold = tol * max(1, b) * k.
 
     The residuals come from one pass over the summand blocks.  Per summand,
     F_I = U S V* and F_Ic = Uc Sc Vc* are SVDs of the two column sides, r
@@ -307,7 +307,7 @@ def split_equivalence(
     a zero projection, so it contributes 0 to every residual but closure.
     """
     b = _require_tight(check_tight(F, tol), tol).b
-    threshold = tol * (max(1.0, b) * max(1.0, float(F.k)))
+    threshold = _scaled_tol(tol, b, F.k)
     mask = _column_mask(I, F.k)
     sides = (_column_blocks(F, mask), _column_blocks(F, ~mask))
     present = [(side, blocks) for side, blocks in enumerate(sides) if blocks is not None]
@@ -419,6 +419,7 @@ def direct_sum_frames(
     with that constant and its ortho-decomposition refines (or equals) the
     partition into the parts' column groups.
     """
+    _check_positive(b, "frame constant b")
     if not parts:
         raise ValueError("need at least one frame")
     spec = parts[0].spec
@@ -426,8 +427,8 @@ def direct_sum_frames(
         if part.spec != spec:
             raise ValueError("parts live over different algebras")
         report = _require_tight(check_tight(part, tol), tol)
-        if abs(report.b - b) > tol * max(1.0, b):
-            raise NotTightError(abs(report.b - b), tol * max(1.0, b))
+        if abs(report.b - b) > _scaled_tol(tol, b):
+            raise NotTightError(abs(report.b - b), _scaled_tol(tol, b))
     n_total = sum(p.n for p in parts)
     k_total = sum(p.k for p in parts)
     out = AMatrix.zeros(spec, n_total, k_total)

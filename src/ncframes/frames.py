@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, ShapeError, _check_positive, _complex_gaussian, _spectral_norm, _spectral_norms
+    AlgebraSpec, ShapeError, _check_positive, _complex_gaussian, _scaled_tol, _spectral_norm,
+    _spectral_norms,
 )
 from .module import AMatrix, complete_to_unitary, is_unitary
 
@@ -122,7 +123,7 @@ def gram_matrix(F: Frame) -> AMatrix:
 
 def _above_tol(b: float, tol: float) -> bool:
     """The rule b > tol, without which no frame of constant b is tight at tol;
-    gen's --b and the optimizer's radius are held to it too."""
+    gen's --b, the optimizer's radius and is_spherical's r are held to it too."""
     return b > tol
 
 
@@ -157,9 +158,9 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     for d in defects:
         d.flat[:: d.shape[0] + 1] -= b
     residual = max(_spectral_norm(d) for d in defects)
-    scale = max(1.0, abs(b))
     spread = max(abs(bj - b) for bj in per_b)
-    is_tight = residual <= tol * scale and spread <= tol * scale and _above_tol(b, tol)
+    bound = _scaled_tol(tol, b)
+    is_tight = residual <= bound and spread <= bound and _above_tol(b, tol)
     report = TightnessReport(b, residual, is_tight, tuple(per_b))
     F._tightness[tol] = (snapshot, report)
     return report
@@ -172,7 +173,7 @@ def _require_tight(report: TightnessReport, tol: float) -> TightnessReport:
         return report
     if not _above_tol(report.b, tol):
         raise NotTightError(report.residual, tol, b=report.b)
-    raise NotTightError(report.residual, tol * max(1.0, abs(report.b)))
+    raise NotTightError(report.residual, _scaled_tol(tol, report.b))
 
 
 def scalar_definition_check(
@@ -190,6 +191,8 @@ def scalar_definition_check(
     Delta < -tol; for a tight frame the inequality Delta >= 0 holds up to
     roundoff, with equality in the scalar algebra.
     """
+    _check_positive(b, "frame constant b")
+    _check_positive(num_samples, "num_samples")
     _check_positive(tol, "tol")
     rng = np.random.default_rng(seed)
     # sample s, drawn entry by entry per summand, is column s of V
@@ -227,7 +230,7 @@ def is_spherical(
         norms = np.max([_spectral_norms(g) for g in grams], axis=0)
         r = float(np.mean(norms))
         deviation = float(np.max(np.abs(norms - r)))
-    ok = deviation <= tol * max(1.0, abs(r)) and r > tol
+    ok = deviation <= _scaled_tol(tol, r) and _above_tol(r, tol)
     return SphericalReport(ok, r, deviation, mode)
 
 

@@ -46,7 +46,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, ShapeError, _check_positive, _complex_gaussian, _spectral_norm, _spectral_norms
+    AlgebraSpec, ShapeError, _check_positive, _complex_gaussian, _scaled_tol, _spectral_norm,
+    _spectral_norms,
 )
 
 __all__ = [
@@ -391,7 +392,7 @@ def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:
     """True iff ||M M* M - M|| <= tol * max(1, ||M||)."""
     _check_positive(tol, "tol")
     defect = (M @ M.H @ M - M).norm()
-    return defect <= tol * max(1.0, M.norm())
+    return defect <= _scaled_tol(tol, M.norm())
 
 
 def _greedy_pivots(proj: np.ndarray, want: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _check_positive, _complex_gaussian, _spectral_norm
+from .algebra import AlgebraSpec, _check_positive, _complex_gaussian, _scaled_tol, _spectral_norm
 from .frames import Frame, _above_tol
 from .module import AMatrix, _column_grams, _scale_columns
 
@@ -300,7 +300,7 @@ def minimize(
 
     b_target = k * r0 / n
     # check_tight's tol * max(1, b) at radius r, held by the unit-scale residual
-    threshold = config.tight_tol * max(1.0, c * b_target) / c
+    threshold = _scaled_tol(config.tight_tol, c * b_target) / c
     # res_floor <= res holds in exact arithmetic; the margin keeps a floor
     # rounded up past the threshold from skipping a residual at it
     skip_above = threshold * (1.0 + 1e-12)

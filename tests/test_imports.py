@@ -103,15 +103,20 @@ def test_package_reexports_exactly_the_library_lists():
     assert all(public[attr] is listed[attr] for attr in listed)
 
 
+def _owned_nodes(path: Path):
+    """(innermost enclosing function, node) of each node inside a function of a source file."""
+    owner = {}
+    # ast.walk is breadth-first, so an inner function overwrites its outer one
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    return [(name, node) for node, name in owner.items()]
+
+
 def _raise_sites():
     """(file, innermost enclosing function, exception) of each raise in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
-        owner = {}
-        # ast.walk is breadth-first, so an inner function overwrites its outer one
-        for func in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, func.name) for node in ast.walk(func))
-        for node, name in owner.items():
+        for name, node in _owned_nodes(path):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 yield path.name, name, node.exc
 
@@ -178,3 +183,28 @@ def test_only_module_builds_unchecked_matrices():
             if "_trusted" in names:
                 found.append(f"{path.name}:{node.lineno} uses _trusted")
     assert found == []
+
+
+def test_every_scaled_bound_comes_from_one_function():
+    # tol * max(1, |x|) is computed by algebra._scaled_tol alone; the
+    # selftest's relative error divides by max(1, |a|^2), which is no bound
+    sites = sorted(
+        f"{path.name}:{func}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func, node in _owned_nodes(path)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max"
+        and node.args and isinstance(node.args[0], ast.Constant) and node.args[0].value == 1
+    )
+    assert sites == ["algebra.py:_scaled_tol", "cli.py:_selftest_cstar"]
+
+
+def test_each_above_tol_comparison_is_the_one_rule():
+    # in frames.py a quantity is compared above tol by _above_tol alone
+    found = sorted(
+        func
+        for func, node in _owned_nodes(PACKAGE / "frames.py")
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, ast.Gt) for op in node.ops)
+        and any(getattr(c, "id", None) == "tol" for c in node.comparators)
+    )
+    assert found == ["_above_tol"]

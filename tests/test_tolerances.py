@@ -163,3 +163,25 @@ def test_constant_above_tol_is_one_rule(tmp_path, capsys, rel):
     else:
         with pytest.raises(ValueError, match=f"is not above tight_tol {tol:g}"):
             config.radius_for(SPEC, 1, 1)
+
+
+# the calls that take a frame constant b beside a frame; direct_sum_frames
+# checks it before any part, so a bad b is not reported as a part that is
+# not tight with it
+B_CALLS = {
+    "direct_sum_frames": lambda b: direct_sum_frames([F], b),
+    "scalar_definition_check": lambda b: scalar_definition_check(F, b, 4),
+}
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(B_CALLS))
+def test_invalid_constant_raises(name, b):
+    with pytest.raises(ValueError, match="frame constant b must be finite and positive"):
+        B_CALLS[name](b)
+
+
+@pytest.mark.parametrize("num_samples", [0, -1])
+def test_scalar_check_refuses_no_samples(num_samples):
+    with pytest.raises(ValueError, match="num_samples must be finite and positive"):
+        scalar_definition_check(F, 1.0, num_samples)
