@@ -10,6 +10,7 @@ compute with.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,17 @@ def _check_positive(value: float, name: str) -> None:
     """Raise ValueError unless value is finite and positive; NaN fails too."""
     if not 0 < value < np.inf:  # written so that NaN fails
         raise ValueError(f"{name} must be finite and positive")
+
+
+def _as_int(value, what: str) -> int:
+    """value as an int by operator.index; floats, strings and bools raise TypeError."""
+    # operator.index refuses floats and strings, but bool is an int subclass
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def _scaled_tol(tol: float, scale: float, factor: float = 1.0) -> float:
@@ -63,13 +75,14 @@ class AlgebraSpec:
     Parameters
     ----------
     summand_dims : tuple of int
-        Sizes m_j >= 1 of the matrix blocks, in order.
+        Sizes m_j >= 1 of the matrix blocks, in order.  Each is read by
+        operator.index: a float, string or bool raises TypeError.
     """
 
     summand_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(m) for m in self.summand_dims)
+        dims = tuple(_as_int(m, "block size") for m in self.summand_dims)
         if len(dims) < 1:
             raise ValueError("algebra needs at least one summand")
         if any(m < 1 for m in dims):

@@ -4,12 +4,12 @@ A tight frame splits across a column subset I exactly when its Gram matrix
 F*F commutes with the coordinate projection Q_I; the finest such splitting
 is read off as the connected components (a breadth-first search) of the
 support graph of the Gram off-diagonal.  split_equivalence measures both
-sides of that equivalence for one subset in a single pass over the summand
-blocks: the commutator norm ||F_I* F_Ic|| on one side; on the other, the
-overlap of the two column ranges, each side's tightness on its own range,
-read off the singular values of the SVD that gives that range, and how far
-the two range projections fall short of the identity, from one eigvalsh
-per summand.  One tolerance tol means the same in every verdict here: a
+sides of that equivalence for one subset: the commutator norm
+||F_I* F_Ic|| on one side; on the other, one spectrum per column side
+(_side_spectra: per summand, the SVD giving its range, rank and tightness
+on that range), then one loop over the summands for the overlap of the two
+ranges and how far the range projections fall short of the identity, from
+one eigvalsh each.  One tolerance tol means the same in every verdict here: a
 frame is tight when ||FF* - bI|| <= tol * max(1, b)
 (check_tight), a Gram entry is an edge when its norm exceeds that same
 bound (ortho_decompose), and split_equivalence allows k times it.  An edge
@@ -34,13 +34,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _check_positive, _scaled_tol, _spectral_norm, _spectral_norms
+from .algebra import _as_int, _check_positive, _scaled_tol, _spectral_norm, _spectral_norms
 from .frames import (
     Frame,
     NotTightError,
@@ -66,14 +65,6 @@ __all__ = [
 ]
 
 
-def _column_label(i, what: str = "column label") -> int:
-    """A 1-based column label, or what, as an int; floats, strings and bools raise TypeError."""
-    # operator.index refuses floats and strings, but bool is an int subclass
-    if isinstance(i, bool):
-        raise TypeError(f"{what} {i!r} is a bool")
-    return operator.index(i)
-
-
 @dataclass(frozen=True)
 class Partition:
     """A partition of {1, ..., k} into disjoint blocks, canonically ordered."""
@@ -82,10 +73,12 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        k = _column_label(self.k, "partition size k")
+        k = _as_int(self.k, "partition size k")
         if k < 0:  # k = 0 has the one empty partition
             raise ValueError(f"partition size k {k} is negative")
-        blocks = tuple(tuple(sorted(map(_column_label, blk))) for blk in self.blocks)
+        blocks = tuple(
+            tuple(sorted(_as_int(i, "column label") for i in blk)) for blk in self.blocks
+        )
         if not all(blocks):
             raise ValueError("empty block in partition")
         labels = [i for blk in blocks for i in blk]
@@ -129,16 +122,16 @@ class SplitEquivalenceReport:
 
 def _column_mask(I: Iterable[int], k: int) -> np.ndarray:
     """The boolean mask over columns 0, ..., k - 1 of the 1-based labels I."""
-    labels = set(map(_column_label, I))
+    labels = {_as_int(i, "column label") for i in I}
     if labels and (min(labels) < 1 or max(labels) > k):
         raise IndexError(f"index set {sorted(labels)} out of range for k={k}")
     return np.array([i in labels for i in range(1, k + 1)], dtype=bool)
 
 
-def _column_blocks(F: Frame, keep: np.ndarray) -> tuple | None:
-    """Per summand, the block of the columns where keep holds; None for none."""
+def _column_blocks(F: Frame, keep: np.ndarray) -> tuple:
+    """Per summand, the block of the columns where keep holds; () for none."""
     idx = np.flatnonzero(keep)
-    return F.matrix.select_columns(idx).blocks if len(idx) else None
+    return F.matrix.select_columns(idx).blocks if len(idx) else ()
 
 
 def _commutator_norm(sub: tuple, comp: tuple) -> float:
@@ -231,47 +224,48 @@ def restrict(F: Frame, I: Iterable[int]) -> Frame:
     return Frame(F.matrix.select_columns(np.flatnonzero(mask)))
 
 
-def _rank_and_residual(s: np.ndarray, tol: float, b: float) -> tuple[int, float]:
-    """The rank r of a summand block and its tightness residual, from its
-    descending singular values s, in one pass over them.
+def _side_spectra(blocks: tuple, tol: float, b: float) -> list[tuple[int, float, np.ndarray]]:
+    """(rank, residual, U_r) of each summand block y of one column side,
+    from one SVD y = U S V* and one pass over its descending singular values.
 
-    The rank counts the values above tol * max(1, s_max); the rest count as
-    zero, and the leading r left singular vectors span the block's range.
-    The residual is max(|s_i^2 - b| over the kept values, s_i^2 over the
-    rest), the largest |eigenvalue| of F_I F_I* - b P for P the projection
-    onto that range.  Python floats round as numpy's float64 does, so this
-    equals the array arithmetic bit for bit.
+    The rank r counts the values above tol * max(1, s_max); the rest count
+    as zero, and U_r, the leading r left singular vectors, spans the
+    block's range.  The residual is max(|s_i^2 - b| over the kept values,
+    s_i^2 over the rest), the largest |eigenvalue| of y y* - b P for P the
+    projection onto that range.  Python floats round as numpy's float64
+    does, so this equals the array arithmetic bit for bit.
     """
-    values = s.tolist()
-    cut = _scaled_tol(tol, values[0])
-    rank = 0
-    residual = 0.0
-    for v in values:
-        sq = v * v
-        if v > cut:  # LAPACK sorts s descending, so the kept values lead
-            rank += 1
-            sq = abs(sq - b)
-        if sq > residual:
-            residual = sq
-    return rank, residual
+    spectra = []
+    for y in blocks:
+        u, s, _ = np.linalg.svd(y, full_matrices=False)
+        values = s.tolist()
+        cut = _scaled_tol(tol, values[0])
+        rank = 0
+        residual = 0.0
+        for v in values:
+            sq = v * v
+            if v > cut:  # LAPACK sorts s descending, so the kept values lead
+                rank += 1
+                sq = abs(sq - b)
+            if sq > residual:
+                residual = sq
+        spectra.append((rank, residual, u[:, :rank]))
+    return spectra
 
 
 def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
     """The constant b of the columns I as a tight frame on their own range.
 
     Per summand, trace(F_I F_I*) divided by the rank of F_I (by
-    _rank_and_residual, from its singular values), averaged over the
-    summands where that rank is positive; 0.0 when it is zero in all of
-    them.  For the columns of a block of a tight frame's ortho-decomposition
-    this is the frame's b, where check_tight(restrict(F, I)) would divide by
-    the full n * m_j.
+    _side_spectra), averaged over the summands where that rank is positive;
+    0.0 when it is zero in all of them.  For the columns of a block of a
+    tight frame's ortho-decomposition this is the frame's b, where
+    check_tight(restrict(F, I)) would divide by the full n * m_j.
     """
     _check_positive(tol, "tol")
-    per_b = []
-    for y in restrict(F, I).matrix.blocks:
-        rank, _ = _rank_and_residual(np.linalg.svd(y, compute_uv=False), tol, 0.0)
-        if rank:
-            per_b.append(float(np.vdot(y, y).real) / rank)
+    blocks = restrict(F, I).matrix.blocks
+    ranks = [rank for rank, _, _ in _side_spectra(blocks, tol, 0.0)]
+    per_b = [float(np.vdot(y, y).real) / r for y, r in zip(blocks, ranks) if r]
     return float(np.mean(per_b)) if per_b else 0.0
 
 
@@ -287,10 +281,11 @@ def split_equivalence(
     range projections sum to the identity.  Every residual is compared
     against threshold = tol * max(1, b) * k.
 
-    The residuals come from one pass over the summand blocks.  Per summand,
-    F_I = U S V* and F_Ic = Uc Sc Vc* are SVDs of the two column sides, r
-    and rc their ranks (singular values above tol * max(1, s_max)), and
-    P = U_r U_r*, Pc = Uc_rc Uc_rc* the projections onto their ranges:
+    One spectrum per column side (_side_spectra), then one summand loop for
+    the closure and the overlap.  Per summand, F_I = U S V* and
+    F_Ic = Uc Sc Vc* are SVDs of the two sides, r and rc their ranks
+    (singular values above tol * max(1, s_max)), and P = U_r U_r*,
+    Pc = Uc_rc Uc_rc* the projections onto their ranges:
 
     - commutation_residual: ||F_I* F_Ic||, the norm of Q_I G - G Q_I;
     - range_overlap: ||U_r* Uc_rc||, which equals ||P Pc||;
@@ -310,26 +305,25 @@ def split_equivalence(
     threshold = _scaled_tol(tol, b, F.k)
     mask = _column_mask(I, F.k)
     sides = (_column_blocks(F, mask), _column_blocks(F, ~mask))
-    present = [(side, blocks) for side, blocks in enumerate(sides) if blocks is not None]
+    sub = _side_spectra(sides[0], tol, b)
+    comp = _side_spectra(sides[1], tol, b)
 
-    comm = _commutator_norm(*sides) if len(present) == 2 else 0.0
+    comm = _commutator_norm(*sides) if sub and comp else 0.0
+    sub_res = max([res for _, res, _ in sub], default=0.0)
+    comp_res = max([res for _, res, _ in comp], default=0.0)
     overlap = closure = 0.0
-    tight = [0.0, 0.0]  # sub-tight and comp-tight residuals
     for j, x in enumerate(F.matrix.blocks):
-        bases = []
-        for side, blocks in present:
-            u, s, _ = np.linalg.svd(blocks[j], full_matrices=False)
-            r, residual = _rank_and_residual(s, tol, b)
-            tight[side] = max(tight[side], residual)
-            bases.append(u[:, :r])
-        w = np.concatenate(bases, axis=1) if len(bases) == 2 else bases[0]
+        if sub and comp:
+            u, uc = sub[j][2], comp[j][2]
+            w = np.concatenate((u, uc), axis=1)
+            if u.shape[1] and uc.shape[1]:
+                overlap = max(overlap, _spectral_norm(u.conj().T @ uc))
+        else:
+            w = (sub or comp)[j][2]
         gap = w @ w.conj().T  # P + Pc, as [U_r Uc_rc][U_r Uc_rc]*
         gap.flat[:: x.shape[0] + 1] -= 1.0
         ev = np.linalg.eigvalsh(gap)  # ascending, so its largest |value| is at an end
         closure = max(closure, float(max(-ev[0], ev[-1])))
-        if len(bases) == 2 and bases[0].shape[1] and bases[1].shape[1]:
-            overlap = max(overlap, _spectral_norm(bases[0].conj().T @ bases[1]))
-    sub_res, comp_res = tight
 
     return SplitEquivalenceReport(
         commutes=comm <= threshold,

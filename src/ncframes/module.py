@@ -46,8 +46,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, ShapeError, _check_positive, _complex_gaussian, _scaled_tol, _spectral_norm,
-    _spectral_norms,
+    AlgebraSpec, ShapeError, _as_int, _check_positive, _complex_gaussian, _scaled_tol,
+    _spectral_norm, _spectral_norms,
 )
 
 __all__ = [
@@ -118,19 +118,24 @@ class AMatrix:
 
     def __post_init__(self):
         dims = self.spec.summand_dims
-        if self.rows < 1 or self.cols < 1:
+        try:
+            rows, cols = _as_int(self.rows, "rows"), _as_int(self.cols, "cols")
+        except TypeError as exc:
+            raise ShapeError(str(exc)) from None
+        if rows < 1 or cols < 1:
             raise ShapeError("matrix dimensions must be positive")
         if len(self.blocks) != len(dims):
             raise ShapeError("wrong number of summand blocks")
         arrays = []
         for m, blk in zip(dims, self.blocks):
             a = np.asarray(blk, dtype=complex)
-            if a.shape != (self.rows * m, self.cols * m):
+            if a.shape != (rows * m, cols * m):
                 raise ShapeError(
-                    f"summand block has shape {a.shape}, expected "
-                    f"({self.rows * m}, {self.cols * m})"
+                    f"summand block has shape {a.shape}, expected ({rows * m}, {cols * m})"
                 )
             arrays.append(a)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "blocks", tuple(arrays))
 
     # -- constructors ------------------------------------------------------

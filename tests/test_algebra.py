@@ -14,6 +14,21 @@ def test_spec_validation():
     assert spec.num_summands == 2
 
 
+@pytest.mark.parametrize("size", [2.5, 2.0, np.float64(2.0), "2", True, np.True_])
+def test_block_sizes_must_be_integers(size):
+    # a truncating int() would read 2.5 as M_2 and True as the scalar algebra
+    with pytest.raises(TypeError):
+        AlgebraSpec((size,))
+    with pytest.raises(TypeError):
+        AlgebraSpec((1, size))
+
+
+def test_numpy_integer_block_sizes_are_ints():
+    spec = AlgebraSpec((np.int64(2), np.uint8(1)))
+    assert spec == AlgebraSpec((2, 1))
+    assert all(type(m) is int for m in spec.summand_dims)
+
+
 def test_add_identity_and_inverse(mixed_spec):
     rng = np.random.default_rng(0)
     a = AMatrix.random(mixed_spec, 1, 1, rng)

@@ -208,3 +208,27 @@ def test_each_above_tol_comparison_is_the_one_rule():
         and any(getattr(c, "id", None) == "tol" for c in node.comparators)
     )
     assert found == ["_above_tol"]
+
+
+def _identifier(node):
+    """The name a node defines, imports, reads or takes as an attribute, if any."""
+    return getattr(node, "name", getattr(node, "attr", getattr(node, "id", None)))
+
+
+def test_column_side_spectra_are_read_at_one_svd_site():
+    # decomposition takes a column side's rank, tightness residual and range
+    # basis from the one SVD in _side_spectra; the commutator and overlap
+    # norms go through algebra._spectral_norm
+    path = PACKAGE / "decomposition.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert sum(_identifier(node) == "svd" for node in ast.walk(tree)) == 1
+    assert [func for func, node in _owned_nodes(path) if _identifier(node) == "svd"] == [
+        "_side_spectra"
+    ]
+    stale = [
+        module.name
+        for module in sorted(PACKAGE.glob("*.py"))
+        if any(_identifier(node) == "_rank_and_residual"
+               for node in ast.walk(ast.parse(module.read_text(), str(module))))
+    ]
+    assert stale == []

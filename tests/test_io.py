@@ -2,6 +2,9 @@ import copy
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncframes
 from ncframes import AMatrix, AlgebraSpec, Frame, canonical_coisometry, random_tight_frame
 from ncframes.cli import main
 from ncframes.io import (
@@ -195,40 +199,80 @@ def test_load_amatrix_rebuilds_frame_from_factorize_output(tmp_path, capsys):
     assert (F.matrix - np.sqrt(b) * (W @ U)).norm() <= 1e-9
 
 
+# Seeded gen and factorize bytes are fixed for one BLAS build and thread
+# count: on the 3,2 48/24 frame, random_unitary's QR of the 144 x 144 and
+# 96 x 96 blocks and factorize's completion both round differently on one
+# thread than on two.  The goldens below run the CLI in a child process with
+# every BLAS pool pinned to one thread, the setting perfbench runs at.
+ONE_THREAD_CLI = """
+import contextlib, io, json, sys
+from ncframes.cli import main
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def _cli_on_one_thread(cwd, *argvs):
+    """[exit code, stdout] of each CLI run, in order, in a child process on one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    package_root = Path(ncframes.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join([str(package_root), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_THREAD_CLI, json.dumps(argvs)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 # sha256 of the factorize unitary file, recorded with the nested-list
-# encoder and json.dumps; pins matrix-file bytes across implementations
+# encoder and json.dumps on one BLAS thread; pins matrix-file bytes across
+# implementations
 FACTORIZE_GOLDEN = [
     ("2,1", 5, 3, 4, "1.7",
      "ffe3bec845aa477b1419a8d505f5809e7fe0df1783e1be9ddd58e51cd2ff2a8d"),
     ("3,2", 48, 24, 1, "1.0",
-     "0407af622237dcae054ff1ef77a779c0a7cdfa12d070123ef22e9bab52754639"),
+     "4f2837eb02d9a5b439eb853c82e6ed55f1149fa3a99921fe495d059f826c977c"),
 ]
 
 
 @pytest.mark.parametrize("algebra,k,n,seed,b,digest", FACTORIZE_GOLDEN)
-def test_factorize_golden_bytes(tmp_path, capsys, algebra, k, n, seed, b, digest):
-    frame, unitary = tmp_path / "f.json", tmp_path / "u.json"
-    assert main(["gen", "--algebra", algebra, "--k", str(k), "--n", str(n), "--b", b,
-                 "--seed", str(seed), "--out", str(frame)]) == 0
-    assert main(["factorize", str(frame), "--out", str(unitary)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(unitary.read_bytes()).hexdigest() == digest
+def test_factorize_golden_bytes(tmp_path, algebra, k, n, seed, b, digest):
+    runs = _cli_on_one_thread(
+        tmp_path,
+        ["gen", "--algebra", algebra, "--k", str(k), "--n", str(n), "--b", b,
+         "--seed", str(seed), "--out", "f.json"],
+        ["factorize", "f.json", "--out", "u.json"],
+    )
+    assert [code for code, _ in runs] == [0, 0]
+    assert hashlib.sha256((tmp_path / "u.json").read_bytes()).hexdigest() == digest
 
 
 # sha256 of factorize's stdout and --out file for the gen --algebra 3,2
-# --k 48 --n 24 --seed 1 frame, both paths relative to the working directory;
-# recorded with the unitary check on both sides and the product [I_n | 0] U
-FACTORIZE_STDOUT_GOLDEN = "b5cff0d50b8820548fe7afefb71d9c7e65e65ac84680ba0fda783d13f4e9ce30"
-FACTORIZE_OUT_GOLDEN = "0407af622237dcae054ff1ef77a779c0a7cdfa12d070123ef22e9bab52754639"
+# --k 48 --n 24 --seed 1 frame on one BLAS thread, both paths relative to
+# the working directory; recorded with the unitary check on both sides and
+# the product [I_n | 0] U
+FACTORIZE_STDOUT_GOLDEN = "04cc78235538f8dcc7c3503729fef79899cef2ae5867cb191d0d2fa2caf1362d"
+FACTORIZE_OUT_GOLDEN = "4f2837eb02d9a5b439eb853c82e6ed55f1149fa3a99921fe495d059f826c977c"
 
 
-def test_factorize_golden_stdout(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["gen", "--algebra", "3,2", "--k", "48", "--n", "24", "--seed", "1",
-                 "--out", "f.json"]) == 0
-    capsys.readouterr()
-    assert main(["factorize", "f.json", "--out", "u.json"]) == 0
-    out = capsys.readouterr().out
+def test_factorize_golden_stdout(tmp_path):
+    runs = _cli_on_one_thread(
+        tmp_path,
+        ["gen", "--algebra", "3,2", "--k", "48", "--n", "24", "--seed", "1", "--out", "f.json"],
+        ["factorize", "f.json", "--out", "u.json"],
+    )
+    assert [code for code, _ in runs] == [0, 0]
+    out = runs[1][1]
     assert hashlib.sha256(out.encode()).hexdigest() == FACTORIZE_STDOUT_GOLDEN
     assert hashlib.sha256((tmp_path / "u.json").read_bytes()).hexdigest() == FACTORIZE_OUT_GOLDEN
 

@@ -203,6 +203,12 @@ def _wrong_blocks(spec):
         "zeros, no columns": lambda: AMatrix.zeros(spec, 2, 0),
         "identity, size 0": lambda: AMatrix.identity(spec, 0),
         "random, no rows": lambda: AMatrix.random(spec, 0, 3, rng),
+        # blocks of the right shape, so only the integer check refuses these
+        "init, float rows": lambda: AMatrix(spec, 2.0, 3, blocks),
+        "init, float cols": lambda: AMatrix(spec, 2, np.float64(3.0), blocks),
+        "init, bool rows": lambda: AMatrix(
+            spec, True, 3, tuple(b[: b.shape[0] // 2] for b in blocks)
+        ),
     }
 
 
@@ -212,6 +218,13 @@ def test_public_constructors_check_blocks(mixed_spec, case):
     # checks must stay in every constructor that takes outside blocks
     with pytest.raises(ShapeError):
         _wrong_blocks(mixed_spec)[case]()
+
+
+def test_numpy_integer_dimensions_are_stored_as_ints(mixed_spec):
+    M = AMatrix.random(mixed_spec, 2, 3, np.random.default_rng(3))
+    N = AMatrix(mixed_spec, np.int64(2), np.uint8(3), M.blocks)
+    assert (type(N.rows), type(N.cols)) == (int, int)
+    assert (N.rows, N.cols) == (2, 3)
 
 
 def test_operations_on_valid_matrices_give_valid_matrices(mixed_spec):

@@ -5,7 +5,10 @@ C = sqrt(b) [0 | I_{k-n}] U, the other k - n rows of the same unitary.  C is
 tight with the same b and C*C = bI - F*F, so every off-diagonal Gram entry
 of C is minus that of F: the two frames have the same ortho-decomposition,
 the same (commutes, splits) verdict on every column subset, and a
-strict-spherical F of radius r has a complement of radius b - r.  The
+strict-spherical F of radius r has a complement of radius b - r.  On a
+block I of the decomposition F_I* F_I has eigenvalues 0 and b only, so
+C_I* C_I = bI - F_I* F_I has the complementary eigenspaces: per summand,
+the ranks of F_I and C_I add up to |I| m_j.  The
 corpus frames are random or exact direct sums, with every residual either
 near roundoff or of order 1, so the verdicts are compared with no margin.
 
@@ -31,8 +34,11 @@ from ncframes import (
     minimize,
     ortho_decompose,
     random_tight_frame,
+    range_constant,
+    restrict,
     split_equivalence,
 )
+from ncframes.decomposition import _side_spectra
 from conftest import scalar_frame
 
 # the split-corpus of the benchmark: its specs, random (k, n) shapes and
@@ -76,6 +82,23 @@ def test_naimark_complement_decomposes_like_the_frame(name):
         for I in itertools.combinations(range(1, F.k + 1), size):
             f, c = split_equivalence(F, I), split_equivalence(C, I)
             assert (c.commutes, c.splits) == (f.commutes, f.splits), I
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_naimark_ranks_fill_each_block_and_its_range_constant_is_b(name):
+    F = CORPUS[name]
+    C = naimark_complement(F)
+    b = check_tight(F).b
+    blocks = ortho_decompose(F).blocks
+    for I in blocks:
+        ranks = [
+            [rank for rank, _, _ in _side_spectra(restrict(G, I).matrix.blocks, 1e-9, b)]
+            for G in (F, C)
+        ]
+        assert [r + rc for r, rc in zip(*ranks)] == [len(I) * m for m in F.spec.summand_dims], I
+        if len(blocks) > 1:  # a proper block: F_I is tight with F's b on its own range
+            for G in (F, C):
+                assert abs(range_constant(G, I) - b) <= 1e-12, I
 
 
 @pytest.mark.parametrize(
