@@ -7,10 +7,13 @@ support graph of the Gram off-diagonal.  split_equivalence measures both
 sides of that equivalence for one subset: the commutator norm
 ||F_I* F_Ic|| on one side; on the other, one spectrum per column side
 (_side_spectra: per summand, the SVD giving its range, rank and tightness
-on that range), then one loop over the summands for the overlap of the two
-ranges and how far the range projections fall short of the identity, from
-one eigvalsh each.  One tolerance tol means the same in every verdict here: a
-frame is tight when ||FF* - bI|| <= tol * max(1, b)
+on that range), then one eigvalsh of P + Pc - I per summand, for the range
+projections P and Pc.  Its ends give how far P + Pc falls short of the
+identity, and its largest value is also the overlap ||P Pc|| of the two
+ranges: by Halmos' two-subspace theorem (Trans. AMS 144, 1969) the
+eigenvalues of P + Pc - I are +-cos of the principal angles between the
+ranges, together with 1, 0 and -1.  One tolerance tol means the same in
+every verdict here: a frame is tight when ||FF* - bI|| <= tol * max(1, b)
 (check_tight), a Gram entry is an edge when its norm exceeds that same
 bound (ortho_decompose), and split_equivalence allows k times it.  An edge
 is decided per summand from the bracket ||X||_2 <= ||X||_F <= sqrt(m) ||X||_2
@@ -281,21 +284,26 @@ def split_equivalence(
     range projections sum to the identity.  Every residual is compared
     against threshold = tol * max(1, b) * k.
 
-    One spectrum per column side (_side_spectra), then one summand loop for
-    the closure and the overlap.  Per summand, F_I = U S V* and
-    F_Ic = Uc Sc Vc* are SVDs of the two sides, r and rc their ranks
-    (singular values above tol * max(1, s_max)), and P = U_r U_r*,
-    Pc = Uc_rc Uc_rc* the projections onto their ranges:
+    One spectrum per column side (_side_spectra), then one summand loop,
+    with one eigvalsh, for the closure and the overlap.  Per summand,
+    F_I = U S V* and F_Ic = Uc Sc Vc* are SVDs of the two sides, r and rc
+    their ranks (singular values above tol * max(1, s_max)), and
+    P = U_r U_r*, Pc = Uc_rc Uc_rc* the projections onto their ranges:
 
     - commutation_residual: ||F_I* F_Ic||, the norm of Q_I G - G Q_I;
-    - range_overlap: ||U_r* Uc_rc||, which equals ||P Pc||;
+    - range_overlap: ||P Pc|| = ||U_r* Uc_rc||, read as the largest
+      eigenvalue of P + Pc - I when both ranges are nonzero, and 0.0 when
+      either is zero.  By Halmos' two-subspace theorem those eigenvalues
+      are +-cos of the principal angles between the ranges, 1 on their
+      intersection, 0 where one range meets the other's complement and -1
+      off both, so with both ranges nonzero the largest is ||P Pc||;
     - sub_tight_residual and comp_tight_residual: the largest |eigenvalue|
       of F_I F_I* - b P and of F_Ic F_Ic* - b Pc.  F_I F_I* = U S^2 U* and
       P = U_r U_r* share eigenvectors, so the eigenvalues are
       {s_i^2 - b}_{i<r} together with {s_i^2}_{i>=r} (and zeros), read off
       the singular values without forming either matrix;
-    - closure_residual: the largest |eigenvalue| of P + Pc - I, from one
-      eigvalsh.  It is measured, not derived from the ranks and the
+    - closure_residual: the largest |eigenvalue| of P + Pc - I, from the
+      same eigvalsh.  It is measured, not derived from the ranks and the
       overlap, since it is the check that the two ranges fill A^n.
 
     All are maximized over the summands.  An empty side has no columns and
@@ -308,22 +316,19 @@ def split_equivalence(
     sub = _side_spectra(sides[0], tol, b)
     comp = _side_spectra(sides[1], tol, b)
 
-    comm = _commutator_norm(*sides) if sub and comp else 0.0
+    both = bool(sub and comp)
+    comm = _commutator_norm(*sides) if both else 0.0
     sub_res = max([res for _, res, _ in sub], default=0.0)
     comp_res = max([res for _, res, _ in comp], default=0.0)
     overlap = closure = 0.0
     for j, x in enumerate(F.matrix.blocks):
-        if sub and comp:
-            u, uc = sub[j][2], comp[j][2]
-            w = np.concatenate((u, uc), axis=1)
-            if u.shape[1] and uc.shape[1]:
-                overlap = max(overlap, _spectral_norm(u.conj().T @ uc))
-        else:
-            w = (sub or comp)[j][2]
+        w = np.concatenate((sub[j][2], comp[j][2]), axis=1) if both else (sub or comp)[j][2]
         gap = w @ w.conj().T  # P + Pc, as [U_r Uc_rc][U_r Uc_rc]*
         gap.flat[:: x.shape[0] + 1] -= 1.0
         ev = np.linalg.eigvalsh(gap)  # ascending, so its largest |value| is at an end
         closure = max(closure, float(max(-ev[0], ev[-1])))
+        if both and sub[j][0] and comp[j][0]:  # both ranges nonzero
+            overlap = max(overlap, float(ev[-1]))
 
     return SplitEquivalenceReport(
         commutes=comm <= threshold,

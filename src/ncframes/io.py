@@ -25,10 +25,10 @@ than converted, and so is an integer too large for a float.  On a payload
 of floats that one call gives float64 at once.  Only when numpy can hold
 the list in no numeric dtype (an integer beyond int64 and uint64, or a
 value that is no number) are the numbers converted one by one.  The
-decoder also rejects with FormatError a payload of the wrong shape, a
-shape or block size that is not a JSON integer, a non-finite entry, and
-entries so large that the trace of M M* overflows (so M M* cannot be
-formed finitely).
+decoder also rejects with FormatError a document that is not a JSON
+object, a payload of the wrong shape, a shape or block size that is not a
+JSON integer, a non-finite entry, and entries so large that the trace of
+M M* overflows (so M M* cannot be formed finitely).
 """
 
 from __future__ import annotations
@@ -223,8 +223,16 @@ def _decode_grids(
     return grids
 
 
+def _object(data: Any) -> dict:
+    """data itself if it is a JSON object, for the decoders to read keys from."""
+    if not isinstance(data, dict):
+        raise FormatError(f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def decode_amatrix(data: Any) -> AMatrix:
     try:
+        data = _object(data)
         spec = decode_spec(data["algebra"])
         rows, cols = _json_int(data["rows"]), _json_int(data["cols"])
         entries = data["entries"]
@@ -238,6 +246,7 @@ def decode_amatrix(data: Any) -> AMatrix:
 
 def decode_frame_file(data: Any) -> Frame:
     try:
+        data = _object(data)
         spec = decode_spec(data["algebra"])
         n, k = _json_int(data["n"]), _json_int(data["k"])
         return Frame(AMatrix.from_grids(spec, _decode_grids(data["columns"], spec, k, n, True)))

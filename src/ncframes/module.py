@@ -16,10 +16,11 @@ M diag(w_1, ..., w_cols).
 
 Shapes are validated at the boundary.  The public constructor, which
 from_grids, from_entries, diagonal and random go through, checks the block
-count and each block's shape and stores complex arrays; the results of
-operations on matrices that passed it (products, adjoints, sums, scalar
-multiples, entries, top_rows, select_columns) are built by _trusted,
-which repeats none of those checks.
+count and each block's shape and stores complex arrays; its rows and cols
+check (_checked_shape) also runs first in diagonal, zeros, identity and
+random, before they allocate.  The results of operations on matrices that
+passed it (products, adjoints, sums, scalar multiples, entries, top_rows,
+select_columns) are built by _trusted, which repeats none of those checks.
 
 An element of A is the 1 x 1 AMatrix, since M_1(A) = A: entry(i, j) returns
 one, from_entries assembles a grid of them, and the C*-algebra operations
@@ -95,6 +96,22 @@ def _scale_columns(block: np.ndarray, m: int, w: np.ndarray) -> np.ndarray:
     return (_column_stack(block, m) @ w).transpose(1, 0, 2).reshape(block.shape)
 
 
+def _checked_shape(rows, cols) -> tuple[int, int]:
+    """rows and cols as ints; ShapeError unless both are positive integers.
+
+    The public constructor calls this, and so do the builders that allocate
+    from rows and cols before they do, so a bad shape gets the same error
+    from each of them.
+    """
+    try:
+        rows, cols = _as_int(rows, "rows"), _as_int(cols, "cols")
+    except TypeError as exc:
+        raise ShapeError(str(exc)) from None
+    if rows < 1 or cols < 1:
+        raise ShapeError("matrix dimensions must be positive")
+    return rows, cols
+
+
 def _trusted(spec: AlgebraSpec, rows: int, cols: int, blocks: tuple) -> "AMatrix":
     """An AMatrix over blocks that are already complex arrays of the right
     shapes, built without the public constructor's checks.
@@ -118,12 +135,7 @@ class AMatrix:
 
     def __post_init__(self):
         dims = self.spec.summand_dims
-        try:
-            rows, cols = _as_int(self.rows, "rows"), _as_int(self.cols, "cols")
-        except TypeError as exc:
-            raise ShapeError(str(exc)) from None
-        if rows < 1 or cols < 1:
-            raise ShapeError("matrix dimensions must be positive")
+        rows, cols = _checked_shape(self.rows, self.cols)
         if len(self.blocks) != len(dims):
             raise ShapeError("wrong number of summand blocks")
         arrays = []
@@ -145,6 +157,7 @@ class AMatrix:
         cls, spec: AlgebraSpec, rows: int, cols: int, indices: Iterable[int] = ()
     ) -> "AMatrix":
         """The rows x cols matrix with 1_A at (i, i) for i in indices, else 0."""
+        rows, cols = _checked_shape(rows, cols)
         idx = list(indices)
         blocks = []
         for m in spec.summand_dims:
@@ -160,6 +173,7 @@ class AMatrix:
 
     @classmethod
     def identity(cls, spec: AlgebraSpec, n: int) -> "AMatrix":
+        n, _ = _checked_shape(n, n)
         return cls.diagonal(spec, n, n, range(n))
 
     @classmethod
@@ -192,6 +206,7 @@ class AMatrix:
         cls, spec: AlgebraSpec, rows: int, cols: int, rng: np.random.Generator
     ) -> "AMatrix":
         """Standard complex Gaussian entries: real then imaginary parts per summand."""
+        rows, cols = _checked_shape(rows, cols)
         return cls(
             spec,
             rows,

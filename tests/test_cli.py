@@ -95,6 +95,17 @@ class TestVerify:
         rc, _ = run(capsys, command, str(path))
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["verify", "analyze", "factorize"])
+    @pytest.mark.parametrize("doc, kind", [([1, 2], "list"), ("frame", "str"), (7, "int"), (None, "NoneType")])
+    def test_document_not_an_object_exit_2(self, tmp_path, capsys, command, doc, kind):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--out", str(tmp_path / "u.json")] if command == "factorize" else []
+        assert main([command, str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad frame file: expected a JSON object, got {kind}\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["verify", "analyze", "factorize"])
     def test_overflowing_entry_exit_2(self, tmp_path, capsys, command):

@@ -142,6 +142,17 @@ def test_each_tolerance_rule_is_raised_in_one_place():
     ]
 
 
+def test_matrix_shape_rule_is_raised_in_one_place():
+    # the constructor and the builders that allocate from rows and cols all
+    # refuse a bad shape through module._checked_shape
+    sites = [
+        (path, func) for path, func, exc in _raise_sites()
+        if any(isinstance(n, ast.Constant) and "dimensions must be positive" in str(n.value)
+               for n in ast.walk(exc))
+    ]
+    assert sites == [("module.py", "_checked_shape")]
+
+
 # the private block helpers of module.py that other modules may call
 BLOCK_HELPERS = {"_column_grams", "_scale_columns"}
 
@@ -217,8 +228,9 @@ def _identifier(node):
 
 def test_column_side_spectra_are_read_at_one_svd_site():
     # decomposition takes a column side's rank, tightness residual and range
-    # basis from the one SVD in _side_spectra; the commutator and overlap
-    # norms go through algebra._spectral_norm
+    # basis from the one SVD in _side_spectra; the commutator norm goes
+    # through algebra._spectral_norm, and the overlap is read off the
+    # closure's eigvalsh
     path = PACKAGE / "decomposition.py"
     tree = ast.parse(path.read_text(), str(path))
     assert sum(_identifier(node) == "svd" for node in ast.walk(tree)) == 1

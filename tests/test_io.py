@@ -589,6 +589,15 @@ def test_malformed_payload_is_a_format_error(tmp_path, capsys, case):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("doc", [[1, 2], [], "frame", 7, None], ids=repr)
+def test_document_that_is_not_an_object_is_named_as_such(doc):
+    kind = type(doc).__name__
+    with pytest.raises(FormatError, match=f"^bad frame file: expected a JSON object, got {kind}$"):
+        decode_frame_file(doc)
+    with pytest.raises(FormatError, match=f"^bad matrix encoding: expected a JSON object, got {kind}$"):
+        decode_amatrix(doc)
+
+
 # the number rule: a JSON number loads when its float() is finite; the
 # largest integer that rounds to a finite float
 LARGEST_FINITE_INT = 2**1024 - 2**970 - 1

@@ -220,6 +220,33 @@ def test_public_constructors_check_blocks(mixed_spec, case):
         _wrong_blocks(mixed_spec)[case]()
 
 
+# the builders that allocate their blocks from rows and cols, as
+# (spec, rows, cols) -> AMatrix; identity takes its one size from rows
+BUILDERS = {
+    "diagonal": AMatrix.diagonal,
+    "zeros": AMatrix.zeros,
+    "identity": lambda spec, rows, cols: AMatrix.identity(spec, rows),
+    "random": lambda spec, rows, cols: AMatrix.random(spec, rows, cols, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(2.0, "rows must be an integer, got 2.0"), (True, "rows must be an integer, got True"),
+     (0, "dimensions must be positive"), (-1, "dimensions must be positive")],
+    ids=repr,
+)
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builders_check_the_shape_before_allocating(mixed_spec, builder, bad, message):
+    # numpy allocating first would raise its own TypeError for 2.0 and
+    # ValueError for -1; the constructor's ShapeError comes from one helper
+    with pytest.raises(ShapeError, match=message):
+        BUILDERS[builder](mixed_spec, bad, 3)
+    if builder != "identity":
+        with pytest.raises(ShapeError, match=message.replace("rows", "cols")):
+            BUILDERS[builder](mixed_spec, 2, bad)
+
+
 def test_numpy_integer_dimensions_are_stored_as_ints(mixed_spec):
     M = AMatrix.random(mixed_spec, 2, 3, np.random.default_rng(3))
     N = AMatrix(mixed_spec, np.int64(2), np.uint8(3), M.blocks)

@@ -6,16 +6,19 @@ had before it became one pass over the summand blocks, and it shares no
 code with that pass beyond check_tight's b: it builds the range
 projections P and Pc, forms Q_I G - G Q_I from the Gram matrix and a
 coordinate projection, and takes every residual as a spectral norm.  The
-arithmetic differs (tightness read off singular values, one eigvalsh and
-||U* Uc|| in place of products and SVDs of the projections), so residuals
-are held to 1e-12 and verdicts to equality.
+arithmetic differs (tightness read off singular values, closure and
+overlap off one eigvalsh of P + Pc - I, in place of products and SVDs of
+the projections), so residuals are held to 1e-12 and verdicts to equality.
 
 array_split_equivalence and array_range_constant are the one-pass bodies
 as they stood with the rank, the tightness residuals and the closure
-residual taken by numpy array operations.  The library now reads them off
-the singular values in one Python loop and off the ends of eigvalsh's
-ascending output; both do the same float64 operations, so every report
-field and every range constant must equal these bit for bit.
+residual taken by numpy array operations, and the overlap read off the
+closure's eigvalsh.  The library now reads them off the singular values in
+one Python loop and off the ends of eigvalsh's ascending output; both do
+the same float64 operations, so every report field and every range constant
+must equal these bit for bit.  The overlap is also held to ||U_r* Uc_rc||,
+the SVD it was taken from before, and to cos(theta) on ranges built to
+meet at a principal angle theta.
 """
 
 import itertools
@@ -201,9 +204,10 @@ def array_split_equivalence(F, I, tol=1e-9):
         w = np.hstack(bases) if len(bases) == 2 else bases[0]
         gap = w @ w.conj().T
         gap.flat[:: x.shape[0] + 1] -= 1.0
-        closure = max(closure, float(np.abs(np.linalg.eigvalsh(gap)).max()))
+        ev = np.linalg.eigvalsh(gap)
+        closure = max(closure, float(np.abs(ev).max()))
         if len(bases) == 2 and bases[0].shape[1] and bases[1].shape[1]:
-            overlap = max(overlap, _norm2(bases[0].conj().T @ bases[1]))
+            overlap = max(overlap, float(ev[-1]))
     sub_res, comp_res = tight
     return SplitEquivalenceReport(
         commutes=comm <= threshold,
@@ -231,8 +235,20 @@ def _subsets(k):
         yield from itertools.combinations(range(1, k + 1), size)
 
 
+def with_zero_column(F):
+    """F with a zero column appended: still tight, and a side holding only
+    that column has the zero range."""
+    blocks = tuple(np.hstack((y, np.zeros((y.shape[0], m))))
+                   for y, m in zip(F.matrix.blocks, F.spec.summand_dims))
+    return Frame(AMatrix(F.spec, F.n, F.k + 1, blocks))
+
+
 BIT_CORPUS = corpus() + [
     pytest.param(F, 1e-9, id=f"selftest-{i}") for i, F in enumerate(_equivalence_corpus(8))
+] + [
+    pytest.param(with_zero_column(random_tight_frame(AlgebraSpec(dims), k, n, seed=3)), 1e-9,
+                 id=f"{dims}-zero-column")
+    for dims, k, n in (((1,), 5, 3), ((2, 1), 4, 2))
 ]
 
 
@@ -248,21 +264,73 @@ def test_split_reports_and_range_constants_equal_the_array_bodies_bit_for_bit(F,
             assert got.hex() == want.hex(), I
 
 
+def overlap_by_svd(F, I, tol):
+    """max ||U_r* Uc_rc|| over the summands where both ranges are nonzero,
+    None where there is no such summand."""
+    sides = _sides(F, I)
+    if sides[0] is None or sides[1] is None:
+        return None
+    norms = []
+    for y, yc in zip(*sides):
+        bases = []
+        for blk in (y, yc):
+            u, s, _ = np.linalg.svd(blk, full_matrices=False)
+            bases.append(u[:, : array_rank(s, tol)])
+        if bases[0].shape[1] and bases[1].shape[1]:
+            norms.append(_norm2(bases[0].conj().T @ bases[1]))
+    return max(norms, default=None)
+
+
+@pytest.mark.parametrize("F, tol", BIT_CORPUS)
+def test_range_overlap_is_the_norm_of_the_basis_product(F, tol):
+    # P + Pc - I has the eigenvalues +-cos of the principal angles, and 1, 0
+    # and -1 (Halmos' two subspaces), so once both ranges are nonzero its
+    # largest is ||P Pc|| = ||U_r* Uc_rc||; otherwise the overlap stays 0.0
+    for I in _subsets(F.k):
+        got, want = split_equivalence(F, I, tol).range_overlap, overlap_by_svd(F, I, tol)
+        if want is None:
+            assert repr(got) == "0.0", I
+        else:
+            assert abs(got - want) <= 1e-13, I
+
+
+@pytest.mark.parametrize("thetas", [(1.2, 1.4), (1.5, 1.25), (math.pi / 2,) * 2])
+def test_range_overlap_is_the_cosine_of_the_principal_angle(thetas):
+    # per summand j, F = [e1, y e2, e^{ij} (cos t_j e1 + sin t_j e3), y e2]
+    # times 1_{m_j}, at tol 0.6 > y = 0.55: each side's singular value y is
+    # cut, so span{e1} and the third column are the ranges, which meet at
+    # the principal angle t_j, and e2 lies in neither.  P + Pc - I then has
+    # the eigenvalues +-cos t_j and -1, so the closure reads 1 while the
+    # overlap is max_j cos t_j.  FF* has the eigenvalues 1 +- cos t_j and
+    # 2 y^2, within tol of b for cos t_j < 0.46 only: in a frame tight to a
+    # small tol the two range projections commute, and every principal
+    # angle is 0 or pi / 2
+    spec, y = AlgebraSpec((1, 2)), 0.55
+    grids = []
+    for j, (m, t) in enumerate(zip(spec.summand_dims, thetas)):
+        f = np.zeros((3, 4), dtype=complex)
+        f[0, 0] = 1.0
+        f[1, 1] = f[1, 3] = y
+        f[:, 2] = np.exp(1j * j) * np.array([math.cos(t), 0.0, math.sin(t)])
+        grids.append(np.einsum("ip,ab->ipab", f, np.eye(m)))
+    rep = split_equivalence(Frame(AMatrix.from_grids(spec, grids)), [1, 2], tol=0.6)
+    assert abs(rep.range_overlap - max(math.cos(t) for t in thetas)) <= 1e-14
+    assert abs(rep.closure_residual - 1.0) <= 1e-14
+
+
 @pytest.mark.parametrize("F, tol", corpus())
 def test_lapack_calls_per_query(F, tol, monkeypatch):
     # per summand: an SVD with U of each column side that has columns, one
-    # eigvalsh, the commutator's SVD when both sides have columns, and the
-    # overlap's when both ranges are nonzero; values-only SVDs carry
-    # compute_uv=False
+    # eigvalsh, which also gives the overlap, and the commutator's SVD when
+    # both sides have columns; values-only SVDs carry compute_uv=False
     expected = []
     for I in _subsets(F.k):
         present = [blocks for blocks in _sides(F, I) if blocks is not None]
         calls = Counter()
         for j in range(F.spec.num_summands):
-            ranks = [array_rank(np.linalg.svd(b[j], compute_uv=False), tol) for b in present]
             calls["svd with U"] += len(present)
             calls["eigvalsh"] += 1
-            calls["svd"] += (len(present) == 2) + (len(present) == 2 and min(ranks) > 0)
+            calls["svd"] += len(present) == 2
         expected.append(calls)
     check_tight(F, tol)  # memoized on F, so the queries below reuse it
 
