@@ -15,20 +15,22 @@ does, so the bytes equal json.dumps of the nested lists plus a newline.
 save_with_frame splices the same frame text into another document as its
 last key.  A non-finite entry raises ValueError before the file is opened.
 
-Decoding is flat too.  Per summand, the decoder checks with one set of
-lengths per nesting level that every entry holds m*m pairs and every pair
-two numbers, then builds the summand from one np.array call over the
-chained numbers.  The number rule: any JSON number whose float() is finite
-loads, as that float, and true and false read as 1.0 and 0.0; a string
-(even "1.5"), a null or a list where a number belongs is refused rather
-than converted, and so is an integer too large for a float.  On a payload
-of floats that one call gives float64 at once.  Only when numpy can hold
-the list in no numeric dtype (an integer beyond int64 and uint64, or a
-value that is no number) are the numbers converted one by one.  The
-decoder also rejects with FormatError a document that is not a JSON
-object, a payload of the wrong shape, a shape or block size that is not a
-JSON integer, a non-finite entry, and entries so large that the trace of
-M M* overflows (so M M* cannot be formed finitely).
+Decoding is flat too.  The reader nests by the writer's shape: each level
+of _template's shape must be a JSON array of the header's count (a string
+or object is refused, not read as items).  Per summand it then checks with
+one set of lengths per level that every entry holds m*m pairs and every
+pair two numbers, builds the summand from one np.array call over the
+chained numbers, and hands it to from_grids.  The number rule: any JSON
+number whose float() is finite loads, as that float, and true and false
+read as 1.0 and 0.0; a string (even "1.5"), a null or a list where a number
+belongs is refused rather than converted, and so is an integer too large
+for a float.  On a payload of floats that one call gives float64 at once.
+Only when numpy can hold the list in no numeric dtype (an integer beyond
+int64 and uint64, or a value that is no number) are the numbers converted
+one by one.  The decoder also rejects with FormatError a document that is
+not a JSON object, a payload of the wrong shape, a shape or block size that
+is not a JSON integer, a non-finite entry, and entries so large that the
+trace of M M* overflows (so M M* cannot be formed finitely).
 """
 
 from __future__ import annotations
@@ -83,9 +85,17 @@ def _json_int(value: Any) -> int:
     return value
 
 
+def _json(data: Any, kind: type) -> Any:
+    """data itself if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(data, kind):
+        name = "object" if kind is dict else "array"
+        raise FormatError(f"expected a JSON {name}, got {type(data).__name__}")
+    return data
+
+
 def decode_spec(data: Any) -> AlgebraSpec:
     try:
-        return AlgebraSpec(tuple(_json_int(m) for m in data))
+        return AlgebraSpec(tuple(_json_int(m) for m in _json(data, list)))
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad algebra spec: {exc}") from exc
 
@@ -177,20 +187,18 @@ def save_with_frame(path, doc: dict, F: Frame):
 # -- reading ---------------------------------------------------------------
 
 
-def _decode_grids(
-    data: Any, spec: AlgebraSpec, outer: int, inner: int, transpose: bool = False
-) -> list[np.ndarray]:
-    """Per summand, the (outer, inner, m, m) array of nested entry lists.
+def _decode_grids(data: Any, spec: AlgebraSpec, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Per summand, the shape + (m, m) array of the entries nested in data.
 
-    With transpose, the arrays are (inner, outer, m, m), laid out in that
-    order, so that from_grids gives the same blocks as for a row-major file.
-
-    Rejects wrong shapes, non-numeric or non-finite values, and entries so
-    large that the trace of the summand's M M* overflows.
+    Each level along shape, as _template writes it, must be a JSON array of
+    its count of items.  Rejects wrong shapes, non-numeric or non-finite
+    values, and entries so large that the trace of the summand's M M* overflows.
     """
-    if len(data) != outer or set(map(len, data)) != {inner}:
-        raise FormatError("payload shape does not match the header")
-    entries = list(chain.from_iterable(data))
+    entries = [data]
+    for count in shape:
+        if {len(_json(items, list)) for items in entries} != {count}:
+            raise FormatError("payload shape does not match the header")
+        entries = list(chain.from_iterable(entries))
     if set(map(len, entries)) != {spec.num_summands}:
         raise FormatError("wrong number of blocks")
     grids = []
@@ -208,10 +216,7 @@ def _decode_grids(
             arr = np.array([_json_number(x) for x in numbers])
         if arr.dtype.kind not in "biuf" or arr.ndim != 1:
             raise FormatError("block entries must be numbers")
-        arr = arr.reshape(outer, inner, m * m, 2)
-        if transpose:
-            arr = arr.swapaxes(0, 1)
-        arr = arr.astype(float, order="C")
+        arr = arr.reshape(*shape, m * m, 2).astype(float, copy=False)
         if not np.isfinite(arr).all():
             raise FormatError("non-finite matrix entry")
         flat = arr.ravel()
@@ -219,37 +224,30 @@ def _decode_grids(
             power = flat @ flat  # trace of the summand's M M*
         if not np.isfinite(power):
             raise FormatError(f"summand {j} entries too large: trace of M M* overflows")
-        grids.append(arr.view(complex).reshape(arr.shape[:2] + (m, m)))
+        grids.append(arr.view(complex).reshape(*shape, m, m))
     return grids
-
-
-def _object(data: Any) -> dict:
-    """data itself if it is a JSON object, for the decoders to read keys from."""
-    if not isinstance(data, dict):
-        raise FormatError(f"expected a JSON object, got {type(data).__name__}")
-    return data
 
 
 def decode_amatrix(data: Any) -> AMatrix:
     try:
-        data = _object(data)
+        data = _json(data, dict)
         spec = decode_spec(data["algebra"])
         rows, cols = _json_int(data["rows"]), _json_int(data["cols"])
-        entries = data["entries"]
-        if len(entries) != rows * cols:
-            raise FormatError("entry count does not match shape")
-        nested = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
-        return AMatrix.from_grids(spec, _decode_grids(nested, spec, rows, cols))
+        if rows < 1 or cols < 1:  # two negatives would multiply to a count
+            raise FormatError(f"rows and cols must be positive, got {rows} and {cols}")
+        grids = _decode_grids(data["entries"], spec, (rows * cols,))
+        return AMatrix.from_grids(spec, [g.reshape(rows, cols, *g.shape[1:]) for g in grids])
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad matrix encoding: {exc}") from exc
 
 
 def decode_frame_file(data: Any) -> Frame:
     try:
-        data = _object(data)
+        data = _json(data, dict)
         spec = decode_spec(data["algebra"])
         n, k = _json_int(data["n"]), _json_int(data["k"])
-        return Frame(AMatrix.from_grids(spec, _decode_grids(data["columns"], spec, k, n, True)))
+        grids = _decode_grids(data["columns"], spec, (k, n))
+        return Frame(AMatrix.from_grids(spec, [g.swapaxes(0, 1) for g in grids]))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad frame file: {exc}") from exc
 

@@ -7,20 +7,21 @@ its image, so products are one matrix product per summand, the adjoint is
 the conjugate transpose, the operator norm is the largest summand spectral
 norm, entries are slices, the leading rows [I_n | 0] M are a slice too,
 and a column selection is one gather per summand.
-This module is the only code that indexes inside a summand block: the
-others reach entries through the (rows, cols, m, m) grids view, column
-Grams and entry norms, and take column subsets with select_columns.  The
-descent loop in optimize works on bare summand blocks through _column_grams,
-which column_grams also calls, and _scale_columns, the block of
-M diag(w_1, ..., w_cols).
+This module is the only code that indexes inside a summand block, and in
+it grids and its inverse from_grids are the one map between entries and
+block positions.  The others reach entries through grids, column Grams and
+entry norms, and take column subsets with select_columns.  The descent
+loop in optimize works on bare summand blocks through _column_grams, which
+column_grams also calls, and _scale_columns, the block of M diag(w_1, ...).
 
-Shapes are validated at the boundary.  The public constructor, which
-from_grids, from_entries, diagonal and random go through, checks the block
-count and each block's shape and stores complex arrays; its rows and cols
-check (_checked_shape) also runs first in diagonal, zeros, identity and
-random, before they allocate.  The results of operations on matrices that
-passed it (products, adjoints, sums, scalar multiples, entries, top_rows,
-select_columns) are built by _trusted, which repeats none of those checks.
+Shapes and indices are validated at the boundary.  The public constructor,
+which from_grids, from_entries, diagonal and random go through, checks the
+block count and each block's shape and stores complex arrays; its rows and
+cols check (_checked_shape) also runs first in diagonal, zeros, identity
+and random, before they allocate, and _indices refuses bool and float
+indices.  The results of operations on matrices that passed them (products,
+adjoints, sums, scalar multiples, entries, top_rows, select_columns) are
+built by _trusted, which repeats none of those checks.
 
 An element of A is the 1 x 1 AMatrix, since M_1(A) = A: entry(i, j) returns
 one, from_entries assembles a grid of them, and the C*-algebra operations
@@ -72,10 +73,14 @@ class NotCoisometricError(ValueError):
         )
 
 
-def _spread(indices: Sequence[int], m: int) -> np.ndarray:
-    """Flat row/column positions of the entry indices for block size m."""
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1, 1)
-    return (idx * m + np.arange(m)).ravel()
+def _indices(indices, ndim: int = 1):
+    """indices as an intp array with ndim axes, or an int at ndim 0; ShapeError
+    for another nesting and for bools and floats, rather than a mask or a cut."""
+    idx = np.asarray(indices)
+    if idx.ndim != ndim or (idx.size and idx.dtype.kind not in "iu"):
+        what = "a flat list of integer indices" if ndim else "an integer index"
+        raise ShapeError(f"expected {what}, got {indices!r}")
+    return idx.astype(np.intp, copy=False) if ndim else int(idx)
 
 
 def _column_stack(block: np.ndarray, m: int) -> np.ndarray:
@@ -158,14 +163,12 @@ class AMatrix:
     ) -> "AMatrix":
         """The rows x cols matrix with 1_A at (i, i) for i in indices, else 0."""
         rows, cols = _checked_shape(rows, cols)
-        idx = list(indices)
-        blocks = []
-        for m in spec.summand_dims:
-            blk = np.zeros((rows * m, cols * m), dtype=complex)
-            pos = _spread(idx, m)
-            blk[pos, pos] = 1.0
-            blocks.append(blk)
-        return cls(spec, rows, cols, tuple(blocks))
+        idx = _indices(list(indices))
+        dims = spec.summand_dims
+        M = cls(spec, rows, cols, tuple(np.zeros((rows * m, cols * m), complex) for m in dims))
+        for m, g in zip(dims, M.grids):
+            g[idx, idx] = np.eye(m)
+        return M
 
     @classmethod
     def zeros(cls, spec: AlgebraSpec, rows: int, cols: int) -> "AMatrix":
@@ -195,11 +198,11 @@ class AMatrix:
                     raise ShapeError("entries belong to different algebras")
                 if (elem.rows, elem.cols) != (1, 1):
                     raise ShapeError(f"entry ({i}, {j}) is {elem.rows}x{elem.cols}, not 1x1")
-        blocks = tuple(
-            np.block([[elem.blocks[j] for elem in row] for row in entries])
-            for j in range(first.spec.num_summands)
+        return cls.from_grids(
+            first.spec,
+            [np.array([[elem.blocks[j] for elem in row] for row in entries])
+             for j in range(first.spec.num_summands)],
         )
-        return cls(first.spec, rows, cols, blocks)
 
     @classmethod
     def random(
@@ -216,22 +219,18 @@ class AMatrix:
 
     @classmethod
     def from_grids(cls, spec: AlgebraSpec, grids: Sequence[np.ndarray]) -> "AMatrix":
-        """Inverse of grids: build from one (rows, cols, m, m) array per summand."""
+        """Inverse of grids: C-contiguous blocks from one (rows, cols, m, m) array per summand."""
         if len(grids) != spec.num_summands:
             raise ShapeError("wrong number of summand grids")
         rows, cols = grids[0].shape[:2]
-        for m, g in zip(spec.summand_dims, grids):
+        dims = spec.summand_dims
+        for m, g in zip(dims, grids):
             if g.shape != (rows, cols, m, m):
                 raise ShapeError(f"summand grid has shape {g.shape}, not {(rows, cols, m, m)}")
-        return cls(
-            spec,
-            rows,
-            cols,
-            tuple(
-                g.swapaxes(1, 2).reshape(rows * m, cols * m)
-                for m, g in zip(spec.summand_dims, grids)
-            ),
-        )
+        # products round by memory order, and swapped grids over a 1 x 1
+        # summand reshape to a Fortran-ordered view
+        blocks = (g.swapaxes(1, 2).reshape(rows * m, cols * m) for m, g in zip(dims, grids))
+        return cls(spec, rows, cols, tuple(map(np.ascontiguousarray, blocks)))
 
     # -- entries and columns -----------------------------------------------
 
@@ -249,7 +248,7 @@ class AMatrix:
     def entry(self, i: int, j: int) -> "AMatrix":
         """Entry (i, j), an element of A: the 1 x 1 AMatrix on the grids views,
         so writes to its blocks land in this matrix."""
-        i, j = operator.index(i), operator.index(j)  # a slice would not give m x m
+        i, j = _indices(i, 0), _indices(j, 0)  # a slice would not give m x m
         return _trusted(self.spec, 1, 1, tuple(g[i, j] for g in self.grids))
 
     def column(self, j: int) -> "AMatrix":
@@ -266,6 +265,7 @@ class AMatrix:
     def top_rows(self, n: int) -> "AMatrix":
         """The first n rows, [I_n | 0] M, taken as a view of the leading n*m
         rows of each summand block rather than computed as a product."""
+        n = _indices(n, 0)
         if not 1 <= n <= self.rows:
             raise ShapeError(f"cannot take {n} leading rows of {self.rows}")
         return _trusted(
@@ -277,8 +277,8 @@ class AMatrix:
 
     def select_columns(self, indices: Sequence[int]) -> "AMatrix":
         """The columns at indices, in that order and with any repeats."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1 or not len(idx):
+        idx = _indices(indices)
+        if not len(idx):
             raise ShapeError("select_columns needs a non-empty list of column indices")
         # one gather per block from its transpose viewed as (cols, m, rows*m): the
         # result is laid out as blk[:, positions] is, which sets how products round

@@ -106,6 +106,24 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: bad frame file: expected a JSON object, got {kind}\n"
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("algebra", {"a": 1}, "bad algebra spec: expected a JSON array, got dict"),
+         ("columns", "a", "expected a JSON array, got str"),
+         ("columns", ["a"], "expected a JSON array, got str")],
+    )
+    def test_object_or_string_for_an_array_exit_2(self, tmp_path, capsys, key, value, message):
+        # an object's keys or a string's characters are not read as items
+        doc = {"algebra": [1], "n": 1, "k": 1, "columns": [[[[[1.0, 0.0]]]]], "kind": "frame"}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "analyze", str(path))[0] == 0
+        path.write_text(json.dumps({**doc, key: value}))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad frame file: {message}\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["verify", "analyze", "factorize"])
     def test_overflowing_entry_exit_2(self, tmp_path, capsys, command):

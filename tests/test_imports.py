@@ -160,12 +160,25 @@ BLOCK_HELPERS = {"_column_grams", "_scale_columns"}
 def test_only_module_expands_columns_to_block_positions():
     # module.py alone turns column indices into positions inside a summand
     # block: elsewhere no private name is imported from it but BLOCK_HELPERS,
-    # and no np.repeat or np.kron expands labels per summand
+    # and no np.repeat or np.kron expands labels per summand.  Within the
+    # package, grids and from_grids are the one map between entries and
+    # block positions: no index arithmetic (_spread), no np.block assembly,
+    # and the decoders nest by the writer's shape, with no transpose flag
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if _identifier(node) == "_spread" or (
+                isinstance(node, ast.Attribute) and node.attr == "block"
+            ):
+                found.append(f"{path.name}:{node.lineno} uses {_identifier(node)}")
+            if isinstance(node, ast.FunctionDef) and node.name == "_decode_grids":
+                params = [arg.arg for arg in node.args.args + node.args.kwonlyargs]
+                if params != ["data", "spec", "shape"]:
+                    found.append(f"{path.name}:{node.lineno} _decode_grids takes {params}")
         if path.name == "module.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "module":
                 found += [
                     f"{path.name}:{node.lineno} imports {alias.name}"

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncframes
-from ncframes import AMatrix, AlgebraSpec, Frame, canonical_coisometry, random_tight_frame
+from ncframes import (
+    AMatrix, AlgebraSpec, Frame, canonical_coisometry, direct_sum_frames, random_tight_frame,
+)
 from ncframes.cli import main
 from ncframes.io import (
     FormatError,
@@ -275,6 +277,34 @@ def test_factorize_golden_stdout(tmp_path):
     out = runs[1][1]
     assert hashlib.sha256(out.encode()).hexdigest() == FACTORIZE_STDOUT_GOLDEN
     assert hashlib.sha256((tmp_path / "u.json").read_bytes()).hexdigest() == FACTORIZE_OUT_GOLDEN
+
+
+# sha256 of the direct sum of gen --algebra 2,1 --b 1.5 frames 3/2 (seed 1)
+# and 4/3 (seed 2), of analyze's stdout on it (two blocks) and of
+# factorize's --out file, all on one BLAS thread
+DIRECT_SUM_GOLDEN = (
+    "8cf78201003c3fc7e2b5b0ffb730d9f772506d1e6432a83974986be5877c85f4",
+    "2c2b6997c75d6af11053ed06267bc990727bd0c06cf491ec85321409af108dbb",
+    "ee5135933bbdf671862b34b1831bafaf5555742153df16fc09c29b9a75b2e3e4",
+)
+
+
+def test_multi_block_analyze_and_factorize_golden(tmp_path):
+    gens = [["gen", "--algebra", "2,1", "--k", str(k), "--n", str(n), "--b", "1.5",
+             "--seed", str(seed), "--out", f"part{seed}.json"]
+            for seed, (k, n) in enumerate([(3, 2), (4, 3)], start=1)]
+    assert [code for code, _ in _cli_on_one_thread(tmp_path, *gens)] == [0, 0]
+    parts = [load_frame(tmp_path / f"part{seed}.json") for seed in (1, 2)]
+    save_frame(tmp_path / "f.json", direct_sum_frames(parts, 1.5))
+    runs = _cli_on_one_thread(
+        tmp_path, ["analyze", "f.json"], ["factorize", "f.json", "--out", "u.json"]
+    )
+    assert [code for code, _ in runs] == [0, 0]
+    assert len(json.loads(runs[0][1])["blocks"]) == 2
+    digests = [hashlib.sha256(data).hexdigest() for data in
+               ((tmp_path / "f.json").read_bytes(), runs[0][1].encode(),
+                (tmp_path / "u.json").read_bytes())]
+    assert tuple(digests) == DIRECT_SUM_GOLDEN
 
 
 # -- the one-pass writer against the reference encoder ------------------------

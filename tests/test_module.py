@@ -266,10 +266,43 @@ def test_operations_on_valid_matrices_give_valid_matrices(mixed_spec):
         assert all(a.dtype == complex for a in R.blocks)
 
 
-@pytest.mark.parametrize("indices", [[], [[0, 1]]])
+# a bool mask, a bool and a float are no indices: numpy would read the mask
+# as positions 1, 0, 1 and truncate 1.5 to 1
+NON_INTEGER_INDICES = [np.array([True, False, True]), [True, False, True], [1.5], [0, 1.0]]
+
+
+@pytest.mark.parametrize("indices", [[], [[0, 1]]] + NON_INTEGER_INDICES)
 def test_select_columns_refuses_no_columns_and_nested_indices(mixed_spec, indices):
     with pytest.raises(ShapeError):
         AMatrix.zeros(mixed_spec, 2, 3).select_columns(indices)
+
+
+@pytest.mark.parametrize("indices", [[[0, 1]]] + NON_INTEGER_INDICES, ids=repr)
+def test_diagonal_refuses_nested_and_non_integer_indices(mixed_spec, indices):
+    with pytest.raises(ShapeError):
+        AMatrix.diagonal(mixed_spec, 3, 3, indices)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 1.5, [1], "1", slice(0, 1)], ids=repr)
+def test_entry_and_top_rows_refuse_non_integer_indices(mixed_spec, index):
+    M = AMatrix.random(mixed_spec, 3, 3, np.random.default_rng(0))
+    with pytest.raises(ShapeError):
+        M.entry(index, 2)
+    with pytest.raises(ShapeError):
+        M.entry(2, index)
+    with pytest.raises(ShapeError):
+        M.top_rows(index)
+
+
+def test_numpy_integer_indices_are_read_as_ints(mixed_spec):
+    M = AMatrix.random(mixed_spec, 3, 3, np.random.default_rng(0))
+    assert M.entry(np.int64(1), np.uint8(2)).allclose(M.entry(1, 2), tol=0.0)
+    assert M.top_rows(np.int32(2)).allclose(M.top_rows(2), tol=0.0)
+    assert M.select_columns(np.flatnonzero([True, False, True])).allclose(
+        M.select_columns([0, 2]), tol=0.0
+    )
+    D = AMatrix.diagonal(mixed_spec, 3, 3, np.array([2, 0], dtype=np.uint16))
+    assert D.allclose(AMatrix.diagonal(mixed_spec, 3, 3, [0, 2]), tol=0.0)
 
 
 class TestEntries:
@@ -660,6 +693,19 @@ class TestBlockAccessors:
             expected[(M.rows - 1) * M.cols] = x
             got = [M.entry(i, j) for i in range(M.rows) for j in range(M.cols)]
             assert all(a.allclose(b, tol=0.0) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
+    def test_from_grids_blocks_are_c_contiguous_for_any_layout(self, dims):
+        # swapped grids, as scalar_definition_check and the frame decoder
+        # pass, reshape to a Fortran-ordered view over a 1 x 1 summand;
+        # products round by memory order, so from_grids makes them C-ordered
+        spec = AlgebraSpec(dims)
+        M = AMatrix.random(spec, 3, 4, np.random.default_rng(16))
+        swapped = [np.ascontiguousarray(g.swapaxes(0, 1)).swapaxes(0, 1) for g in M.grids]
+        for grids in (M.grids, swapped, [np.asfortranarray(g) for g in M.grids]):
+            back = AMatrix.from_grids(spec, grids)
+            assert all(b.flags.c_contiguous for b in back.blocks)
+            assert [b.tobytes() for b in back.blocks] == [a.tobytes() for a in M.blocks]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
