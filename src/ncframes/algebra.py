@@ -3,9 +3,11 @@
 An algebra A = ⊕_j M_{m_j}(C) is described by its block sizes
 [m_1, ..., m_s].  Its elements are not a type of their own: since
 M_1(A) = A, an element of A is the 1 x 1 AMatrix of the module layer,
-one (m_j, m_j) block per summand.  This module holds the spec and the
+one (m_j, m_j) block per summand.  This module holds the spec, the
 dense kernels (spectral norms, complex Gaussian draws) the other layers
-compute with.
+compute with, and the tolerance rule: _scaled_tol computes every bound,
+and a Verdict carries a measured value and its bound from a check to the
+error that names them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "AlgebraSpec",
+    "Verdict",
 ]
 
 
@@ -45,6 +48,26 @@ def _as_int(value, what: str) -> int:
 def _scaled_tol(tol: float, scale: float, factor: float = 1.0) -> float:
     """The bound of every verdict, tol * max(1, |scale|) * factor: absolute below scale 1."""
     return tol * (max(1.0, abs(scale)) * factor)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A measured quantity held to a bound, kept together so that a failure
+    can name both: it holds when measured <= bound, or for a floor when
+    measured > bound, and a NaN holds neither."""
+
+    name: str
+    measured: float
+    bound: float
+    floor: bool = False
+
+    @property
+    def holds(self) -> bool:
+        return self.measured > self.bound if self.floor else self.measured <= self.bound
+
+    def __str__(self) -> str:
+        failed = "is not above" if self.floor else "exceeds"
+        return f"{self.name} {self.measured:.3e} {failed} tol {self.bound:.3e}"
 
 
 def _spectral_norm(a: np.ndarray) -> float:

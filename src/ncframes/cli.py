@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import io
-from .algebra import AlgebraSpec, ShapeError
+from .algebra import AlgebraSpec, ShapeError, Verdict
 from .decomposition import (
     commutation_residual,
     count_partitions,
@@ -32,7 +32,6 @@ from .decomposition import (
 from .frames import (
     Frame,
     NotTightError,
-    _above_tol,
     check_tight,
     factorize,
     is_spherical,
@@ -121,7 +120,7 @@ def _add_common(parser: ArgumentParser, tol: bool = True):
 
 def cmd_gen(args) -> int:
     _check_shape(args)
-    if not _above_tol(args.b, args.tol):
+    if not Verdict("b", args.b, args.tol, floor=True).holds:
         raise UsageError(
             f"b {args.b:g} is too small: it is not above --tol {args.tol:g}, "
             "so check_tight reports no such frame tight"

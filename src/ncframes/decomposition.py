@@ -42,7 +42,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _as_int, _check_positive, _scaled_tol, _spectral_norm, _spectral_norms
+from .algebra import (
+    Verdict, _as_int, _check_positive, _scaled_tol, _spectral_norm, _spectral_norms,
+)
 from .frames import (
     Frame,
     NotTightError,
@@ -165,7 +167,7 @@ def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
     residual at most (k / 2) * tol * max(1, b), within split_equivalence's
     bound, since every entry of F_I* F_{I^c} is a dropped edge.
     """
-    report = _require_tight(check_tight(F, tol), tol)
+    report = _require_tight(check_tight(F, tol))
     adj = _edges(gram_matrix(F), _scaled_tol(tol, report.b))
     np.fill_diagonal(adj, False)
     blocks = [tuple(i + 1 for i in blk) for blk in _components(adj)]
@@ -309,7 +311,7 @@ def split_equivalence(
     All are maximized over the summands.  An empty side has no columns and
     a zero projection, so it contributes 0 to every residual but closure.
     """
-    b = _require_tight(check_tight(F, tol), tol).b
+    b = _require_tight(check_tight(F, tol)).b
     threshold = _scaled_tol(tol, b, F.k)
     mask = _column_mask(I, F.k)
     sides = (_column_blocks(F, mask), _column_blocks(F, ~mask))
@@ -416,7 +418,8 @@ def direct_sum_frames(
 
     Every part must be tight with the same constant b; the result is tight
     with that constant and its ortho-decomposition refines (or equals) the
-    partition into the parts' column groups.
+    partition into the parts' column groups.  A part tight with another
+    constant raises NotTightError naming |b_part - b| against tol * max(1, b).
     """
     _check_positive(b, "frame constant b")
     if not parts:
@@ -425,9 +428,10 @@ def direct_sum_frames(
     for part in parts:
         if part.spec != spec:
             raise ValueError("parts live over different algebras")
-        report = _require_tight(check_tight(part, tol), tol)
-        if abs(report.b - b) > _scaled_tol(tol, b):
-            raise NotTightError(abs(report.b - b), _scaled_tol(tol, b))
+        report = _require_tight(check_tight(part, tol))
+        mismatch = Verdict("|b_part - b|", abs(report.b - b), _scaled_tol(tol, b))
+        if not mismatch.holds:
+            raise NotTightError(mismatch, mismatch.measured)
     n_total = sum(p.n for p in parts)
     k_total = sum(p.k for p in parts)
     out = AMatrix.zeros(spec, n_total, k_total)

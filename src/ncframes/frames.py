@@ -7,6 +7,10 @@ sqrt(b) * [I_n | 0] * U for a k x k unitary U over A.  The scalar-norm form
 of the condition, b ||<v,v>|| = sum_i ||<v,f_i>||^2, is kept as a Monte
 Carlo diagnostic; in the scalar algebra the two conditions coincide, while
 over matrix blocks the sum can strictly dominate.
+
+check_tight's report keeps the three Verdicts it decides by, and every
+operation that needs a tight frame raises NotTightError from the first that
+failed.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, ShapeError, _check_positive, _complex_gaussian, _scaled_tol, _spectral_norm,
-    _spectral_norms,
+    AlgebraSpec, ShapeError, Verdict, _check_positive, _complex_gaussian, _scaled_tol,
+    _spectral_norm, _spectral_norms,
 )
 from .module import AMatrix, complete_to_unitary, is_unitary
 
@@ -42,14 +46,18 @@ __all__ = [
 
 
 class NotTightError(ValueError):
-    """Raised when an operation requires a tight frame but the input is not;
-    tol is the threshold of the failed condition, which the message names."""
+    """Raised when an operation requires a tight frame but the input is not.
 
-    def __init__(self, residual: float, tol: float, *, b: float | None = None):
+    verdict is the failed condition, which the message names, and tol is its
+    bound.  residual is the frame's tightness residual, or |b_part - b| when
+    direct_sum_frames meets a part tight with another constant.
+    """
+
+    def __init__(self, verdict: Verdict, residual: float):
+        self.verdict = verdict
         self.residual = residual
-        self.tol = tol
-        failed = f"residual {residual:.3e} exceeds" if b is None else f"b {b:.3e} is not above"
-        super().__init__(f"frame is not tight: {failed} tol {tol:.3e}")
+        self.tol = verdict.bound
+        super().__init__(f"frame is not tight: {verdict}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +91,13 @@ class Frame:
 
 @dataclass(frozen=True)
 class TightnessReport:
+    """check_tight's measurements; is_tight joins the verdicts."""
+
     b: float
     residual: float
     is_tight: bool
     per_summand_b: tuple[float, ...]
+    verdicts: tuple[Verdict, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -121,20 +132,14 @@ def gram_matrix(F: Frame) -> AMatrix:
     return F.matrix.H @ F.matrix
 
 
-def _above_tol(b: float, tol: float) -> bool:
-    """The rule b > tol, without which no frame of constant b is tight at tol;
-    gen's --b, the optimizer's radius and is_spherical's r are held to it too."""
-    return b > tol
-
-
 def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     """Estimate the frame constant and measure the defect ||FF* - bI||.
 
     Per summand j the constant is estimated as the normalized trace of the
     frame operator's summand block; the single constant b is their mean.  The
-    frame is reported tight when the worst-summand residual is within
-    tol * max(1, b), the per-summand estimates agree to the same tolerance,
-    and b > tol.
+    frame is reported tight when b > tol, the worst-summand residual is within
+    tol * max(1, b) and the per-summand estimates agree to the same tolerance;
+    the report keeps these three Verdicts in that order.
 
     The report is memoized on F per tol, beside a copy of the bytes of F's
     summand blocks; it is reused only while those bytes compare equal, so a
@@ -160,20 +165,23 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
     residual = max(_spectral_norm(d) for d in defects)
     spread = max(abs(bj - b) for bj in per_b)
     bound = _scaled_tol(tol, b)
-    is_tight = residual <= bound and spread <= bound and _above_tol(b, tol)
-    report = TightnessReport(b, residual, is_tight, tuple(per_b))
+    verdicts = (
+        Verdict("b", b, tol, floor=True),
+        Verdict("residual", residual, bound),
+        Verdict("spread", spread, bound),
+    )
+    is_tight = all(v.holds for v in verdicts)
+    report = TightnessReport(b, residual, is_tight, tuple(per_b), verdicts)
     F._tightness[tol] = (snapshot, report)
     return report
 
 
-def _require_tight(report: TightnessReport, tol: float) -> TightnessReport:
-    """report if tight, else NotTightError for b <= tol or else for the residual
-    above tol * max(1, |b|); the spread of the b_j is at most the residual."""
-    if report.is_tight:
-        return report
-    if not _above_tol(report.b, tol):
-        raise NotTightError(report.residual, tol, b=report.b)
-    raise NotTightError(report.residual, _scaled_tol(tol, report.b))
+def _require_tight(report: TightnessReport) -> TightnessReport:
+    """report if all its verdicts hold, else NotTightError from the first that failed."""
+    for verdict in report.verdicts:
+        if not verdict.holds:
+            raise NotTightError(verdict, report.residual)
+    return report
 
 
 def scalar_definition_check(
@@ -230,7 +238,7 @@ def is_spherical(
         norms = np.max([_spectral_norms(g) for g in grams], axis=0)
         r = float(np.mean(norms))
         deviation = float(np.max(np.abs(norms - r)))
-    ok = deviation <= _scaled_tol(tol, r) and _above_tol(r, tol)
+    ok = deviation <= _scaled_tol(tol, r) and Verdict("r", r, tol, floor=True).holds
     return SphericalReport(ok, r, deviation, mode)
 
 
@@ -275,7 +283,7 @@ def factorize(F: Frame, tol: float = 1e-9) -> FactorizationResult:
     so U is unitary to machine precision even when the tightness residual
     sits at the tolerance.
     """
-    b = _require_tight(check_tight(F, tol), tol).b
+    b = _require_tight(check_tight(F, tol)).b
     G = (1.0 / np.sqrt(b)) * F.matrix
     polished = []
     for blk in G.blocks:

@@ -246,6 +246,8 @@ def decode_frame_file(data: Any) -> Frame:
         data = _json(data, dict)
         spec = decode_spec(data["algebra"])
         n, k = _json_int(data["n"]), _json_int(data["k"])
+        if n < 1 or k < 1:
+            raise FormatError(f"n and k must be positive, got {n} and {k}")
         grids = _decode_grids(data["columns"], spec, (k, n))
         return Frame(AMatrix.from_grids(spec, [g.swapaxes(0, 1) for g in grids]))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

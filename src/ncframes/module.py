@@ -36,7 +36,9 @@ column whose residual is longest, and because P*P = P those squared
 residuals are the diagonal of P's Schur complement, so the pivots come from
 a pivoted Cholesky of P and one unpivoted QR of the pivot columns.  Exact
 ties, as on symmetric frames, go to the lowest index rather than to
-whichever column roundoff favours.
+whichever column roundoff favours.  A refusal raises NotCoisometricError
+from the Verdict that failed: ||MM* - I|| within tol, a pivot remainder
+above 0, or the last pivot of R above 1e-8.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, ShapeError, _as_int, _check_positive, _complex_gaussian, _scaled_tol,
+    AlgebraSpec, ShapeError, Verdict, _as_int, _check_positive, _complex_gaussian, _scaled_tol,
     _spectral_norm, _spectral_norms,
 )
 
@@ -63,14 +65,12 @@ __all__ = [
 
 
 class NotCoisometricError(ValueError):
-    """Input rows are not orthonormal over A, so no unitary completion exists."""
+    """Input rows are not orthonormal over A, so no unitary completion exists;
+    verdict is the failed condition, which the message names."""
 
-    def __init__(self, residual: float, tol: float):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"matrix is not a coisometry: ||MM* - I|| = {residual:.3e} > tol = {tol:.3e}"
-        )
+    def __init__(self, verdict: Verdict):
+        self.verdict = verdict
+        super().__init__(f"matrix is not a coisometry: {verdict}")
 
 
 def _indices(indices, ndim: int = 1):
@@ -433,7 +433,7 @@ def _greedy_pivots(proj: np.ndarray, want: int) -> np.ndarray:
     residual leads by more than roundoff, as on generic frames.
 
     Raises NotCoisometricError, instead of dividing, when the largest
-    remainder is not positive.  On a projector the remainders stay in
+    remainder is not above 0.  On a projector the remainders stay in
     [0, 1]; an input far from one (an indefinite I - M*M at a loose tol)
     may overflow them instead, and the inf or NaN that leaves ends in a
     rejected pivot or in the rank guard on R.
@@ -443,9 +443,10 @@ def _greedy_pivots(proj: np.ndarray, want: int) -> np.ndarray:
     piv = np.zeros(want, dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(want):
-            top = rest.max()  # NaN, should one appear
-            if not top > 0:  # written so that NaN fails
-                raise NotCoisometricError(float(np.sqrt(max(top, 0.0))), 1e-8)
+            top = float(rest.max())  # NaN, should one appear, fails the floor too
+            remainder = Verdict("pivot remainder", top, 0.0, floor=True)
+            if not remainder.holds:
+                raise NotCoisometricError(remainder)
             p = int(np.argmax(rest >= top - 1e-12))
             col = (proj[:, p] - chol[:, :j] @ chol[p, :j].conj()) / np.sqrt(rest[p])
             chol[:, j] = col
@@ -473,16 +474,17 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
     ------
     NotCoisometricError
         If ||MM* - I|| > tol, or if the projector's rank falls short of
-        (k - n) * m: the pivot search meets a remainder <= 0, or the last
-        pivot in R is below 1e-8.
+        (k - n) * m: the pivot search meets a remainder not above 0, or the
+        last pivot in R is not above 1e-8.  The message names the failed
+        condition, its measured value and its bound.
     """
     _check_positive(tol, "tol")
     n, k = M.rows, M.cols
     if n > k:
         raise ShapeError("completion needs at least as many columns as rows")
-    residual = _coisometry_residual(M)
-    if residual > tol:
-        raise NotCoisometricError(residual, tol)
+    residual = Verdict("||MM* - I||", _coisometry_residual(M), tol)
+    if not residual.holds:
+        raise NotCoisometricError(residual)
     out_blocks = []
     for m, flat in zip(M.spec.summand_dims, M.blocks):
         want = (k - n) * m
@@ -491,9 +493,9 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
             continue
         proj = np.eye(k * m, dtype=complex) - flat.conj().T @ flat
         q, r = np.linalg.qr(proj[:, _greedy_pivots(proj, want)])
-        pivot = float(abs(r[want - 1, want - 1]))
-        if pivot < 1e-8:
-            raise NotCoisometricError(pivot, 1e-8)
+        pivot = Verdict("last pivot", float(abs(r[want - 1, want - 1])), 1e-8, floor=True)
+        if not pivot.holds:
+            raise NotCoisometricError(pivot)
         extra = q.conj().T
         # a unit row always has an entry above 1e-12; the first becomes real
         # positive, and + 0.0 clears the -0.0 a negative phase leaves on zeros

@@ -22,8 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _check_positive, _complex_gaussian, _scaled_tol, _spectral_norm
-from .frames import Frame, _above_tol
+from .algebra import (
+    AlgebraSpec, Verdict, _check_positive, _complex_gaussian, _scaled_tol, _spectral_norm,
+)
+from .frames import Frame
 from .module import AMatrix, _column_grams, _scale_columns
 
 __all__ = [
@@ -83,7 +85,7 @@ class OptimizerConfig:
         not order the iterates.
         """
         r = self.radius if self.radius is not None else n / k
-        if not _above_tol(k * r / n, self.tight_tol):
+        if not Verdict("k*r/n", k * r / n, self.tight_tol, floor=True).holds:
             raise ValueError(
                 f"radius {r:g} is too small: the frame constant k*r/n = {k * r / n:g} "
                 f"is not above tight_tol {self.tight_tol:g}"

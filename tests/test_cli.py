@@ -272,6 +272,43 @@ class TestFactorize:
         assert not (tmp_path / "u.json").exists()
 
 
+# the exit-1 stdout of the commands that need a tight frame, byte for byte, on
+# two diagonal frames over C whose numbers are exact: diag(1, 2) fails its
+# residual, and diag(sqrt(4e-10), sqrt(6e-10)) has b = 5e-10 below tol with a
+# residual within it; factorize's "residual" is the tightness residual in both
+_REPORT = (
+    '{{\n  "b": {b},\n  "residual": {res},\n  "is_tight": false,\n'
+    '  "per_summand_b": [\n    {b}\n  ]\n}}\n'
+)
+NOT_TIGHT_STDOUT = {
+    "residual": (
+        [1.0, 2.0],
+        _REPORT.format(b="2.5", res="1.5"),
+        '{\n  "error": "frame is not tight: residual 1.500e+00 exceeds tol 2.500e-09",\n'
+        '  "residual": 1.5\n}\n',
+    ),
+    "b": (
+        [math.sqrt(4e-10), math.sqrt(6e-10)],
+        _REPORT.format(b="5e-10", res="9.999999999999996e-11"),
+        '{\n  "error": "frame is not tight: b 5.000e-10 is not above tol 1.000e-09",\n'
+        '  "residual": 9.999999999999996e-11\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("failed", sorted(NOT_TIGHT_STDOUT))
+def test_not_tight_stdout_is_pinned(tmp_path, capsys, failed):
+    from ncframes import AlgebraSpec, AMatrix, Frame
+
+    diag, report, error = NOT_TIGHT_STDOUT[failed]
+    path, out = tmp_path / "f.json", tmp_path / "u.json"
+    save_frame(path, Frame(AMatrix(AlgebraSpec((1,)), 2, 2, (np.diag(diag),))))
+    assert run(capsys, "verify", str(path)) == (1, report)
+    assert run(capsys, "analyze", str(path)) == (1, report)
+    assert run(capsys, "factorize", str(path), "--out", str(out)) == (1, error)
+    assert not out.exists()
+
+
 class TestTextOutput:
     def test_verify_prints_key_value_lines(self, tmp_path, capsys):
         path = tmp_path / "f.json"

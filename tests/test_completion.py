@@ -168,3 +168,17 @@ def test_zero_remainder_is_refused_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(NotCoisometricError):
             _greedy_pivots(proj, 4)
+
+
+@pytest.mark.parametrize("tol,message", [
+    (1.0, "||MM* - I|| 1.420e+00 exceeds tol 1.000e+00"),
+    # ||MM* - I|| passes tol = 2, but I - M*M = [[-0.21, -1.21], [-1.21, -0.21]]
+    # has no positive diagonal entry, so the first pivot is refused
+    (2.0, "pivot remainder -2.100e-01 is not above tol 0.000e+00"),
+])
+def test_refusal_names_the_condition_that_failed(tol, message):
+    M = AMatrix(AlgebraSpec((1,)), 1, 2, (np.array([[1.1, 1.1]]),))
+    with pytest.raises(NotCoisometricError) as exc:
+        complete_to_unitary(M, tol=tol)
+    assert str(exc.value) == f"matrix is not a coisometry: {message}"
+    assert str(exc.value.verdict) == message and not exc.value.verdict.holds

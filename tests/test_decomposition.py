@@ -424,6 +424,7 @@ class TestDirectSum:
         # the mismatch of the constants, not the residual of the tight part
         assert exc.value.residual == pytest.approx(0.5)
         assert exc.value.tol == pytest.approx(1.5e-9)
+        assert str(exc.value) == "frame is not tight: |b_part - b| 5.000e-01 exceeds tol 1.500e-09"
 
 
 class TestEdgeBracket:

@@ -222,16 +222,59 @@ def test_every_scaled_bound_comes_from_one_function():
     assert sites == ["algebra.py:_scaled_tol", "cli.py:_selftest_cstar"]
 
 
-def test_each_above_tol_comparison_is_the_one_rule():
-    # in frames.py a quantity is compared above tol by _above_tol alone
-    found = sorted(
-        func
-        for func, node in _owned_nodes(PACKAGE / "frames.py")
-        if isinstance(node, ast.Compare)
-        and any(isinstance(op, ast.Gt) for op in node.ops)
-        and any(getattr(c, "id", None) == "tol" for c in node.comparators)
-    )
-    assert found == ["_above_tol"]
+def _is_tol(node) -> bool:
+    """Whether an operand names a tolerance: tol, a name ending in _tol, or a bound."""
+    name = getattr(node, "attr", getattr(node, "id", None))
+    return name is not None and (name in ("tol", "bound") or name.endswith("_tol"))
+
+
+def test_every_floor_above_a_tol_is_verdict_holds():
+    # the strict floor x > tol is written once, in algebra.Verdict.holds:
+    # check_tight's b, is_spherical's r, gen's --b, the optimizer's k r / n
+    # and the pivots of complete_to_unitary all ask a floor Verdict.  The one
+    # other x > tol in the package is is_positive's Hermitian test, a ceiling
+    # whose failure returns False, a bare bool that needs no bound to travel
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func, node in _owned_nodes(path):
+            if not isinstance(node, ast.Compare):
+                continue
+            # the operand held below: right of a >, left of a <
+            operands = [node.left, *node.comparators]
+            floors = [x for op, x in zip(node.ops, operands[1:]) if isinstance(op, ast.Gt)]
+            floors += [x for op, x in zip(node.ops, operands) if isinstance(op, ast.Lt)]
+            if any(map(_is_tol, floors)):
+                found.append(f"{path.name}:{func}")
+    assert sorted(found) == ["algebra.py:holds", "module.py:is_positive"]
+
+
+def test_tolerance_failures_are_raised_from_verdicts():
+    from ncframes.algebra import Verdict
+    from ncframes.frames import NotTightError, _require_tight
+    from ncframes.module import NotCoisometricError
+
+    # the tightness gate reads the failed verdict off the report, with no tol
+    # to recompute a bound from
+    assert list(inspect.signature(_require_tight).parameters) == ["report"]
+    # both errors are built from the verdict that failed, which names itself
+    for error in (NotTightError, NotCoisometricError):
+        first = next(iter(inspect.signature(error).parameters.values()))
+        assert (first.name, first.annotation) == ("verdict", "Verdict")
+    verdict = Verdict("residual", 2.0, 1.0)
+    assert str(verdict) == "residual 2.000e+00 exceeds tol 1.000e+00"
+    assert str(NotTightError(verdict, 2.0)) == f"frame is not tight: {verdict}"
+    assert str(NotCoisometricError(verdict)) == f"matrix is not a coisometry: {verdict}"
+    # no module imports a private name from frames but the tightness gate,
+    # which factorize and decomposition's gates share
+    private = [
+        (path.name, alias.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "frames"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [("decomposition.py", "_require_tight")]
 
 
 def _identifier(node):

@@ -767,3 +767,15 @@ def test_fuzzed_frame_document_decodes_as_the_nested_decoder(edits):
     assert (flat is None) == (nested is None)
     if flat is not None:
         assert _blocks(flat) == _blocks(nested)
+
+
+@pytest.mark.parametrize("n,k,columns", [(0, 2, [[], []]), (2, 0, []), (-1, -1, [])])
+def test_frame_file_with_a_non_positive_shape_is_refused_by_name(tmp_path, capsys, n, k, columns):
+    # a header with no columns or no rows has no blocks to count: its shape
+    # is what is wrong, as for a matrix file's rows and cols
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"algebra": [1], "n": n, "k": k, "columns": columns}))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad frame file: n and k must be positive, got {n} and {k}\n"
