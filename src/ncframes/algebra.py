@@ -71,17 +71,32 @@ class Verdict:
 
 
 def _spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a 2-D array.
+    """Largest singular value of a 2-D array, or NaN for one that is not finite.
 
     The same value as np.linalg.norm(a, 2), which computes these singular
     values and takes their maximum, without that wrapper's dispatch cost.
+    LAPACK returns NaN for an infinite entry and refuses a NaN one, which
+    numpy raises as LinAlgError; that refusal reads NaN, so every verdict
+    on the value fails.  The entries are inspected only after a refusal,
+    so a finite array pays nothing.
     """
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    try:
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    except np.linalg.LinAlgError:
+        if np.isfinite(a).all():
+            raise
+        return np.nan
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (..., p, q) stack."""
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    """Largest singular value of each matrix in a (..., p, q) stack; NaN for
+    a matrix that is not finite, as _spectral_norm gives."""
+    try:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError:
+        # one refused matrix fails the whole call, so measure each alone
+        flat = stack.reshape(-1, *stack.shape[-2:])
+        return np.array([_spectral_norm(a) for a in flat]).reshape(stack.shape[:-2])
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

@@ -10,7 +10,12 @@ over matrix blocks the sum can strictly dominate.
 
 check_tight's report keeps the three Verdicts it decides by, and every
 operation that needs a tight frame raises NotTightError from the first that
-failed.
+failed.  A frame with a NaN or infinite entry measures NaN, so it is
+neither tight nor spherical.
+
+canonical_frame checks that the caller's U is unitary before it takes the
+normal form; random_tight_frame takes the same step unchecked, on a QR
+factor that is unitary by construction.
 """
 
 from __future__ import annotations
@@ -272,6 +277,11 @@ def canonical_frame(
     if not is_unitary(U, tol):
         raise ValueError("U is not unitary within tolerance")
     _check_k_n(k, n)
+    return _normal_form(b, U, n)
+
+
+def _normal_form(b: float, U: AMatrix, n: int) -> Frame:
+    """sqrt(b) * [I_n | 0] * U for a unitary U the caller vouches for, unchecked."""
     return Frame(np.sqrt(b) * U.top_rows(n))
 
 
@@ -314,8 +324,9 @@ def random_unitary(
 def random_tight_frame(
     spec: AlgebraSpec, k: int, n: int, b: float = 1.0, seed: int = 0
 ) -> Frame:
-    """A seeded tight frame drawn through the normal form."""
+    """A seeded tight frame drawn through the normal form: canonical_frame's
+    frame for U = random_unitary of the seeded generator, bit for bit, but
+    without its is_unitary check, as a QR factor is unitary by construction."""
     _check_k_n(k, n)
-    rng = np.random.default_rng(seed)
-    U = random_unitary(spec, k, rng)
-    return canonical_frame(spec, k, n, b, U)
+    _check_positive(b, "frame constant b")
+    return _normal_form(b, random_unitary(spec, k, np.random.default_rng(seed)), n)

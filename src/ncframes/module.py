@@ -347,16 +347,21 @@ class AMatrix:
         return self.adjoint()
 
     def norm(self) -> float:
-        """Operator norm: the largest summand spectral norm."""
-        return max(_spectral_norm(a) for a in self.blocks)
+        """Operator norm: the largest summand spectral norm, NaN if any is NaN
+        (a non-finite block, see algebra._spectral_norm)."""
+        norms = [_spectral_norm(a) for a in self.blocks]
+        # max drops a NaN that follows a number; the sum is NaN when any is
+        total = sum(norms)
+        return max(norms) if total == total else np.nan
 
     def is_positive(self, tol: float = 1e-9) -> bool:
         """Positivity in the C*-algebra M_n(A), for square M only: per summand
-        block, Hermitian within tol and smallest eigenvalue >= -tol."""
+        block, Hermitian within tol and smallest eigenvalue >= -tol.  A block
+        that is not finite has a NaN Hermitian defect, so M is not positive."""
         self._check_square("is_positive")
         _check_positive(tol, "tol")
         for a in self.blocks:
-            if _spectral_norm(a - a.conj().T) > tol:
+            if not _spectral_norm(a - a.conj().T) <= tol:  # written so that NaN fails
                 return False
             herm = (a + a.conj().T) / 2
             if float(np.linalg.eigvalsh(herm)[0]) < -tol:
@@ -409,7 +414,8 @@ def _coisometry_residual(M: AMatrix) -> float:
 
 
 def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:
-    """True iff ||M M* M - M|| <= tol * max(1, ||M||)."""
+    """True iff ||M M* M - M|| <= tol * max(1, ||M||); False for a matrix that
+    is not finite, whose defect is NaN."""
     _check_positive(tol, "tol")
     defect = (M @ M.H @ M - M).norm()
     return defect <= _scaled_tol(tol, M.norm())

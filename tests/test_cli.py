@@ -230,6 +230,39 @@ class TestAnalyze:
         assert doc["blocks"][0]["b"] == doc["tightness"]["b"]
         assert sizes == [5, 5]
 
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+    def test_block_residuals_match_commutation_residual_bit_for_bit(
+        self, tmp_path, capsys, dims
+    ):
+        # each block's printed residual is commutation_residual's value in
+        # every bit: roundoff on a direct sum rotated by a left unitary, and
+        # an exact 0.0 on the exact direct sum
+        from ncframes import (
+            AlgebraSpec, Frame, commutation_residual, direct_sum_frames,
+            random_tight_frame, random_unitary,
+        )
+
+        spec = AlgebraSpec(dims)
+        shapes = [(3, 2), (4, 3), (2, 1)]
+        parts = [random_tight_frame(spec, k, n, 1.0, seed) for seed, (k, n) in enumerate(shapes)]
+        exact = direct_sum_frames(parts, 1.0)
+        V = random_unitary(spec, exact.n, np.random.default_rng(5))
+        path = tmp_path / "f.json"
+        printed = {}
+        for name, F in (("exact", exact), ("rotated", Frame(V @ exact.matrix))):
+            save_frame(path, F)
+            rc, out = run(capsys, "analyze", str(path))
+            doc = json.loads(out)
+            assert rc == 0
+            assert doc["partition"] == [[1, 2, 3], [4, 5, 6, 7], [8, 9]]
+            F = load_frame(path)
+            printed[name] = [blk["commutation_residual"] for blk in doc["blocks"]]
+            assert printed[name] == [commutation_residual(F, blk) for blk in doc["partition"]]
+            if name == "exact":
+                assert out.count('"commutation_residual": 0.0,') == 3
+        assert printed["exact"] == [0.0] * 3
+        assert 0.0 < max(printed["rotated"]) <= 1e-14
+
 
 class TestFactorize:
     def test_scaled_coisometry(self, tmp_path, capsys):

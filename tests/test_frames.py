@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,79 @@ def test_is_spherical_rejects_bad_tol(mixed_spec, bad, mode):
 def test_random_tight_frame_rejects_bad_constant(mixed_spec, bad):
     with pytest.raises(ValueError, match="frame constant"):
         random_tight_frame(mixed_spec, 3, 2, b=bad)
+
+
+# The benchmark's frame shapes: (algebra, k, n).  Bulk: gen and the commands
+# after it; split: the specs of the exhaustive split pass with its random
+# shapes and its direct-sum parts; descent: minimize's shapes.
+BULK_SHAPES = [((2,), 48, 24), ((1,), 128, 64), ((2, 1), 48, 24), ((3, 2), 48, 24)]
+SPLIT_SHAPES = [
+    (dims, k, n)
+    for dims in [(1,), (2,), (1, 1), (2, 1)]
+    for k, n in [(4, 2), (5, 3), (6, 4), (7, 4), (8, 5), (2, 1), (3, 2), (4, 3), (3, 1)]
+]
+DESCENT_SHAPES = [((1,), 5, 3), ((2,), 6, 4), ((2,), 8, 6), ((2, 1), 12, 8), ((3, 2), 24, 16)]
+
+
+@pytest.mark.parametrize("dims,k,n", BULK_SHAPES + SPLIT_SHAPES + DESCENT_SHAPES)
+def test_random_tight_frame_is_the_checked_normal_form(dims, k, n):
+    # random_tight_frame skips canonical_frame's is_unitary, since its QR
+    # factor is unitary by construction; this holds that factor to 1e-12
+    # and the frame to canonical_frame's on the same U, bit for bit
+    spec = AlgebraSpec(dims)
+    for seed in range(10):
+        U = random_unitary(spec, k, np.random.default_rng(seed))
+        assert is_unitary(U, 1e-12)
+        for b in (1.0, 2.0):
+            F = random_tight_frame(spec, k, n, b, seed)
+            checked = canonical_frame(spec, k, n, b, U)
+            assert [x.tobytes() for x in F.matrix.blocks] == [
+                x.tobytes() for x in checked.matrix.blocks
+            ]
+
+
+def _with_entry(M, value, summand=0):
+    """A copy of M whose first number in the given summand block is value."""
+    blocks = [x.copy() for x in M.blocks]
+    blocks[summand][0, 0] = value
+    return AMatrix(M.spec, M.rows, M.cols, tuple(blocks))
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_get_a_false_verdict(dims, value):
+    # LAPACK refuses a NaN entry and gives NaN singular values for an
+    # infinite one; either way the measured value is NaN and every verdict
+    # fails, with no LinAlgError.  Arithmetic on an infinite entry warns, as
+    # numpy does, so only the NaN case runs with warnings as errors
+    spec = AlgebraSpec(dims)
+    F = random_tight_frame(spec, 3, 3, 1.0, 1)  # tight, spherical, unitary
+    M = _with_entry(F.matrix, value)
+    bad = Frame(M)
+    ignored = "ignore" if np.isinf(value) else "raise"
+    with np.errstate(invalid=ignored, over=ignored):
+        report = check_tight(bad)
+        spherical = [is_spherical(bad, mode=mode) for mode in ("strict", "equal_norm")]
+        positive = (M @ M.H).is_positive(), _with_entry(M @ M.H, value).is_positive()
+        partial = is_partial_isometry(M)
+    assert (report.is_tight, math.isnan(report.residual)) == (False, True)
+    assert [(s.is_spherical, math.isnan(s.deviation)) for s in spherical] == [(False, True)] * 2
+    assert positive == (False, False)
+    assert partial is False
+    # the same calls on F itself hold
+    assert check_tight(F).is_tight and is_spherical(F).is_spherical
+    assert (F.matrix @ F.matrix.H).is_positive() and is_partial_isometry(F.matrix)
+
+
+def test_a_non_finite_summand_is_not_outvoted_by_a_finite_one():
+    # the norm of a matrix over C + C is the larger summand norm; a NaN in
+    # the second summand must not lose to the first summand's number
+    spec = AlgebraSpec((1, 1))
+    U = random_unitary(spec, 3, np.random.default_rng(0))
+    M = _with_entry(U, np.nan, summand=1)
+    assert math.isnan(M.norm())
+    assert not is_partial_isometry(M)
+    assert not is_unitary(M)
+    # entry norms are measured one entry at a time, so only the NaN one is NaN
+    norms = M.entry_norms()
+    assert np.isnan(norms[0, 0]) and np.isfinite(np.delete(norms.ravel(), 0)).all()

@@ -231,9 +231,9 @@ def _is_tol(node) -> bool:
 def test_every_floor_above_a_tol_is_verdict_holds():
     # the strict floor x > tol is written once, in algebra.Verdict.holds:
     # check_tight's b, is_spherical's r, gen's --b, the optimizer's k r / n
-    # and the pivots of complete_to_unitary all ask a floor Verdict.  The one
-    # other x > tol in the package is is_positive's Hermitian test, a ceiling
-    # whose failure returns False, a bare bool that needs no bound to travel
+    # and the pivots of complete_to_unitary all ask a floor Verdict.
+    # is_positive's Hermitian test is a ceiling written "not x <= tol", so
+    # that the NaN defect of a non-finite block fails it
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for func, node in _owned_nodes(path):
@@ -245,7 +245,7 @@ def test_every_floor_above_a_tol_is_verdict_holds():
             floors += [x for op, x in zip(node.ops, operands) if isinstance(op, ast.Lt)]
             if any(map(_is_tol, floors)):
                 found.append(f"{path.name}:{func}")
-    assert sorted(found) == ["algebra.py:holds", "module.py:is_positive"]
+    assert sorted(found) == ["algebra.py:holds"]
 
 
 def test_tolerance_failures_are_raised_from_verdicts():
@@ -300,3 +300,16 @@ def test_column_side_spectra_are_read_at_one_svd_site():
                for node in ast.walk(ast.parse(module.read_text(), str(module))))
     ]
     assert stale == []
+
+
+def test_random_tight_frame_takes_the_unchecked_normal_form():
+    # its QR factor is unitary by construction, so random_tight_frame skips
+    # canonical_frame's is_unitary; tests/test_frames.py holds the factor to
+    # 1e-12 and the frame to canonical_frame's bits instead
+    called = {
+        _identifier(node.func)
+        for owner, node in _owned_nodes(PACKAGE / "frames.py")
+        if owner == "random_tight_frame" and isinstance(node, ast.Call)
+    }
+    assert "_normal_form" in called
+    assert called.isdisjoint({"canonical_frame", "is_unitary"})
