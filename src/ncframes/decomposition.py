@@ -4,15 +4,18 @@ A tight frame splits across a column subset I exactly when its Gram matrix
 F*F commutes with the coordinate projection Q_I; the finest such splitting
 is read off as the connected components (a breadth-first search) of the
 support graph of the Gram off-diagonal.  split_equivalence measures both
-sides of that equivalence for one subset: the commutator norm
-||F_I* F_Ic|| on one side; on the other, one spectrum per column side
-(_side_spectra: per summand, the SVD giving its range, rank and tightness
-on that range), then one eigvalsh of P + Pc - I per summand, for the range
-projections P and Pc.  Its ends give how far P + Pc falls short of the
-identity, and its largest value is also the overlap ||P Pc|| of the two
-ranges: by Halmos' two-subspace theorem (Trans. AMS 144, 1969) the
-eigenvalues of P + Pc - I are +-cos of the principal angles between the
-ranges, together with 1, 0 and -1.  One tolerance tol means the same in
+sides of that equivalence for one subset in one loop over the summands.
+Per summand it gathers the two column sides of the subset's mask as bare
+blocks (module._column_sides), and takes the commutator norm ||F_I* F_Ic||
+for one side of the equivalence; for the other, one spectrum per column
+side (_side_spectrum: the SVD giving its range, rank and tightness on that
+range), then one eigvalsh of P + Pc - I, for the range projections P and
+Pc.  Each residual is folded into its running maximum.  The eigvalsh's
+ends give how far P + Pc falls short of the identity, and its largest
+value is also the overlap ||P Pc|| of the two ranges: by Halmos'
+two-subspace theorem (Trans. AMS 144, 1969) the eigenvalues of
+P + Pc - I are +-cos of the principal angles between the ranges,
+together with 1, 0 and -1.  One tolerance tol means the same in
 every verdict here: a frame is tight when ||FF* - bI|| <= tol * max(1, b)
 (check_tight), a Gram entry is an edge when its norm exceeds that same
 bound (ortho_decompose), and split_equivalence allows k times it.  An edge
@@ -52,7 +55,7 @@ from .frames import (
     check_tight,
     gram_matrix,
 )
-from .module import AMatrix
+from .module import AMatrix, _column_sides
 
 __all__ = [
     "Partition",
@@ -133,28 +136,17 @@ def _column_mask(I: Iterable[int], k: int) -> np.ndarray:
     return np.array([i in labels for i in range(1, k + 1)], dtype=bool)
 
 
-def _column_blocks(F: Frame, keep: np.ndarray) -> tuple:
-    """Per summand, the block of the columns where keep holds; () for none."""
-    idx = np.flatnonzero(keep)
-    return F.matrix.select_columns(idx).blocks if len(idx) else ()
-
-
-def _commutator_norm(sub: tuple, comp: tuple) -> float:
-    """||F_I* F_{I^c}||, the largest over the summands of the spectral norm of y* yc."""
-    return max(_spectral_norm(y.conj().T @ yc) for y, yc in zip(sub, comp))
-
-
 def commutation_residual(F: Frame, I: Iterable[int]) -> float:
     """||Q_I (F*F) - (F*F) Q_I|| for the coordinate projection onto I.
 
     The commutator has the Gram block F_I* F_{I^c} and minus its adjoint as
-    its only nonzero blocks, so its norm is ||F_I* F_{I^c}||; it is 0 when I
-    or its complement is empty.
+    its only nonzero blocks, so its norm is ||F_I* F_{I^c}||, the largest
+    over the summands; it is 0 when I or its complement is empty.
     """
     mask = _column_mask(I, F.k)
     if mask.all() or not mask.any():
         return 0.0
-    return _commutator_norm(_column_blocks(F, mask), _column_blocks(F, ~mask))
+    return max(_spectral_norm(y.conj().T @ yc) for y, yc in _column_sides(F.matrix, mask))
 
 
 def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
@@ -229,9 +221,9 @@ def restrict(F: Frame, I: Iterable[int]) -> Frame:
     return Frame(F.matrix.select_columns(np.flatnonzero(mask)))
 
 
-def _side_spectra(blocks: tuple, tol: float, b: float) -> list[tuple[int, float, np.ndarray]]:
-    """(rank, residual, U_r) of each summand block y of one column side,
-    from one SVD y = U S V* and one pass over its descending singular values.
+def _side_spectrum(y: np.ndarray, tol: float, b: float) -> tuple[int, float, np.ndarray]:
+    """(rank, residual, U_r) of a summand block y of one column side, from
+    one SVD y = U S V* and one pass over its descending singular values.
 
     The rank r counts the values above tol * max(1, s_max); the rest count
     as zero, and U_r, the leading r left singular vectors, spans the
@@ -240,36 +232,33 @@ def _side_spectra(blocks: tuple, tol: float, b: float) -> list[tuple[int, float,
     projection onto that range.  Python floats round as numpy's float64
     does, so this equals the array arithmetic bit for bit.
     """
-    spectra = []
-    for y in blocks:
-        u, s, _ = np.linalg.svd(y, full_matrices=False)
-        values = s.tolist()
-        cut = _scaled_tol(tol, values[0])
-        rank = 0
-        residual = 0.0
-        for v in values:
-            sq = v * v
-            if v > cut:  # LAPACK sorts s descending, so the kept values lead
-                rank += 1
-                sq = abs(sq - b)
-            if sq > residual:
-                residual = sq
-        spectra.append((rank, residual, u[:, :rank]))
-    return spectra
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
+    values = s.tolist()
+    cut = _scaled_tol(tol, values[0])
+    rank = 0
+    residual = 0.0
+    for v in values:
+        sq = v * v
+        if v > cut:  # LAPACK sorts s descending, so the kept values lead
+            rank += 1
+            sq = abs(sq - b)
+        if sq > residual:
+            residual = sq
+    return rank, residual, u[:, :rank]
 
 
 def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
     """The constant b of the columns I as a tight frame on their own range.
 
     Per summand, trace(F_I F_I*) divided by the rank of F_I (by
-    _side_spectra), averaged over the summands where that rank is positive;
-    0.0 when it is zero in all of them.  For the columns of a block of a
-    tight frame's ortho-decomposition this is the frame's b, where
-    check_tight(restrict(F, I)) would divide by the full n * m_j.
+    _side_spectrum), averaged over the summands where that rank is
+    positive; 0.0 when it is zero in all of them.  For the columns of a
+    block of a tight frame's ortho-decomposition this is the frame's b,
+    where check_tight(restrict(F, I)) would divide by the full n * m_j.
     """
     _check_positive(tol, "tol")
     blocks = restrict(F, I).matrix.blocks
-    ranks = [rank for rank, _, _ in _side_spectra(blocks, tol, 0.0)]
+    ranks = [_side_spectrum(y, tol, 0.0)[0] for y in blocks]
     per_b = [float(np.vdot(y, y).real) / r for y, r in zip(blocks, ranks) if r]
     return float(np.mean(per_b)) if per_b else 0.0
 
@@ -286,10 +275,10 @@ def split_equivalence(
     range projections sum to the identity.  Every residual is compared
     against threshold = tol * max(1, b) * k.
 
-    One spectrum per column side (_side_spectra), then one summand loop,
-    with one eigvalsh, for the closure and the overlap.  Per summand,
-    F_I = U S V* and F_Ic = Uc Sc Vc* are SVDs of the two sides, r and rc
-    their ranks (singular values above tol * max(1, s_max)), and
+    One loop over the summands.  Per summand, both column sides come from
+    the column mask as bare blocks (module._column_sides), F_I = U S V*
+    and F_Ic = Uc Sc Vc* are their SVDs (_side_spectrum), r and rc their
+    ranks (singular values above tol * max(1, s_max)), and
     P = U_r U_r*, Pc = Uc_rc Uc_rc* the projections onto their ranges:
 
     - commutation_residual: ||F_I* F_Ic||, the norm of Q_I G - G Q_I;
@@ -308,28 +297,31 @@ def split_equivalence(
       same eigvalsh.  It is measured, not derived from the ranks and the
       overlap, since it is the check that the two ranges fill A^n.
 
-    All are maximized over the summands.  An empty side has no columns and
-    a zero projection, so it contributes 0 to every residual but closure.
+    Each is folded into its running maximum over the summands.  An empty
+    side has no columns and a zero projection, so it contributes 0 to
+    every residual but closure.
     """
     b = _require_tight(check_tight(F, tol)).b
     threshold = _scaled_tol(tol, b, F.k)
-    mask = _column_mask(I, F.k)
-    sides = (_column_blocks(F, mask), _column_blocks(F, ~mask))
-    sub = _side_spectra(sides[0], tol, b)
-    comp = _side_spectra(sides[1], tol, b)
-
-    both = bool(sub and comp)
-    comm = _commutator_norm(*sides) if both else 0.0
-    sub_res = max([res for _, res, _ in sub], default=0.0)
-    comp_res = max([res for _, res, _ in comp], default=0.0)
-    overlap = closure = 0.0
-    for j, x in enumerate(F.matrix.blocks):
-        w = np.concatenate((sub[j][2], comp[j][2]), axis=1) if both else (sub or comp)[j][2]
+    comm = sub_res = comp_res = overlap = closure = 0.0
+    for y, yc in _column_sides(F.matrix, _column_mask(I, F.k)):
+        rank = rank_c = 0
+        if y is not None:
+            rank, res, w = _side_spectrum(y, tol, b)
+            sub_res = max(sub_res, res)
+        if yc is not None:
+            rank_c, res, wc = _side_spectrum(yc, tol, b)
+            comp_res = max(comp_res, res)
+            if y is None:
+                w = wc
+            else:
+                comm = max(comm, _spectral_norm(y.conj().T @ yc))
+                w = np.concatenate((w, wc), axis=1)
         gap = w @ w.conj().T  # P + Pc, as [U_r Uc_rc][U_r Uc_rc]*
-        gap.flat[:: x.shape[0] + 1] -= 1.0
+        gap.flat[:: len(gap) + 1] -= 1.0
         ev = np.linalg.eigvalsh(gap)  # ascending, so its largest |value| is at an end
         closure = max(closure, float(max(-ev[0], ev[-1])))
-        if both and sub[j][0] and comp[j][0]:  # both ranges nonzero
+        if rank and rank_c:  # both ranges nonzero
             overlap = max(overlap, float(ev[-1]))
 
     return SplitEquivalenceReport(

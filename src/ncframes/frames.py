@@ -11,7 +11,8 @@ over matrix blocks the sum can strictly dominate.
 check_tight's report keeps the three Verdicts it decides by, and every
 operation that needs a tight frame raises NotTightError from the first that
 failed.  A frame with a NaN or infinite entry measures NaN, so it is
-neither tight nor spherical.
+neither tight nor spherical, and the arithmetic on its way to that NaN
+(inf - inf, inf * 0) runs under np.errstate, so it raises no RuntimeWarning.
 
 canonical_frame checks that the caller's U is unitary before it takes the
 normal form; random_tight_frame takes the same step unchecked, on a QR
@@ -160,14 +161,15 @@ def check_tight(F: Frame, tol: float = 1e-9) -> TightnessReport:
         return cached[1]
     n = F.n
     per_b, defects = [], []
-    for m, x in zip(F.spec.summand_dims, F.matrix.blocks):
-        s = x @ x.conj().T  # summand block of the frame operator FF*
-        per_b.append(float(np.trace(s).real) / (n * m))
-        defects.append(s)
-    b = float(np.mean(per_b))
-    for d in defects:
-        d.flat[:: d.shape[0] + 1] -= b
-    residual = max(_spectral_norm(d) for d in defects)
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite entry measures NaN
+        for m, x in zip(F.spec.summand_dims, F.matrix.blocks):
+            s = x @ x.conj().T  # summand block of the frame operator FF*
+            per_b.append(float(np.trace(s).real) / (n * m))
+            defects.append(s)
+        b = float(np.mean(per_b))
+        for d in defects:
+            d.flat[:: d.shape[0] + 1] -= b
+        residual = max(_spectral_norm(d) for d in defects)
     spread = max(abs(bj - b) for bj in per_b)
     bound = _scaled_tol(tol, b)
     verdicts = (
@@ -232,17 +234,18 @@ def is_spherical(
     if mode not in ("strict", "equal_norm"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_positive(tol, "tol")
-    grams = F.matrix.column_grams()
-    if mode == "strict":
-        traces = sum(np.trace(g, axis1=1, axis2=2) for g in grams)
-        r = float(np.mean((traces / sum(F.spec.summand_dims)).real))
-        deviation = max(
-            float(np.max(_spectral_norms(g - r * np.eye(g.shape[1])))) for g in grams
-        )
-    else:
-        norms = np.max([_spectral_norms(g) for g in grams], axis=0)
-        r = float(np.mean(norms))
-        deviation = float(np.max(np.abs(norms - r)))
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite entry measures NaN
+        grams = F.matrix.column_grams()
+        if mode == "strict":
+            traces = sum(np.trace(g, axis1=1, axis2=2) for g in grams)
+            r = float(np.mean((traces / sum(F.spec.summand_dims)).real))
+            deviation = max(
+                float(np.max(_spectral_norms(g - r * np.eye(g.shape[1])))) for g in grams
+            )
+        else:
+            norms = np.max([_spectral_norms(g) for g in grams], axis=0)
+            r = float(np.mean(norms))
+            deviation = float(np.max(np.abs(norms - r)))
     ok = deviation <= _scaled_tol(tol, r) and Verdict("r", r, tol, floor=True).holds
     return SphericalReport(ok, r, deviation, mode)
 

@@ -10,9 +10,10 @@ and a column selection is one gather per summand.
 This module is the only code that indexes inside a summand block, and in
 it grids and its inverse from_grids are the one map between entries and
 block positions.  The others reach entries through grids, column Grams and
-entry norms, and take column subsets with select_columns.  The descent
-loop in optimize works on bare summand blocks through _column_grams, which
-column_grams also calls, and _scale_columns, the block of M diag(w_1, ...).
+entry norms, and take column subsets with select_columns.  Two loops work
+on bare summand blocks: the descent in optimize (_column_grams, which
+column_grams also calls, and _scale_columns, the block of M diag(w_1, ...))
+and the split pass in decomposition (_column_sides, select_columns' gather).
 
 Shapes and indices are validated at the boundary.  The public constructor,
 which from_grids, from_entries, diagonal and random go through, checks the
@@ -99,6 +100,24 @@ def _scale_columns(block: np.ndarray, m: int, w: np.ndarray) -> np.ndarray:
     # a product in another layout rounds differently, and minimize's
     # outputs are pinned to these bits
     return (_column_stack(block, m) @ w).transpose(1, 0, 2).reshape(block.shape)
+
+
+def _gather_columns(block: np.ndarray, m: int, idx: np.ndarray) -> np.ndarray | None:
+    """The columns at idx (indices or a boolean mask) of a summand block, None
+    for none: one gather on the (cols, m, rows*m) view of its transpose, laid
+    out as block[:, positions] is, which sets how products round."""
+    cols = block.T.reshape(-1, m, len(block))[idx]
+    return cols.reshape(-1, len(block)).T if len(cols) else None
+
+
+def _column_sides(M: "AMatrix", mask: np.ndarray) -> list[tuple]:
+    """Per summand, the bare blocks of M's columns where the boolean mask holds
+    and of the rest, as select_columns lays them out; None for an empty side."""
+    rest = ~mask
+    return [
+        (_gather_columns(blk, m, mask), _gather_columns(blk, m, rest))
+        for m, blk in zip(M.spec.summand_dims, M.blocks)
+    ]
 
 
 def _checked_shape(rows, cols) -> tuple[int, int]:
@@ -280,11 +299,8 @@ class AMatrix:
         idx = _indices(indices)
         if not len(idx):
             raise ShapeError("select_columns needs a non-empty list of column indices")
-        # one gather per block from its transpose viewed as (cols, m, rows*m): the
-        # result is laid out as blk[:, positions] is, which sets how products round
         blocks = tuple(
-            blk.T.reshape(self.cols, m, -1)[idx].reshape(-1, len(blk)).T
-            for m, blk in zip(self.spec.summand_dims, self.blocks)
+            _gather_columns(blk, m, idx) for m, blk in zip(self.spec.summand_dims, self.blocks)
         )
         return _trusted(self.spec, self.rows, len(idx), blocks)
 
@@ -361,7 +377,9 @@ class AMatrix:
         self._check_square("is_positive")
         _check_positive(tol, "tol")
         for a in self.blocks:
-            if not _spectral_norm(a - a.conj().T) <= tol:  # written so that NaN fails
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf reads NaN
+                defect = _spectral_norm(a - a.conj().T)
+            if not defect <= tol:  # written so that NaN fails
                 return False
             herm = (a + a.conj().T) / 2
             if float(np.linalg.eigvalsh(herm)[0]) < -tol:
@@ -409,15 +427,18 @@ def is_unitary(M: AMatrix, tol: float = 1e-9) -> bool:
 
 
 def _coisometry_residual(M: AMatrix) -> float:
-    """||MM* - I||, the distance of M's rows from an orthonormal set over A."""
-    return (M @ M.H - AMatrix.identity(M.spec, M.rows)).norm()
+    """||MM* - I||, the distance of M's rows from an orthonormal set over A;
+    NaN, with no RuntimeWarning, for a matrix that is not finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (M @ M.H - AMatrix.identity(M.spec, M.rows)).norm()
 
 
 def is_partial_isometry(M: AMatrix, tol: float = 1e-9) -> bool:
     """True iff ||M M* M - M|| <= tol * max(1, ||M||); False for a matrix that
     is not finite, whose defect is NaN."""
     _check_positive(tol, "tol")
-    defect = (M @ M.H @ M - M).norm()
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite entry measures NaN
+        defect = (M @ M.H @ M - M).norm()
     return defect <= _scaled_tol(tol, M.norm())
 
 

@@ -384,30 +384,36 @@ def _with_entry(M, value, summand=0):
     return AMatrix(M.spec, M.rows, M.cols, tuple(blocks))
 
 
-@pytest.mark.parametrize("dims", [(1,), (2,)])
+@pytest.mark.parametrize("dims", [(1,), (2,), (1, 1)])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_get_a_false_verdict(dims, value):
     # LAPACK refuses a NaN entry and gives NaN singular values for an
     # infinite one; either way the measured value is NaN and every verdict
-    # fails, with no LinAlgError.  Arithmetic on an infinite entry warns, as
-    # numpy does, so only the NaN case runs with warnings as errors
+    # fails, with no LinAlgError.  The arithmetic on an infinite entry
+    # (inf - inf, inf * 0) runs under np.errstate, so these calls raise no
+    # RuntimeWarning under the suite's warnings-as-errors either
     spec = AlgebraSpec(dims)
+    last = spec.num_summands - 1  # over C + C the entry sits in the second summand
     F = random_tight_frame(spec, 3, 3, 1.0, 1)  # tight, spherical, unitary
-    M = _with_entry(F.matrix, value)
+    M = _with_entry(F.matrix, value, last)
     bad = Frame(M)
-    ignored = "ignore" if np.isinf(value) else "raise"
-    with np.errstate(invalid=ignored, over=ignored):
-        report = check_tight(bad)
-        spherical = [is_spherical(bad, mode=mode) for mode in ("strict", "equal_norm")]
-        positive = (M @ M.H).is_positive(), _with_entry(M @ M.H, value).is_positive()
-        partial = is_partial_isometry(M)
+    with np.errstate(invalid="ignore"):  # building this input is numpy arithmetic
+        gram = M @ M.H
+    report = check_tight(bad)
+    spherical = [is_spherical(bad, mode=mode) for mode in ("strict", "equal_norm")]
+    positive = gram.is_positive(), _with_entry(F.matrix @ F.matrix.H, value, last).is_positive()
     assert (report.is_tight, math.isnan(report.residual)) == (False, True)
     assert [(s.is_spherical, math.isnan(s.deviation)) for s in spherical] == [(False, True)] * 2
     assert positive == (False, False)
-    assert partial is False
+    assert (is_partial_isometry(M), is_unitary(M)) == (False, False)
+    # an element of A with the entry: neither positive, a partial isometry
+    # nor unitary
+    E = _with_entry(AMatrix.identity(spec, 1), value, last)
+    assert (E.is_positive(), is_partial_isometry(E), is_unitary(E)) == (False, False, False)
     # the same calls on F itself hold
     assert check_tight(F).is_tight and is_spherical(F).is_spherical
     assert (F.matrix @ F.matrix.H).is_positive() and is_partial_isometry(F.matrix)
+    assert is_unitary(F.matrix) and AMatrix.identity(spec, 1).is_positive()
 
 
 def test_a_non_finite_summand_is_not_outvoted_by_a_finite_one():

@@ -154,7 +154,7 @@ def test_matrix_shape_rule_is_raised_in_one_place():
 
 
 # the private block helpers of module.py that other modules may call
-BLOCK_HELPERS = {"_column_grams", "_scale_columns"}
+BLOCK_HELPERS = {"_column_grams", "_scale_columns", "_column_sides"}
 
 
 def test_only_module_expands_columns_to_block_positions():
@@ -284,14 +284,14 @@ def _identifier(node):
 
 def test_column_side_spectra_are_read_at_one_svd_site():
     # decomposition takes a column side's rank, tightness residual and range
-    # basis from the one SVD in _side_spectra; the commutator norm goes
+    # basis from the one SVD in _side_spectrum; the commutator norm goes
     # through algebra._spectral_norm, and the overlap is read off the
     # closure's eigvalsh
     path = PACKAGE / "decomposition.py"
     tree = ast.parse(path.read_text(), str(path))
     assert sum(_identifier(node) == "svd" for node in ast.walk(tree)) == 1
     assert [func for func, node in _owned_nodes(path) if _identifier(node) == "svd"] == [
-        "_side_spectra"
+        "_side_spectrum"
     ]
     stale = [
         module.name

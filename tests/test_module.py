@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,10 @@ from ncframes import (
     inner_product,
     is_partial_isometry,
     is_unitary,
+    random_tight_frame,
 )
 from ncframes import module
-from ncframes.module import _scale_columns
+from ncframes.module import _column_sides, _scale_columns
 
 
 def _std_basis(spec, n, i):
@@ -668,6 +671,26 @@ class TestBlockAccessors:
                     want = blk[:, (np.asarray(idx)[:, None] * m + np.arange(m)).ravel()]
                     assert (got.shape, got.strides) == (want.shape, want.strides)
                     assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3, 2)])
+    def test_column_sides_are_select_columns_of_the_mask_and_its_complement(self, dims):
+        # the split pass gathers both sides of a column mask as bare blocks:
+        # each is select_columns' block bit for bit, None for an empty side
+        spec = AlgebraSpec(dims)
+        for k in range(1, 7):
+            M = random_tight_frame(spec, k, (k + 1) // 2, seed=k).matrix
+            for bits in itertools.product((False, True), repeat=k):
+                mask = np.array(bits)
+                sides = _column_sides(M, mask)
+                assert len(sides) == spec.num_summands
+                for keep, got in zip((mask, ~mask), zip(*sides)):
+                    if not keep.any():
+                        assert all(y is None for y in got), bits
+                        continue
+                    want = M.select_columns(np.flatnonzero(keep)).blocks
+                    for y, w in zip(got, want):
+                        assert (y.dtype, y.shape, y.strides) == (w.dtype, w.shape, w.strides)
+                        assert y.tobytes() == w.tobytes(), bits
 
     @pytest.mark.parametrize("dims", ACCESSOR_SPECS)
     def test_grids_round_trip_and_write_through(self, dims):

@@ -38,7 +38,7 @@ from ncframes import (
     restrict,
     split_equivalence,
 )
-from ncframes.decomposition import _side_spectra
+from ncframes.decomposition import _side_spectrum
 from conftest import scalar_frame
 
 # the split-corpus of the benchmark: its specs, random (k, n) shapes and
@@ -92,7 +92,7 @@ def test_naimark_ranks_fill_each_block_and_its_range_constant_is_b(name):
     blocks = ortho_decompose(F).blocks
     for I in blocks:
         ranks = [
-            [rank for rank, _, _ in _side_spectra(restrict(G, I).matrix.blocks, 1e-9, b)]
+            [_side_spectrum(y, 1e-9, b)[0] for y in restrict(G, I).matrix.blocks]
             for G in (F, C)
         ]
         assert [r + rc for r, rc in zip(*ranks)] == [len(I) * m for m in F.spec.summand_dims], I

@@ -35,6 +35,7 @@ from ncframes import (
     AMatrix,
     Frame,
     check_tight,
+    commutation_residual,
     direct_sum_frames,
     frame_operator,
     gram_matrix,
@@ -43,6 +44,7 @@ from ncframes import (
     restrict,
     split_equivalence,
 )
+from ncframes import module
 from ncframes.cli import _equivalence_corpus
 from ncframes.decomposition import SplitEquivalenceReport
 from ncframes.decomposition import _components
@@ -262,6 +264,50 @@ def test_split_reports_and_range_constants_equal_the_array_bodies_bit_for_bit(F,
         if I:
             got, want = range_constant(F, I, tol), array_range_constant(F, I, tol)
             assert got.hex() == want.hex(), I
+
+
+@pytest.mark.parametrize("F, tol", BIT_CORPUS)
+def test_commutation_residual_equals_the_array_reference_bit_for_bit(F, tol):
+    # analyze prints commutation_residual(F, block) for each block, so this
+    # pins its per-block residual together with the split pass: the largest
+    # over the summands of ||y* yc||, 0.0 for an empty side
+    for I in _subsets(F.k):
+        sides = _sides(F, I)
+        if sides[0] is None or sides[1] is None:
+            want = 0.0
+        else:
+            want = max(_norm2(y.conj().T @ yc) for y, yc in zip(*sides))
+        got = commutation_residual(F, I)
+        assert (type(got), repr(got)) == (float, repr(want)), I
+        assert got == split_equivalence(F, I, tol).commutation_residual, I
+
+
+@pytest.mark.parametrize("F, tol", corpus()[:4] + BIT_CORPUS[-2:])
+def test_split_queries_build_no_matrices(F, tol, monkeypatch):
+    # once check_tight is memoized, a query gathers its column sides as bare
+    # summand blocks: no AMatrix is built, through the public constructor
+    # or through module._trusted
+    check_tight(F, tol)
+    built = Counter()
+    trusted, post_init = module._trusted, AMatrix.__post_init__
+
+    def counted_trusted(*args):
+        built["_trusted"] += 1
+        return trusted(*args)
+
+    def counted_post_init(self):
+        built["AMatrix"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(module, "_trusted", counted_trusted)
+    monkeypatch.setattr(AMatrix, "__post_init__", counted_post_init)
+    for I in _subsets(F.k):
+        split_equivalence(F, I, tol)
+    assert built == Counter()
+    # the counters see both kinds of construction
+    F.matrix.select_columns([0])
+    AMatrix.zeros(F.spec, 1, 1)
+    assert built == Counter({"_trusted": 1, "AMatrix": 1})
 
 
 def overlap_by_svd(F, I, tol):
