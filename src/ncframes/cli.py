@@ -88,8 +88,10 @@ MAX_LISTED_LABELS = 2_000_000
 # k / k' terms at each of k / k' steps, 0.9 s at 256 blocks of 6 (3013 digits)
 MAX_COUNTED_BLOCKS = 256
 # gen and minimize refuse k * sqrt(sum_j m_j^2) above this, k * m_j for one
-# summand; gen at the bound (n = k = 2000 over C, 1414 over C + C, 1000 over
-# M_2 or C^4) peaked at 857 MB RSS
+# summand; gen at the bound on one BLAS thread (n = k = 2000 over C, 1414
+# over C + C, 1000 over M_2 or C^4) peaked at 345, 290, 345 and 255 MB max
+# RSS (getrusage of the child), against 722, 713, 699 and 725 MB when the
+# whole file text was built before writing
 MAX_SIDE = 2000
 
 

@@ -7,17 +7,22 @@ payload.  Frame files carry the algebra, the shape, the k columns (each a
 list of n element encodings) and optional metadata; matrix files carry the
 algebra, the shape and the row-major entries.
 
-A file is rendered in one pass: a "%r" template of the payload's nesting,
-built from the algebra and the shape, is filled with every float in file
-order by a single string formatting, and spliced into the json.dumps text
-of the rest of the document.  "%r" calls float.__repr__, as json.dumps
-does, so the bytes equal json.dumps of the nested lists plus a newline.
-save_with_frame splices the same frame text into another document as its
-last key.  A non-finite entry raises ValueError before the file is opened.
+A file is written in bounded pieces, between the head and the tail of the
+json.dumps text of the rest of the document.  A piece covers as many of the
+payload's outer items (a frame's columns, a matrix's rows of entries) as
+fit in _PIECE_FLOATS floats, or one item if that holds more: it fills a
+"%r" template of those items' nesting with their floats in file order by
+one string formatting.  So a writer holds one piece of text at a time, not
+the file.  "%r" calls float.__repr__, as json.dumps does, so the bytes
+equal json.dumps of the nested lists plus a newline.  save_with_frame
+writes the same frame pieces into another document as its last key.  A
+non-finite entry raises ValueError before the file is opened, and so does
+a reserved key.  Files are read and written as UTF-8 whatever the locale.
 
-Decoding is flat too.  The reader nests by the writer's shape: each level
-of _template's shape must be a JSON array of the header's count (a string
-or object is refused, not read as items).  Per summand it then checks with
+Decoding is flat.  The reader nests by the writer's shape, (k, n) for a
+frame's columns and (rows*cols,) for a matrix's entries: each level must be
+a JSON array of the header's count (a string or object is refused, not
+read as items).  Per summand it then checks with
 one set of lengths per level that every entry holds m*m pairs and every
 pair two numbers, builds the summand from one np.array call over the
 chained numbers, and hands it to from_grids.  The number rule: any JSON
@@ -38,7 +43,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,39 +109,55 @@ def decode_spec(data: Any) -> AlgebraSpec:
 
 # stands in for the payload in the json.dumps text of the rest of a document
 _PAYLOAD = "payload"
+# the floats a piece of the payload holds, or one outer item's if that is more
+_PIECE_FLOATS = 4096
 
 
 def _list(items) -> str:
     return "[" + ", ".join(items) + "]"
 
 
-def _template(dims: tuple[int, ...], shape: tuple[int, ...]) -> str:
-    """The "%r" text of nested lists of the given shape of entries over A.
+def _entries(dims: tuple[int, ...], count: int) -> str:
+    """The "%r" text of count comma-separated entries over A.
 
     An entry is one list per summand of its m*m [re, im] pairs, row-major.
     """
-    text = _list(_list(["[%r, %r]"] * (m * m)) for m in dims)
-    for count in reversed(shape):
-        text = _list([text] * count)
-    return text
+    return ", ".join([_list(_list(["[%r, %r]"] * (m * m)) for m in dims)] * count)
 
 
-def _render(doc: dict, spec: AlgebraSpec, shape: tuple, grids: Sequence[np.ndarray]) -> str:
-    """json.dumps(doc), with the entries of grids as nested lists of shape at _PAYLOAD.
+def _render(doc: dict, spec: AlgebraSpec, grids: Sequence[np.ndarray], item: str) -> Iterator[str]:
+    """The text of json.dumps(doc) in pieces, the entries of grids as a list at _PAYLOAD.
 
-    grids holds, per summand, an array of m x m entries in file order.
+    grids holds, per summand, an array of m x m entries in file order whose
+    axis 0 runs over the list's items; item is the "%r" text of one item.
+    The non-finite check and json.dumps run before this returns, so they
+    raise before a file is opened.
     """
-    values = np.concatenate(
-        [g.reshape(-1, m * m) for m, g in zip(spec.summand_dims, grids)], axis=1
-    ).view(float).ravel()
-    if not np.isfinite(values).all():
+    # min and max propagate NaN and reach any infinity, and unlike isfinite
+    # they allocate no array the size of a grid
+    bounds = [f(part) for g in grids for part in (g.real, g.imag) for f in (np.min, np.max)]
+    if not np.isfinite(bounds).all():
         raise ValueError("cannot write a non-finite matrix entry")
-    payload = _template(spec.summand_dims, shape) % tuple(values.tolist())
     # every key before the payload holds integers, so the first match is the payload
-    return json.dumps(doc).replace(json.dumps(_PAYLOAD), payload, 1)
+    head, tail = json.dumps(doc).split(json.dumps(_PAYLOAD), 1)
+    count = len(grids[0])
+    step = _PIECE_FLOATS // (2 * sum(g[0].size for g in grids)) or 1  # items a piece
+    dims = spec.summand_dims
+
+    def pieces():
+        yield head + "["
+        for start in range(0, count, step):
+            values = np.concatenate(
+                [g[start : start + step].reshape(-1, m * m) for m, g in zip(dims, grids)], axis=1
+            ).view(float)
+            text = ", ".join([item] * min(step, count - start)) % tuple(values.ravel().tolist())
+            yield ", " + text if start else text
+        yield "]" + tail
+
+    return pieces()
 
 
-def _frame_text(F: Frame, metadata: dict | None) -> str:
+def _frame_pieces(F: Frame, metadata: dict | None) -> Iterator[str]:
     doc = {
         "algebra": encode_spec(F.spec),
         "n": F.n,
@@ -146,10 +167,11 @@ def _frame_text(F: Frame, metadata: dict | None) -> str:
     }
     if metadata:
         doc["metadata"] = metadata
-    return _render(doc, F.spec, (F.k, F.n), [g.swapaxes(0, 1) for g in F.matrix.grids])
+    grids = [g.swapaxes(0, 1) for g in F.matrix.grids]
+    return _render(doc, F.spec, grids, _list([_entries(F.spec.summand_dims, F.n)]))
 
 
-def _amatrix_text(M: AMatrix, extra: dict) -> str:
+def _amatrix_pieces(M: AMatrix, extra: dict) -> Iterator[str]:
     doc = {
         "algebra": encode_spec(M.spec),
         "rows": M.rows,
@@ -159,21 +181,23 @@ def _amatrix_text(M: AMatrix, extra: dict) -> str:
     if doc.keys() & extra.keys():
         raise ValueError(f"extra keys {sorted(doc.keys() & extra.keys())} are reserved")
     doc.update(extra)
-    return _render(doc, M.spec, (M.rows * M.cols,), M.grids)
+    # the entries are one flat list, written a row of the matrix at a time
+    return _render(doc, M.spec, M.grids, _entries(M.spec.summand_dims, M.cols))
 
 
-def _write(path, text: str):
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _write(path, pieces: Iterable[str]):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def save_frame(path, F: Frame, metadata: dict | None = None):
-    _write(path, _frame_text(F, metadata))
+    _write(path, _frame_pieces(F, metadata))
 
 
 def save_amatrix(path, M: AMatrix, **extra):
     """Write M as a matrix file; the keys of extra follow the entries."""
-    _write(path, _amatrix_text(M, extra))
+    _write(path, _amatrix_pieces(M, extra))
 
 
 def save_with_frame(path, doc: dict, F: Frame):
@@ -181,7 +205,7 @@ def save_with_frame(path, doc: dict, F: Frame):
     if "frame" in doc:
         raise ValueError('doc already has a "frame" key')
     text = json.dumps({**doc, "frame": 0})
-    _write(path, text[: -len("0}")] + _frame_text(F, None) + "}")
+    _write(path, chain([text[: -len("0}")]], _frame_pieces(F, None), ["}"]))
 
 
 # -- reading ---------------------------------------------------------------
@@ -190,7 +214,7 @@ def save_with_frame(path, doc: dict, F: Frame):
 def _decode_grids(data: Any, spec: AlgebraSpec, shape: tuple[int, ...]) -> list[np.ndarray]:
     """Per summand, the shape + (m, m) array of the entries nested in data.
 
-    Each level along shape, as _template writes it, must be a JSON array of
+    Each level along shape, as the writer nests it, must be a JSON array of
     its count of items.  Rejects wrong shapes, non-numeric or non-finite
     values, and entries so large that the trace of the summand's M M* overflows.
     """
@@ -265,7 +289,7 @@ def encode_tightness_report(report: TightnessReport) -> dict:
 
 def _read_json(path) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import ncframes
 from ncframes import (
     AMatrix, AlgebraSpec, Frame, canonical_coisometry, direct_sum_frames, random_tight_frame,
 )
+from ncframes import io
 from ncframes.cli import main
 from ncframes.io import (
     FormatError,
@@ -307,12 +309,21 @@ def test_multi_block_analyze_and_factorize_golden(tmp_path):
     assert tuple(digests) == DIRECT_SUM_GOLDEN
 
 
-# -- the one-pass writer against the reference encoder ------------------------
+# -- the writer against the reference encoder ----------------------------------
 
 WRITER_SPECS = [(1,), (2,), (2, 1), (3, 1, 2)]
 SHAPES = list(itertools.product(range(1, 8), range(1, 5)))  # 1x1 to 7x4
 AWKWARD_TEXT = {"note": "100% %r %%s %(x)s", "nul": "\u0000", "text": "ü ∑ 😀", "%r": ["%"]}
 SPECIAL_VALUES = [-0.0, 5e-324, 9.99e-05, 1e16, 1.7976931348623157e308]
+# (dims, rows, cols) whose files take several pieces of io._PIECE_FLOATS
+# (4096) floats.  An outer item is a frame column, 2 * rows * sum(m^2)
+# floats, or a matrix row, 2 * cols * sum(m^2) floats.
+PIECE_SHAPES = [
+    ((1,), 3, 1500),  # frame: 682 columns a piece, 136 in the last; matrix: a row a piece
+    ((3, 1, 2), 160, 3),  # frame: a 4480-float column, more than a piece; matrix: 48 rows, 16 last
+    ((2, 1), 40, 40),  # 10 columns or rows a piece, none partial
+    ((2,), 2, 600),  # frame: 256 columns a piece, 88 in the last; matrix: a 4800-float row
+]
 
 
 def _random_matrix(dims, rows, cols, seed=0):
@@ -364,17 +375,67 @@ def test_writer_special_values(tmp_path, dims):
     assert path.read_text() == json.dumps(reference_amatrix_doc(M)) + "\n"
 
 
+@pytest.mark.parametrize("dims,rows,cols", PIECE_SHAPES)
+def test_writer_bytes_equal_reference_across_pieces(tmp_path, dims, rows, cols):
+    M = _random_matrix(dims, rows, cols, seed=rows)
+    F = Frame(M)
+    # head, tail and two or more pieces of the payload between them
+    assert len(list(io._frame_pieces(F, None))) > 3
+    assert len(list(io._amatrix_pieces(M, {}))) > 3
+    path = tmp_path / "out.json"
+    save_frame(path, F, metadata={"seed": 3})
+    assert path.read_bytes() == (json.dumps(reference_frame_doc(F, {"seed": 3})) + "\n").encode()
+    save_amatrix(path, M, b=1.5)
+    assert path.read_bytes() == (json.dumps(reference_amatrix_doc(M, b=1.5)) + "\n").encode()
+    doc = {"log": [[0, 1.5]], "end": "0}"}
+    save_with_frame(path, doc, F)
+    assert path.read_bytes() == (json.dumps({**doc, "frame": reference_frame_doc(F)}) + "\n").encode()
+
+
+def _with_last_entry(M, value):
+    """M with the last number of its last summand set to value (re and -im)."""
+    blocks = [blk.copy() for blk in M.blocks]
+    blocks[-1][-1, -1] = complex(value, -value)
+    return AMatrix(M.spec, M.rows, M.cols, tuple(blocks))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("dims", WRITER_SPECS)
 def test_writer_refuses_non_finite_before_opening(tmp_path, dims, bad):
-    M = _with_values(_random_matrix(dims, 2, 3), [1.0, bad])
-    path = tmp_path / "out.json"
-    with pytest.raises(ValueError):
-        save_frame(path, Frame(M))
-    assert not path.exists()
-    with pytest.raises(ValueError):
-        save_amatrix(path, M, b=1.0)
-    assert not path.exists()
+    # the second matrix's frame and matrix files take several pieces, and its
+    # only bad number sits in the last of each
+    for M in [_with_values(_random_matrix(dims, 2, 3), [1.0, bad]),
+              _with_last_entry(_random_matrix(dims, 40, 300), bad)]:
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            save_frame(path, Frame(M))
+        assert not path.exists()
+        with pytest.raises(ValueError):
+            save_amatrix(path, M, b=1.0)
+        assert not path.exists()
+        with pytest.raises(ValueError):
+            save_with_frame(path, {"x": 1}, Frame(M))
+        assert not path.exists()
+
+
+def test_writers_peak_memory_does_not_grow_with_the_file(tmp_path):
+    M = _random_matrix((1,), 256, 512)
+    F = Frame(M)
+    writers = {
+        "save_frame": lambda path: save_frame(path, F),
+        "save_amatrix": lambda path: save_amatrix(path, M),
+        "save_with_frame": lambda path: save_with_frame(path, {"x": 1}, F),
+    }
+    for name, write in writers.items():
+        path = tmp_path / f"{name}.json"
+        tracemalloc.start()
+        try:
+            write(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 6_000_000
+        assert peak < 1_000_000, (name, peak)
 
 
 @pytest.mark.parametrize("key", ["algebra", "rows", "cols", "entries"])
@@ -454,6 +515,21 @@ def test_unreadable_json_is_a_format_error(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(FormatError):
         load_frame(path)
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    F = random_tight_frame(AlgebraSpec((2, 1)), 3, 2, seed=0)
+    doc = reference_frame_doc(F, {"text": AWKWARD_TEXT["text"]})
+    (tmp_path / "f.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("LC_") and key not in ("LANG", "PYTHONUTF8")}
+    package_root = Path(ncframes.__file__).resolve().parent.parent
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "ncframes.cli", "verify", "f.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the flat decoder against the nested one it replaced -----------------------
