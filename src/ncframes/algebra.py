@@ -34,6 +34,12 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive")
 
 
+def _check_k_n(k: int, n: int) -> None:
+    """Raise ShapeError unless 1 <= n <= k: a frame is k columns in A^n."""
+    if not 1 <= n <= k:
+        raise ShapeError(f"need 1 <= n <= k, got k={k}, n={n}")
+
+
 def _as_int(value, what: str) -> int:
     """value as an int by operator.index; floats, strings and bools raise TypeError."""
     # operator.index refuses floats and strings, but bool is an int subclass

@@ -3,6 +3,17 @@ minimize, selftest.
 
 Exit codes: 0 success (or tight), 1 property failure (not tight, not
 converged, selftest failure), 2 I/O or parse error, 3 invalid arguments.
+
+A shape outside 1 <= n <= k exits 3, and so does a frame past the size
+budget (_check_budget): the largest square matrix over A a command builds
+may hold at most MAX_SIDE**2 complex entries, side * sqrt(sum_j m_j^2) <=
+MAX_SIDE.  The side is k for gen and minimize, n for verify, and max(n, k)
+for analyze and factorize.  gen and minimize check it before they compute,
+and the reading commands once the frame is loaded, before they compute or
+write.  They also refuse, before opening it, a file longer than any frame
+file inside the budget can be.  That bounds what json.load builds from a
+file, but not yet the tree itself: about 8.5 times a gen file and 25 times
+a file of short numbers.
 """
 
 from __future__ import annotations
@@ -13,12 +24,13 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import io
-from .algebra import AlgebraSpec, ShapeError, Verdict
+from .algebra import AlgebraSpec, ShapeError, Verdict, _check_k_n
 from .decomposition import (
     commutation_residual,
     count_partitions,
@@ -87,7 +99,8 @@ MAX_LISTED_LABELS = 2_000_000
 # the most blocks k / k' whose count it computes: the recurrence adds up to
 # k / k' terms at each of k / k' steps, 0.9 s at 256 blocks of 6 (3013 digits)
 MAX_COUNTED_BLOCKS = 256
-# gen and minimize refuse k * sqrt(sum_j m_j^2) above this, k * m_j for one
+# the size budget (see _check_budget): no command builds a side x side
+# matrix over A with side * sqrt(sum_j m_j^2) above this, side * m_j for one
 # summand; gen at the bound on one BLAS thread (n = k = 2000 over C, 1414
 # over C + C, 1000 over M_2 or C^4) peaked at 345, 290, 345 and 255 MB max
 # RSS (getrusage of the child), against 722, 713, 699 and 725 MB when the
@@ -103,12 +116,48 @@ def _emit(doc: dict, mode: str):
             print(f"{key}: {value}")
 
 
+def _check_budget(spec: AlgebraSpec | None = None, side: int = 0, name: str = "k", path=None):
+    """Refuse (exit 3), before it is allocated or written, what is past the size budget.
+
+    With spec: a side x side matrix over spec (side called name) with over
+    MAX_SIDE**2 complex entries.  With path, before it is opened: a frame
+    file longer than that of any frame with at most MAX_SIDE**2 [re, im]
+    pairs n * k * sum_j m_j^2, as every frame inside a side of max(n, k) is.
+    """
+    limit = MAX_SIDE**2
+    if path is not None:
+        # a pair prints in at most 1 + 24 + 2 + 24 + 1 bytes (a float's repr
+        # has at most 24) and ", " after it; each summand's list, entry and
+        # column adds at most "[]" and ", ", and none is more often than
+        # pairs; the algebra list takes at most 3 bytes a pair, and 2**16
+        # bytes hold the other keys and gen's metadata
+        cap = 69 * limit + 2**16
+        size = os.stat(path).st_size
+        if size > cap:
+            raise UsageError(
+                f"frame too large: the file has {size} bytes, more than the {cap} "
+                f"of any frame inside the budget of {MAX_SIDE}"
+            )
+    elif side**2 * sum(m * m for m in spec.summand_dims) > limit:
+        raise UsageError(f"frame too large: {name} * sqrt(sum of m_j^2) exceeds {MAX_SIDE}")
+
+
 def _check_shape(args):
-    """Refuse k < n, and a k x k unitary over A with over MAX_SIDE**2 entries."""
-    if args.k < args.n:
-        raise UsageError(f"need k >= n, got k={args.k}, n={args.n}")
-    if args.k**2 * sum(m * m for m in args.algebra.summand_dims) > MAX_SIDE**2:
-        raise UsageError(f"frame too large: k * sqrt(sum of m_j^2) exceeds {MAX_SIDE}")
+    """Refuse (exit 3) a shape outside 1 <= n <= k, or whose k x k unitary is past the budget."""
+    try:
+        _check_k_n(args.k, args.n)
+    except ShapeError as exc:
+        raise UsageError(str(exc)) from None
+    _check_budget(args.algebra, args.k)
+
+
+def _load_frame(path, side: str) -> Frame:
+    """The frame file at path, refused (exit 3) past the budget of the
+    command's largest square matrix, of side "n" or "max(n, k)"."""
+    _check_budget(path=path)
+    F = io.load_frame(path)
+    _check_budget(F.spec, F.n if side == "n" else max(F.n, F.k), side)
+    return F
 
 
 def _add_common(parser: ArgumentParser, tol: bool = True):
@@ -143,14 +192,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    F = io.load_frame(args.path)
+    F = _load_frame(args.path, "n")
     report = check_tight(F, args.tol)
     _emit(io.encode_tightness_report(report), args.output)
     return 0 if report.is_tight else 1
 
 
 def cmd_analyze(args) -> int:
-    F = io.load_frame(args.path)
+    F = _load_frame(args.path, "max(n, k)")
     report = check_tight(F, args.tol)
     if not report.is_tight:
         _emit(io.encode_tightness_report(report), args.output)
@@ -184,7 +233,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    F = io.load_frame(args.path)
+    F = _load_frame(args.path, "max(n, k)")
     try:
         result = factorize(F, args.tol)
     except NotTightError as exc:

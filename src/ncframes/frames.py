@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, ShapeError, Verdict, _check_positive, _complex_gaussian, _scaled_tol,
-    _spectral_norm, _spectral_norms,
+    AlgebraSpec, ShapeError, Verdict, _check_k_n, _check_positive, _complex_gaussian,
+    _scaled_tol, _spectral_norm, _spectral_norms,
 )
 from .module import AMatrix, complete_to_unitary, is_unitary
 
@@ -248,11 +248,6 @@ def is_spherical(
             deviation = float(np.max(np.abs(norms - r)))
     ok = deviation <= _scaled_tol(tol, r) and Verdict("r", r, tol, floor=True).holds
     return SphericalReport(ok, r, deviation, mode)
-
-
-def _check_k_n(k: int, n: int) -> None:
-    if k < n:
-        raise ShapeError(f"need k >= n, got k={k}, n={n}")
 
 
 def canonical_coisometry(spec: AlgebraSpec, k: int, n: int) -> AMatrix:

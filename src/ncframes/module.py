@@ -51,8 +51,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, ShapeError, Verdict, _as_int, _check_positive, _complex_gaussian, _scaled_tol,
-    _spectral_norm, _spectral_norms,
+    AlgebraSpec, ShapeError, Verdict, _as_int, _check_k_n, _check_positive, _complex_gaussian,
+    _scaled_tol, _spectral_norm, _spectral_norms,
 )
 
 __all__ = [
@@ -499,6 +499,8 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
 
     Raises
     ------
+    ShapeError
+        Unless 1 <= n <= k.
     NotCoisometricError
         If ||MM* - I|| > tol, or if the projector's rank falls short of
         (k - n) * m: the pivot search meets a remainder not above 0, or the
@@ -507,8 +509,7 @@ def complete_to_unitary(M: AMatrix, tol: float = 1e-9) -> AMatrix:
     """
     _check_positive(tol, "tol")
     n, k = M.rows, M.cols
-    if n > k:
-        raise ShapeError("completion needs at least as many columns as rows")
+    _check_k_n(k, n)
     residual = Verdict("||MM* - I||", _coisometry_residual(M), tol)
     if not residual.holds:
         raise NotCoisometricError(residual)

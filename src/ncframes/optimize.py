@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    AlgebraSpec, Verdict, _check_positive, _complex_gaussian, _scaled_tol, _spectral_norm,
+    AlgebraSpec, Verdict, _check_k_n, _check_positive, _complex_gaussian, _scaled_tol,
+    _spectral_norm,
 )
 from .frames import Frame
 from .module import AMatrix, _column_grams, _scale_columns
@@ -268,12 +269,11 @@ def minimize(
     gradient and the trial points are bare summand blocks; the output frame
     is the one validated AMatrix built.  Start columns whose Gram
     degenerates are re-randomized (at most 10 times in total) from the same
-    seeded stream.  Raises ValueError unless 1 <= n <= k, or when the radius
+    seeded stream.  Raises ShapeError unless 1 <= n <= k, or when the radius
     makes b at most tight_tol or the potential overflow (see
     OptimizerConfig.radius_for).
     """
-    if not 1 <= n <= k:
-        raise ValueError(f"need 1 <= n <= k, got k={k}, n={n}")
+    _check_k_n(k, n)
     if config is None:
         config = OptimizerConfig()
     r0 = n / k

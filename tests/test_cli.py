@@ -3,9 +3,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from ncframes import cli, count_partitions
 from ncframes.cli import main
 from ncframes.io import load_frame, save_frame
 from conftest import make_mercedes, perturbed_direct_sum
+
+PACKAGE_ROOT = Path(cli.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -608,6 +613,136 @@ class TestArgumentContract:
         capsys.readouterr()
         assert main(["gen", "--algebra", "2,1", "--k", "3", "--n", "1", "--out", out]) == 3
         assert main(["minimize", "--algebra", "1", "--k", "7", "--n", "1", "--out", out]) == 3
+
+    @pytest.mark.parametrize("command", ["gen", "minimize"])
+    def test_shape_outside_one_to_k_exits_3_with_the_library_message(
+        self, tmp_path, capsys, command
+    ):
+        out = tmp_path / "f.json"
+        rc = main([command, "--algebra", "1", "--k", "2", "--n", "3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == "error: need 1 <= n <= k, got k=2, n=3\n"
+        assert not out.exists()
+
+    # n = 1, k = 50 000 (wide) and n = 50 000, k = 1 (tall) over C, every
+    # entry 1.0: under 1 MB each, yet FF*, the Gram F*F or the unitary is
+    # 50 000 x 50 000, the 37.3 GiB that numpy's allocator refuses
+    BIG_SIDE = 50_000
+
+    @staticmethod
+    def _run_capped(tmp_path, argv):
+        """(exit code, stderr) of the CLI in a child on one BLAS thread with 4 GB of address space."""
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))\n"
+            "from ncframes.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE_ROOT), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stderr
+
+    def _big_file(self, tmp_path, n, k):
+        path = tmp_path / "big.json"
+        column = [[[[1.0, 0.0]]]] * n
+        doc = {"algebra": [1], "n": n, "k": k, "columns": [column] * k, "kind": "frame"}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_wide_frame_verifies_within_the_budget(self, tmp_path):
+        path = self._big_file(tmp_path, 1, self.BIG_SIDE)
+        assert self._run_capped(tmp_path, ["verify", path]) == (0, "")
+
+    @pytest.mark.parametrize(
+        "n,k,command",
+        [(1, BIG_SIDE, "analyze"), (1, BIG_SIDE, "factorize"),
+         (BIG_SIDE, 1, "verify"), (BIG_SIDE, 1, "analyze"), (BIG_SIDE, 1, "factorize")],
+        ids=["wide-analyze", "wide-factorize", "tall-verify", "tall-analyze", "tall-factorize"],
+    )
+    def test_frame_file_past_the_budget_exits_3_before_allocating(self, tmp_path, n, k, command):
+        path = self._big_file(tmp_path, n, k)
+        out = tmp_path / "u.json"
+        argv = [command, path] + (["--out", str(out)] if command == "factorize" else [])
+        rc, err = self._run_capped(tmp_path, argv)
+        assert rc == 3
+        assert err.startswith("error: frame too large")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    # with MAX_SIDE 60, the largest frame gen makes over each algebra: n = k
+    # with k * sqrt(sum of m_j^2) <= 60
+    LARGEST = [("1", 60), ("2", 30), ("1,1", 42), ("2,1", 26)]
+
+    @staticmethod
+    def _reads(path, out):
+        """The argv of verify, analyze and factorize on path."""
+        return [["verify", path], ["analyze", path], ["factorize", path, "--out", out]]
+
+    @pytest.mark.parametrize("b", ["1.0", "1e300"])
+    @pytest.mark.parametrize("algebra,k", LARGEST)
+    def test_largest_frame_inside_the_budget_is_read(
+        self, tmp_path, capsys, monkeypatch, algebra, k, b
+    ):
+        monkeypatch.setattr(cli, "MAX_SIDE", 60)
+        path = str(tmp_path / "f.json")
+        argv = ["gen", "--algebra", algebra, "--k", str(k), "--n", str(k), "--b", b]
+        assert main(argv + ["--out", path]) == 0
+        # at b = 1e300 the floats print at their longest, and the pairs alone
+        # stay within the cap's 69 bytes each
+        assert os.path.getsize(path) <= 69 * 60**2
+        for reading in self._reads(path, str(tmp_path / "u.json")):
+            assert main(reading) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("algebra,k", LARGEST)
+    def test_one_row_or_column_more_exits_3(self, tmp_path, capsys, monkeypatch, algebra, k):
+        from ncframes import AlgebraSpec, random_tight_frame
+
+        monkeypatch.setattr(cli, "MAX_SIDE", 60)
+        spec = AlgebraSpec(tuple(int(m) for m in algebra.split(",")))
+        wide, square = str(tmp_path / "wide.json"), str(tmp_path / "square.json")
+        save_frame(wide, random_tight_frame(spec, k + 1, k))
+        save_frame(square, random_tight_frame(spec, k + 1, k + 1))
+        # verify builds the n x n FF* only, so one column more is still inside
+        assert main(["verify", wide]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "u.json")
+        for argvs in [self._reads(wide, out)[1:], self._reads(square, out)]:
+            for argv in argvs:
+                assert main(argv) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: frame too large")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["square.json", "wide.json"]
+
+    def test_file_past_the_byte_cap_exits_3_before_it_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SIDE", 6)
+        cap = 69 * 6**2 + 2**16
+        path = tmp_path / "f.json"
+        assert main(["gen", "--algebra", "1", "--k", "3", "--n", "2", "--out", str(path)]) == 0
+        text = path.read_text()
+        path.write_text(text + " " * (cap - len(text)))  # trailing whitespace is valid JSON
+        for argv in self._reads(str(path), str(tmp_path / "u.json")):
+            assert main(argv) == 0
+        capsys.readouterr()
+        path.write_text(text + " " * (cap + 1 - len(text)))
+        (tmp_path / "u.json").unlink()
+
+        def unread(_path):
+            raise AssertionError("the file was read")
+
+        monkeypatch.setattr(cli.io, "_read_json", unread)
+        for argv in self._reads(str(path), str(tmp_path / "u.json")):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: frame too large: the file has {cap + 1} bytes")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
 
     @pytest.mark.parametrize("radius", ["1e200", "1e155", "1.7e308", "1e-300", "1e-320"])
     def test_overflowing_radius_exits_3_before_writing(self, tmp_path, capsys, radius):

@@ -237,7 +237,7 @@ class TestCanonicalForm:
     def test_frame_needs_k_at_least_n(self, scalar_spec):
         from ncframes import ShapeError
 
-        with pytest.raises(ShapeError, match="need k >= n"):
+        with pytest.raises(ShapeError, match=r"^need 1 <= n <= k, got k=2, n=3$"):
             canonical_frame(scalar_spec, 2, 3, 1.0, AMatrix.identity(scalar_spec, 2))
 
     def test_square_case_orthonormal_basis(self, scalar_spec):

@@ -153,6 +153,42 @@ def test_matrix_shape_rule_is_raised_in_one_place():
     assert sites == [("module.py", "_checked_shape")]
 
 
+def _sites_raising(text: str):
+    """The set of (file, function) whose raise mentions text in a string constant."""
+    return {
+        (path, func) for path, func, exc in _raise_sites()
+        if any(isinstance(n, ast.Constant) and text in str(n.value) for n in ast.walk(exc))
+    }
+
+
+def test_frame_shape_rule_is_raised_in_one_place():
+    # the builders, the completion, the optimizer and the CLI all refuse a
+    # shape outside 1 <= n <= k through algebra._check_k_n, and no module
+    # defines a check of its own by that name
+    assert _sites_raising("1 <= n <= k") == {("algebra.py", "_check_k_n")}
+    defined = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_k_n"
+    ]
+    assert defined == ["algebra.py"]
+
+
+def test_size_budget_lives_in_one_function():
+    # cli._check_budget alone refuses a frame too large, and alone reads
+    # MAX_SIDE; every other line of the package that names it assigns it
+    assert _sites_raising("frame too large") == {("cli.py", "_check_budget")}
+    def read(node):
+        return _identifier(node) == "MAX_SIDE" and not isinstance(getattr(node, "ctx", None), ast.Store)
+
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        inside = [(path.name, func) for func, node in _owned_nodes(path) if read(node)]
+        outside = sum(map(read, ast.walk(ast.parse(path.read_text(), str(path))))) - len(inside)
+        reads += inside + [(path.name, "<module>")] * outside
+    assert set(reads) == {("cli.py", "_check_budget")}
+
+
 # the private block helpers of module.py that other modules may call
 BLOCK_HELPERS = {"_column_grams", "_scale_columns", "_column_sides"}
 
