@@ -94,6 +94,14 @@ def _spectral_norm(a: np.ndarray) -> float:
         return np.nan
 
 
+def _largest_norm(norms: list[float]) -> float:
+    """The largest of some norms, NaN if any is NaN (a non-finite block, see
+    _spectral_norm): max drops a NaN that follows a number, and the sum is
+    NaN when any term is."""
+    total = sum(norms)
+    return max(norms) if total == total else np.nan
+
+
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., p, q) stack; NaN for
     a matrix that is not finite, as _spectral_norm gives."""

@@ -286,6 +286,8 @@ def cmd_partitions(args) -> int:
 
 def cmd_minimize(args) -> int:
     _check_shape(args)
+    if args.trace_out and os.path.realpath(args.trace_out) == os.path.realpath(args.out):
+        raise UsageError("--trace-out names the same file as --out, which would lose the frame")
     config = OptimizerConfig(
         step_size=args.step_size,
         max_iters=args.max_iters,

@@ -46,7 +46,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .algebra import (
-    Verdict, _as_int, _check_positive, _scaled_tol, _spectral_norm, _spectral_norms,
+    Verdict, _as_int, _check_positive, _largest_norm, _scaled_tol, _spectral_norm,
+    _spectral_norms,
 )
 from .frames import (
     Frame,
@@ -141,12 +142,15 @@ def commutation_residual(F: Frame, I: Iterable[int]) -> float:
 
     The commutator has the Gram block F_I* F_{I^c} and minus its adjoint as
     its only nonzero blocks, so its norm is ||F_I* F_{I^c}||, the largest
-    over the summands; it is 0 when I or its complement is empty.
+    over the summands; it is 0 when I or its complement is empty, and NaN,
+    with no RuntimeWarning, for a frame that is not finite.
     """
     mask = _column_mask(I, F.k)
     if mask.all() or not mask.any():
         return 0.0
-    return max(_spectral_norm(y.conj().T @ yc) for y, yc in _column_sides(F.matrix, mask))
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite entry measures NaN
+        norms = [_spectral_norm(y.conj().T @ yc) for y, yc in _column_sides(F.matrix, mask)]
+    return _largest_norm(norms)
 
 
 def ortho_decompose(F: Frame, tol: float = 1e-9) -> Partition:
@@ -178,12 +182,15 @@ def _edges(G: AMatrix, t: float) -> np.ndarray:
     Per summand, an m x m entry X has ||X||_2 <= ||X||_F <= sqrt(m) ||X||_2,
     so ||X||_F <= t settles ||X||_2 <= t and ||X||_F > sqrt(m) t settles
     ||X||_2 > t.  The entries are divided by t before squaring, so neither
-    test underflows or overflows near the bound.
+    test underflows or overflows near the bound.  Far above it, as at a
+    tiny t, a square may overflow; the infinite ||X||_F it gives settles
+    the entry as an edge.
     """
     adj = np.zeros((G.rows, G.cols), dtype=bool)
     for m, g in zip(G.spec.summand_dims, G.grids):
-        z = g / t
-        fro = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=(2, 3)))
+        with np.errstate(over="ignore"):
+            z = g / t
+            fro = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=(2, 3)))
         adj |= fro > math.sqrt(m) * (1.0 + _BRACKET_MARGIN)
         undecided = ~adj & (fro > 1.0 - _BRACKET_MARGIN)
         if undecided.any():
@@ -252,12 +259,15 @@ def range_constant(F: Frame, I: Iterable[int], tol: float = 1e-9) -> float:
 
     Per summand, trace(F_I F_I*) divided by the rank of F_I (by
     _side_spectrum), averaged over the summands where that rank is
-    positive; 0.0 when it is zero in all of them.  For the columns of a
-    block of a tight frame's ortho-decomposition this is the frame's b,
-    where check_tight(restrict(F, I)) would divide by the full n * m_j.
+    positive; 0.0 when it is zero in all of them, NaN when a block is not
+    finite.  For the columns of a block of a tight frame's
+    ortho-decomposition this is the frame's b, where
+    check_tight(restrict(F, I)) would divide by the full n * m_j.
     """
     _check_positive(tol, "tol")
     blocks = restrict(F, I).matrix.blocks
+    if not all(np.isfinite(y).all() for y in blocks):
+        return np.nan  # LAPACK refuses a NaN block and reads an infinite one as NaN
     ranks = [_side_spectrum(y, tol, 0.0)[0] for y in blocks]
     per_b = [float(np.vdot(y, y).real) / r for y, r in zip(blocks, ranks) if r]
     return float(np.mean(per_b)) if per_b else 0.0

@@ -15,14 +15,14 @@ on bare summand blocks: the descent in optimize (_column_grams, which
 column_grams also calls, and _scale_columns, the block of M diag(w_1, ...))
 and the split pass in decomposition (_column_sides, select_columns' gather).
 
-Shapes and indices are validated at the boundary.  The public constructor,
-which from_grids, from_entries, diagonal and random go through, checks the
-block count and each block's shape and stores complex arrays; its rows and
-cols check (_checked_shape) also runs first in diagonal, zeros, identity
-and random, before they allocate, and _indices refuses bool and float
-indices.  The results of operations on matrices that passed them (products,
-adjoints, sums, scalar multiples, entries, top_rows, select_columns) are
-built by _trusted, which repeats none of those checks.
+Shapes and indices are validated at the boundary.  Every AMatrix, the
+result of an operation too, is built by the constructor, which checks the
+block count and each block's shape and stores complex arrays; a block that
+is one already, a view such as an entry's included, is stored as it is.
+Its rows and cols check (_checked_shape) also runs first in diagonal,
+zeros, identity and random, before they allocate, and _indices refuses
+bool and float indices.  Equality is identity: == and hash are object's,
+and allclose(other, 0.0) is the one comparison of values.
 
 An element of A is the 1 x 1 AMatrix, since M_1(A) = A: entry(i, j) returns
 one, from_entries assembles a grid of them, and the C*-algebra operations
@@ -52,7 +52,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraSpec, ShapeError, Verdict, _as_int, _check_k_n, _check_positive, _complex_gaussian,
-    _scaled_tol, _spectral_norm, _spectral_norms,
+    _largest_norm, _scaled_tol, _spectral_norm, _spectral_norms,
 )
 
 __all__ = [
@@ -136,19 +136,7 @@ def _checked_shape(rows, cols) -> tuple[int, int]:
     return rows, cols
 
 
-def _trusted(spec: AlgebraSpec, rows: int, cols: int, blocks: tuple) -> "AMatrix":
-    """An AMatrix over blocks that are already complex arrays of the right
-    shapes, built without the public constructor's checks.
-
-    For results of AMatrix operations on valid operands only; other modules
-    build through the public constructor, which validates.
-    """
-    M = object.__new__(AMatrix)
-    M.__dict__.update(spec=spec, rows=rows, cols=cols, blocks=blocks)
-    return M
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AMatrix:
     """An r x c matrix with entries in ⊕_j M_{m_j}(C), one flat block per summand."""
 
@@ -268,7 +256,7 @@ class AMatrix:
         """Entry (i, j), an element of A: the 1 x 1 AMatrix on the grids views,
         so writes to its blocks land in this matrix."""
         i, j = _indices(i, 0), _indices(j, 0)  # a slice would not give m x m
-        return _trusted(self.spec, 1, 1, tuple(g[i, j] for g in self.grids))
+        return AMatrix(self.spec, 1, 1, tuple(g[i, j] for g in self.grids))
 
     def column(self, j: int) -> "AMatrix":
         return self.select_columns([j])
@@ -287,12 +275,8 @@ class AMatrix:
         n = _indices(n, 0)
         if not 1 <= n <= self.rows:
             raise ShapeError(f"cannot take {n} leading rows of {self.rows}")
-        return _trusted(
-            self.spec,
-            n,
-            self.cols,
-            tuple(blk[: n * m] for m, blk in zip(self.spec.summand_dims, self.blocks)),
-        )
+        blocks = tuple(blk[: n * m] for m, blk in zip(self.spec.summand_dims, self.blocks))
+        return AMatrix(self.spec, n, self.cols, blocks)
 
     def select_columns(self, indices: Sequence[int]) -> "AMatrix":
         """The columns at indices, in that order and with any repeats."""
@@ -302,7 +286,7 @@ class AMatrix:
         blocks = tuple(
             _gather_columns(blk, m, idx) for m, blk in zip(self.spec.summand_dims, self.blocks)
         )
-        return _trusted(self.spec, self.rows, len(idx), blocks)
+        return AMatrix(self.spec, self.rows, len(idx), blocks)
 
     # -- algebra -----------------------------------------------------------
 
@@ -318,7 +302,7 @@ class AMatrix:
         self._check_same_spec(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"shape mismatch in {what}")
-        return _trusted(self.spec, self.rows, self.cols, tuple(map(op, self.blocks, other.blocks)))
+        return AMatrix(self.spec, self.rows, self.cols, tuple(map(op, self.blocks, other.blocks)))
 
     def __add__(self, other: "AMatrix") -> "AMatrix":
         return self._blockwise(operator.add, other, "addition")
@@ -327,15 +311,11 @@ class AMatrix:
         return self._blockwise(operator.sub, other, "subtraction")
 
     def __neg__(self) -> "AMatrix":
-        return _trusted(self.spec, self.rows, self.cols, tuple(-a for a in self.blocks))
+        return AMatrix(self.spec, self.rows, self.cols, tuple(-a for a in self.blocks))
 
     def __mul__(self, scalar) -> "AMatrix":
-        return _trusted(
-            self.spec,
-            self.rows,
-            self.cols,
-            tuple(complex(scalar) * a for a in self.blocks),
-        )
+        s = complex(scalar)
+        return AMatrix(self.spec, self.rows, self.cols, tuple(s * a for a in self.blocks))
 
     __rmul__ = __mul__
 
@@ -345,18 +325,12 @@ class AMatrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return _trusted(
-            self.spec,
-            self.rows,
-            other.cols,
-            tuple(a @ b for a, b in zip(self.blocks, other.blocks)),
-        )
+        blocks = tuple(a @ b for a, b in zip(self.blocks, other.blocks))
+        return AMatrix(self.spec, self.rows, other.cols, blocks)
 
     def adjoint(self) -> "AMatrix":
         """Conjugate transpose over A: (M*)_ij = (M_ji)*."""
-        return _trusted(
-            self.spec, self.cols, self.rows, tuple(a.conj().T for a in self.blocks)
-        )
+        return AMatrix(self.spec, self.cols, self.rows, tuple(a.conj().T for a in self.blocks))
 
     @property
     def H(self) -> "AMatrix":
@@ -365,10 +339,7 @@ class AMatrix:
     def norm(self) -> float:
         """Operator norm: the largest summand spectral norm, NaN if any is NaN
         (a non-finite block, see algebra._spectral_norm)."""
-        norms = [_spectral_norm(a) for a in self.blocks]
-        # max drops a NaN that follows a number; the sum is NaN when any is
-        total = sum(norms)
-        return max(norms) if total == total else np.nan
+        return _largest_norm([_spectral_norm(a) for a in self.blocks])
 
     def is_positive(self, tol: float = 1e-9) -> bool:
         """Positivity in the C*-algebra M_n(A), for square M only: per summand

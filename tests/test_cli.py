@@ -165,6 +165,23 @@ class TestVerify:
 
 
 class TestAnalyze:
+    def test_tiny_tol_prints_no_warning(self, tmp_path):
+        # the Gram entries of this exactly tight frame square past the float
+        # range at this bound; they are edges, and a child process with
+        # Python's default warning filters prints no overflow warning
+        from ncframes import AlgebraSpec, AMatrix, Frame
+
+        path = tmp_path / "quarters.json"
+        save_frame(path, Frame(AMatrix(AlgebraSpec((1,)), 1, 4, (np.full((1, 4), 0.5),))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE_ROOT), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncframes.cli", "analyze", str(path), "--tol", "1e-200"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["partition"] == [[1, 2, 3, 4]]
+
     def test_double_mercedes(self, tmp_path, capsys):
         from ncframes import direct_sum_frames
 
@@ -776,6 +793,18 @@ class TestArgumentContract:
 
 
 class TestMinimize:
+    @pytest.mark.parametrize("trace", ["m.json", "./m.json", "sub/../m.json"])
+    def test_trace_out_onto_out_is_refused(self, tmp_path, monkeypatch, trace):
+        # the trace document would overwrite the frame, so both are refused
+        # before either is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rc, out, err = _run_quietly(["minimize", "--algebra", "1", "--k", "3", "--n", "2",
+                                     "--out", "m.json", "--trace-out", trace])
+        assert (rc, out) == (3, "")
+        assert err == "error: --trace-out names the same file as --out, which would lose the frame\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
     def test_converges_and_writes(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         rc, out = run(capsys, "minimize", "--algebra", "1", "--k", "3",

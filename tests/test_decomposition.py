@@ -487,6 +487,14 @@ class TestEdgeBracket:
         assert np.array_equal(_edges(G, t), want)
         assert want.any() and not want.all()
 
+    def test_a_tiny_bound_settles_overflowing_entries_as_edges(self):
+        # FF* = 1 exactly for four entries 0.5, so the frame is tight at any
+        # tol; at 1e-200 a Gram entry over the bound squares past the float
+        # range, which must read as an edge and, with warnings as errors,
+        # raise no RuntimeWarning
+        F = Frame(AMatrix(AlgebraSpec((1,)), 1, 4, (np.full((1, 4), 0.5),)))
+        assert ortho_decompose(F, 1e-200).blocks == ((1, 2, 3, 4),)
+
 
 def test_block_constants_on_their_own_ranges():
     # over C + C, f_1 lives in the first summand and f_2 in the second: each

@@ -11,6 +11,7 @@ from ncframes import (
     canonical_coisometry,
     canonical_frame,
     check_tight,
+    commutation_residual,
     factorize,
     frame_operator,
     gram_matrix,
@@ -19,6 +20,7 @@ from ncframes import (
     is_unitary,
     random_tight_frame,
     random_unitary,
+    range_constant,
     scalar_definition_check,
 )
 from conftest import scalar_frame
@@ -410,6 +412,12 @@ def test_non_finite_entries_get_a_false_verdict(dims, value):
     # nor unitary
     E = _with_entry(AMatrix.identity(spec, 1), value, last)
     assert (E.is_positive(), is_partial_isometry(E), is_unitary(E)) == (False, False, False)
+    # analyze's per-block measures have no tightness gate, so they meet such
+    # a frame too; the entry sits in the first column of I, whose
+    # complement is not empty
+    G = Frame(_with_entry(random_tight_frame(spec, 4, 2, 1.0, 1).matrix, value, last))
+    measures = commutation_residual(G, (1, 2)), range_constant(G, (1, 2))
+    assert [math.isnan(x) for x in measures] == [True, True]
     # the same calls on F itself hold
     assert check_tight(F).is_tight and is_spherical(F).is_spherical
     assert (F.matrix @ F.matrix.H).is_positive() and is_partial_isometry(F.matrix)

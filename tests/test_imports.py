@@ -227,21 +227,16 @@ def test_only_module_expands_columns_to_block_positions():
     assert found == []
 
 
-def test_only_module_builds_unchecked_matrices():
-    # module._trusted skips the public constructor's block count, shape and
-    # dtype checks, which hold only for the results of AMatrix operations
-    # on valid operands: no other module may import, call or name it
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "module.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
-            else:
-                names = [getattr(node, "attr", getattr(node, "id", None))]
-            if "_trusted" in names:
-                found.append(f"{path.name}:{node.lineno} uses _trusted")
+def test_every_matrix_is_built_by_its_constructor():
+    # no package module reaches __new__ or an instance __dict__, the ways to
+    # build an AMatrix past __post_init__, so its block count, shape and
+    # dtype checks hold for every matrix, the results of operations included
+    found = [
+        f"{path.name}:{node.lineno} uses {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("__new__", "__dict__")
+    ]
     assert found == []
 
 

@@ -6,10 +6,12 @@ import pytest
 from ncframes import (
     AlgebraSpec,
     AMatrix,
+    Frame,
     NotCoisometricError,
     ShapeError,
     canonical_coisometry,
     complete_to_unitary,
+    factorize,
     inner_product,
     is_partial_isometry,
     is_unitary,
@@ -217,8 +219,8 @@ def _wrong_blocks(spec):
 
 @pytest.mark.parametrize("case", sorted(_wrong_blocks(AlgebraSpec((2, 1)))))
 def test_public_constructors_check_blocks(mixed_spec, case):
-    # the operations build their results unchecked (module._trusted), so the
-    # checks must stay in every constructor that takes outside blocks
+    # every AMatrix, the results of operations too, is built by the
+    # constructor, so its checks refuse wrong blocks from any builder
     with pytest.raises(ShapeError):
         _wrong_blocks(mixed_spec)[case]()
 
@@ -258,7 +260,8 @@ def test_numpy_integer_dimensions_are_stored_as_ints(mixed_spec):
 
 
 def test_operations_on_valid_matrices_give_valid_matrices(mixed_spec):
-    # what _trusted skips holds for every result an operation builds
+    # every result an operation builds passed the constructor, which kept
+    # its complex blocks as the same objects, views included
     rng = np.random.default_rng(5)
     M, N = AMatrix.random(mixed_spec, 2, 3, rng), AMatrix.random(mixed_spec, 2, 3, rng)
     results = [M @ N.H, M.H, M + N, M - N, -M, 2 * M, M * 0.5j, M.entry(1, 2),
@@ -267,6 +270,24 @@ def test_operations_on_valid_matrices_give_valid_matrices(mixed_spec):
         checked = AMatrix(R.spec, R.rows, R.cols, R.blocks)
         assert all(a is b for a, b in zip(R.blocks, checked.blocks))
         assert all(a.dtype == complex for a in R.blocks)
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+def test_equality_is_identity_and_allclose_compares_values(dims):
+    # a value == over the tuples of blocks would ask numpy for the truth
+    # value of an array; == and hash are identity, and allclose(., 0.0) is
+    # the one comparison of values
+    spec = AlgebraSpec(dims)
+    M, N = AMatrix.identity(spec, 2), AMatrix.identity(spec, 2)
+    assert [M == M, M == N, M != N, M == 1] == [True, False, True, False]
+    assert M.allclose(N, 0.0) and hash(M) == hash(M)
+    # a Frame compares its matrix by identity, so one over M is one value
+    F = Frame(M)
+    assert (Frame(M) == F, Frame(N) == F) == (True, False)
+    assert len({F, Frame(M), Frame(N)}) == 2
+    # and so do the results that hold a matrix
+    assert (factorize(F) == factorize(F)) is False
+    assert factorize(F).unitary.allclose(factorize(F).unitary, 0.0)
 
 
 # a bool mask, a bool and a float are no indices: numpy would read the mask

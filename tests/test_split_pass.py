@@ -44,7 +44,6 @@ from ncframes import (
     restrict,
     split_equivalence,
 )
-from ncframes import module
 from ncframes.cli import _equivalence_corpus
 from ncframes.decomposition import SplitEquivalenceReport
 from ncframes.decomposition import _components
@@ -285,29 +284,24 @@ def test_commutation_residual_equals_the_array_reference_bit_for_bit(F, tol):
 @pytest.mark.parametrize("F, tol", corpus()[:4] + BIT_CORPUS[-2:])
 def test_split_queries_build_no_matrices(F, tol, monkeypatch):
     # once check_tight is memoized, a query gathers its column sides as bare
-    # summand blocks: no AMatrix is built, through the public constructor
-    # or through module._trusted
+    # summand blocks: no AMatrix is built, and every AMatrix, an
+    # operation's result too, passes through the constructor
     check_tight(F, tol)
     built = Counter()
-    trusted, post_init = module._trusted, AMatrix.__post_init__
-
-    def counted_trusted(*args):
-        built["_trusted"] += 1
-        return trusted(*args)
+    post_init = AMatrix.__post_init__
 
     def counted_post_init(self):
         built["AMatrix"] += 1
         post_init(self)
 
-    monkeypatch.setattr(module, "_trusted", counted_trusted)
     monkeypatch.setattr(AMatrix, "__post_init__", counted_post_init)
     for I in _subsets(F.k):
         split_equivalence(F, I, tol)
     assert built == Counter()
-    # the counters see both kinds of construction
+    # the counter sees an operation's result and a builder's
     F.matrix.select_columns([0])
     AMatrix.zeros(F.spec, 1, 1)
-    assert built == Counter({"_trusted": 1, "AMatrix": 1})
+    assert built == Counter({"AMatrix": 2})
 
 
 def overlap_by_svd(F, I, tol):
